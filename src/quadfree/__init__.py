@@ -16,13 +16,11 @@ from .freesets import (
     CLambda,
     CPhiLambda,
     CRPhiLambda,
-    CylinderLift,
     FreeSetDescriptor,
     Halfspace,
     StepLength,
     boundary_step,
     build_free_set,
-    margin,
 )
 from .oracle import (
     VerificationReport,
@@ -41,10 +39,9 @@ from .oracle import (
 )
 from .spectral import (
     CanonicalForm,
-    EigenDecomposition,
     QuadraticConstraint,
     canonicalize,
-    jacobi_eigen,
+    eigen,
     lift,
     pullback_linear,
 )

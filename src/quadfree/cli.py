@@ -96,6 +96,11 @@ def parse_instance(path: str) -> dict:
                 raise ParseError("constraint coef dimension mismatch")
             parsed.append((coef, float(row["rhs"]), row["sense"]))
         inst["linear_constraints"] = parsed
+
+    numbers = [Q, b, c, point, inst.get("rays", 0.0), inst.get("objective", 0.0)]
+    numbers += [v for coef, rhs, _ in inst.get("linear_constraints", ()) for v in (coef, rhs)]
+    if not all(np.isfinite(v).all() for v in numbers):
+        raise ParseError("numeric fields must be finite (no NaN or Infinity)")
     return inst
 
 
@@ -293,50 +298,22 @@ def _plot_layer_2d(f, box, grid=200):
     return {"kind": "polylines", "polylines": polylines}
 
 
-def _plot_layer_3d(f, box, grid=48):
-    try:
-        from skimage import measure
-    except ImportError as exc:  # pragma: no cover
-        raise ParseError("3-D plotting requires scikit-image") from exc
-    axis = np.linspace(-box, box, grid)
-    F = np.array(
-        [[[f(np.array([x, y, z])) for z in axis] for y in axis] for x in axis]
-    )
-    try:
-        verts, faces, _, _ = measure.marching_cubes(F, level=0.0)
-    except (ValueError, RuntimeError):
-        return {"kind": "trimesh", "vertices": [], "faces": []}
-    step = axis[1] - axis[0]
-    verts = verts * step - box
-    kept, remap = [], {}
-    for idx, v in enumerate(verts):
-        proj = _newton_project(f, v)
-        if proj is not None:
-            remap[idx] = len(kept)
-            kept.append([float(t) for t in proj])
-    faces_out = [
-        [remap[i] for i in face]
-        for face in faces
-        if all(i in remap for i in face)
-    ]
-    return {"kind": "trimesh", "vertices": kept, "faces": faces_out}
-
-
 def cmd_plot(inst, args) -> int:
     p = inst["dim"]
-    if p not in (2, 3):
-        raise ParseError("plotting supports 2 or 3 variables only")
+    if p != 2:
+        raise ParseError("plotting supports 2 variables only")
     qc = _to_qc(inst)
     cf = spectral.canonicalize(qc, zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
     wanted = [s for s in (args.layers or "S,freeset").split(",") if s]
     box = max(5.0, 1.5 * float(np.max(np.abs(inst["point"]))) + 3.0)
-    maker = _plot_layer_2d if p == 2 else _plot_layer_3d
     layers = {}
     if "S" in wanted:
-        layers["S"] = maker(lambda s: qc(s), box)
+        layers["S"] = _plot_layer_2d(lambda s: qc(s), box)
     if "freeset" in wanted:
-        layers["freeset"] = maker(lambda s: float(fs.margin(cf.map_point(s))), box)
+        layers["freeset"] = _plot_layer_2d(
+            lambda s: float(fs.margin(cf.map_point(s))), box
+        )
     digest = hashlib.sha256(emit_json(inst["raw"]).encode()).hexdigest()
     payload = {
         "layers": layers,

@@ -9,10 +9,6 @@ class NonSymmetricError(QuadfreeError):
     """A matrix that must be symmetric is not."""
 
 
-class NoConvergenceError(QuadfreeError):
-    """The eigensolver failed to drive the off-diagonal norm to zero."""
-
-
 class NotSeparableError(QuadfreeError):
     """The given point already satisfies the quadratic constraint, so
     there is nothing to separate."""

@@ -11,7 +11,6 @@ Margins accept a single point or a batch of row points.  The families:
 * ``CPhiLambda``   — epigraph-style set φ(y) ≤ λᵀx.
 * ``CRPhiLambda``  — the hyperplane-relative enlargement of CPhiLambda.
 * ``Halfspace``    — a single linear inequality (convex cases).
-* ``CylinderLift`` — an inner set extended by free coordinates.
 """
 
 from __future__ import annotations
@@ -230,16 +229,6 @@ class Halfspace(FreeSetDescriptor):
 
 
 @dataclass(frozen=True)
-class CylinderLift(FreeSetDescriptor):
-    """An inner free set extended cylindrically over l free coordinates."""
-
-    inner: FreeSetDescriptor = None
-
-    def margin(self, w):
-        return self.inner.margin(w)
-
-
-@dataclass(frozen=True)
 class StepLength:
     """Largest step along a ray staying inside the set (may be +inf)."""
 
@@ -255,7 +244,8 @@ def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
         # Feasible region is empty: the whole space is trivially free.
         return Halfspace(n, m, l, coef=np.zeros(n + m + l), rhs=1.0)
     if case == spectral.CASE_HOMOG_H_NONZERO:
-        return CylinderLift(n, m, l, inner=CLambda(n, m, 0, lam=cf.lam))
+        # CLambda reads only x and y, so it is a cylinder over z already.
+        return CLambda(n, m, l, lam=cf.lam)
     if case == spectral.CASE_CASE1_CGLAMBDA:
         return CGLambda(n, m, l, cd=CaseData(cf.lam, cf.a, cf.d))
     if case == spectral.CASE_CONVEX_M1:
@@ -298,11 +288,6 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     grad = 2.0 * x_b + (2.0 * y_b / d1) * a
     coef = np.concatenate([-grad, np.zeros(cf.m + cf.l)])
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
-
-
-def margin(fs: FreeSetDescriptor, w):
-    """Functional form of the descriptor's margin."""
-    return fs.margin(w)
 
 
 def boundary_step(fs, apex, ray, tol: float = 1e-9) -> StepLength:

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateQuadraticError,
-    NoConvergenceError,
-    NonSymmetricError,
-    NotSeparableError,
-)
+from .errors import DegenerateQuadraticError, NonSymmetricError, NotSeparableError
 
 # Case tags, one per downstream free-set construction.
 CASE_EMPTY_S = "EMPTY_S"
@@ -36,9 +31,6 @@ ALL_CASES = (
     CASE_CASE2_CR,
     CASE_CASE2_CR_LAMBDA_NEG_A,
 )
-
-_MAX_JACOBI_DIM = 64
-_MAX_SWEEPS = 100
 
 
 def _as_symmetric(A: np.ndarray) -> np.ndarray:
@@ -69,9 +61,12 @@ class QuadraticConstraint:
             raise ValueError("dimension must be positive")
         if b.shape != (p,) or point.shape != (p,):
             raise ValueError("Q, b and point have inconsistent dimensions")
+        c = float(self.c)
+        if not all(np.isfinite(v).all() for v in (Q, b, c, point)):
+            raise ValueError("Q, b, c and point must be finite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "point", point)
 
     @property
@@ -83,59 +78,15 @@ class QuadraticConstraint:
         return float(s @ self.Q @ s + self.b @ s + self.c)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Orthonormal columns V and eigenvalues sorted descending."""
-
-    V: np.ndarray
-    eig: np.ndarray
-
-
-def jacobi_eigen(A: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
-
-    Deterministic for a fixed input (fixed sweep order).  Intended for
-    the small dense matrices arising from lifted quadratics.
-    """
-    B = _as_symmetric(A)
-    p = B.shape[0]
-    if p > _MAX_JACOBI_DIM:
-        raise ValueError(f"dimension {p} exceeds supported size {_MAX_JACOBI_DIM}")
-    V = np.eye(p)
-    norm_a = np.linalg.norm(B)
-    if norm_a == 0.0:
-        return EigenDecomposition(V=V, eig=np.zeros(p))
-
-    def off_norm(M):
-        off = M - np.diag(np.diag(M))
-        return np.linalg.norm(off)
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if off_norm(B) <= 1e-12 * norm_a:
-            converged = True
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                if abs(B[i, j]) <= 1e-300:
-                    continue
-                tau = (B[j, j] - B[i, i]) / (2.0 * B[i, j])
-                t = np.sign(tau) if tau != 0 else 1.0
-                t /= abs(tau) + np.hypot(1.0, tau)
-                cs = 1.0 / np.hypot(1.0, t)
-                sn = t * cs
-                rot = np.array([[cs, -sn], [sn, cs]])
-                B[[i, j], :] = rot @ B[[i, j], :]
-                B[:, [i, j]] = B[:, [i, j]] @ rot.T
-                V[:, [i, j]] = V[:, [i, j]] @ rot.T
-    else:
-        converged = off_norm(B) <= 1e-12 * norm_a
-    if not converged:
-        raise NoConvergenceError("Jacobi sweeps did not converge")
-
-    eig = np.diag(B).copy()
-    order = np.argsort(-eig, kind="stable")
-    return EigenDecomposition(V=V[:, order], eig=eig[order])
+def eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric matrix in descending order and the
+    matching orthonormal eigenvector columns, each signed so that its
+    largest-magnitude entry is positive."""
+    eig, V = np.linalg.eigh(_as_symmetric(A))
+    eig, V = eig[::-1], V[:, ::-1]
+    cols = np.arange(V.shape[1])
+    V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
+    return eig, V
 
 
 def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
@@ -209,33 +160,30 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
         raise NotSeparableError(f"q(point) = {q_bar} is not positive")
 
     Qt = lift(qc.Q, qc.b, qc.c)
-    dec = jacobi_eigen(Qt)
-    max_abs = float(np.max(np.abs(dec.eig)))
+    eig, V = eigen(Qt)
+    max_abs = float(np.max(np.abs(eig)))
     if max_abs <= zero_tol:
         raise DegenerateQuadraticError("all lifted eigenvalues vanish")
 
     thresh = zero_tol * max_abs
-    pos = np.flatnonzero(dec.eig > thresh)
-    neg = np.flatnonzero(dec.eig < -thresh)
-    zer = np.flatnonzero(np.abs(dec.eig) <= thresh)
+    pos = np.flatnonzero(eig > thresh)
+    neg = np.flatnonzero(eig < -thresh)
+    zer = np.flatnonzero(np.abs(eig) <= thresh)
     n, m, l = len(pos), len(neg), len(zer)
     if n == 0:
         raise NotSeparableError("quadratic has no positive directions; q ≤ 0 cannot be violated")
 
     # Rows of M: scaled eigenvector rows permuted to (x, y, z) order.
-    sigma = np.where(np.abs(dec.eig) <= thresh, 1.0, np.sqrt(np.abs(dec.eig)))
-    perm = np.concatenate([pos, neg, zer]).astype(int)
-    M = (sigma[:, None] * dec.V.T)[perm]
-    Minv = dec.V @ np.diag(1.0 / sigma) @ _perm_matrix(perm).T
+    sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
+    perm = np.concatenate([pos, neg, zer])
+    M = (sigma[:, None] * V.T)[perm]
+    Minv = (V / sigma)[:, perm]
 
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
-    e_last = np.zeros(Qt.shape[0])
-    e_last[-1] = 1.0
-    g = ((dec.V.T @ e_last) / sigma)[perm]
-    g = -g
+    g = -(V[-1] / sigma)[perm]
 
     scale: dict = {
-        "eigenvalues": dec.eig.copy(),
+        "eigenvalues": eig.copy(),
         "signature": (n, m, l),
         "quad_scale": 1.0,
     }
@@ -275,12 +223,6 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
         else CASE_CASE2_CR
     )
     return build(case)
-
-
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    P = np.zeros((len(perm), len(perm)))
-    P[np.arange(len(perm)), perm] = 1.0
-    return P
 
 
 def pullback_linear(cf: CanonicalForm, alpha: np.ndarray, beta: float):

@@ -125,6 +125,14 @@ def test_parse_error_exit_3(tmp_path):
     assert main(["canon", str(path)]) == 3
 
 
+def test_canon_non_finite_exit_3(tmp_path):
+    fields = wedge_fields()
+    fields["Q"] = [[math.nan, 1.0], [1.0, 0.0]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")  # a bare NaN literal
+    assert main(["canon", str(path)]) == 3
+
+
 # --- cut ---------------------------------------------------------------------
 
 
@@ -232,15 +240,16 @@ def test_plot_wedge_layers(tmp_path, capsys):
 
 
 def test_plot_refuses_high_dimension(tmp_path):
-    path = write_instance(
-        tmp_path,
-        dim=4,
-        Q=np.diag([1.0, 1.0, -1.0, -1.0]).tolist(),
-        b=[0.0] * 4,
-        c=0.0,
-        point=[3.0, 0.0, 0.0, 0.0],
-    )
-    assert main(["plot", path]) == 3
+    for dim in (3, 4):
+        path = write_instance(
+            tmp_path,
+            dim=dim,
+            Q=np.diag([1.0, 1.0, -1.0, -1.0][:dim]).tolist(),
+            b=[0.0] * dim,
+            c=0.0,
+            point=[3.0] + [0.0] * (dim - 1),
+        )
+        assert main(["plot", path]) == 3
 
 
 # --- loop --------------------------------------------------------------------

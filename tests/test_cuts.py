@@ -4,14 +4,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import wedge_canonical, wedge_constraint
+from conftest import random_instance, wedge_canonical, wedge_constraint
 from quadfree import oracle, spectral
 from quadfree.cuts import CutCertificate, SimplicialCone, intersection_cut, separate
 from quadfree.errors import AllRaysRecessionError, EmptySError
 from quadfree.freesets import (
     CLambda,
     CPhiLambda,
-    CylinderLift,
     FreeSetDescriptor,
     build_free_set,
 )
@@ -106,10 +105,23 @@ def test_homogeneous_two_variable_instance():
     )
     cone = SimplicialCone(apex=np.array([3.0, 0.0]), R=np.array([[-1.0, -1.0], [1.0, -1.0]]))
     cert = separate(qc, cone)
-    assert isinstance(cert.free_set, CylinderLift)
+    assert isinstance(cert.free_set, CLambda)
     assert float(cert.coef @ qc.point) - cert.rhs >= 1e-9
     rep = oracle.check_cut_validity(qc, cert, count=10**4, seed=0)
     assert rep.passed, rep.worst_residual
+
+
+def test_separate_at_p80():
+    # p = 80: the lifted matrix is 81 × 81
+    rng = np.random.default_rng(0)
+    qc = random_instance(rng, 40, 30, 11)
+    R = np.eye(qc.dim)
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=R))
+    assert cert.apex_violation > 0.0
+    # each finite step ends on the free-set boundary, where q ≥ 0
+    for st, ray in zip(cert.steps, R.T):
+        if math.isfinite(st.value):
+            assert qc(qc.point + st.value * ray) >= 0.0
 
 
 def test_wedge_end_to_end_cut():

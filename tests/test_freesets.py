@@ -12,12 +12,10 @@ from quadfree.freesets import (
     CLambda,
     CPhiLambda,
     CRPhiLambda,
-    CylinderLift,
     Halfspace,
     StepLength,
     boundary_step,
     build_free_set,
-    margin,
 )
 
 S2 = math.sqrt(2.0)
@@ -146,8 +144,7 @@ def test_halfspace_margin():
 
 
 def test_cylinder_lift_ignores_free_coordinates():
-    inner = CLambda(1, 1, 0, lam=np.array([1.0]))
-    fs = CylinderLift(1, 1, 2, inner=inner)
+    fs = CLambda(1, 1, 2, lam=np.array([1.0]))
     assert fs.margin(np.array([3.0, 2.0, 9.0, -9.0])) == pytest.approx(-1.0)
 
 
@@ -204,8 +201,7 @@ def test_build_homogeneous_gives_cylinder():
         1, 1, 1, a=[0.0], d=[0.0], h=[-1.0], case=spectral.CASE_HOMOG_H_NONZERO
     )
     fs = build_free_set(cf)
-    assert isinstance(fs, CylinderLift)
-    assert isinstance(fs.inner, CLambda)
+    assert isinstance(fs, CLambda)
 
 
 def test_build_empty_s_gives_trivial_halfspace():
@@ -351,9 +347,3 @@ def test_boundary_step_wedge_matches_closed_form(cd_wedge):
 def test_step_length_record():
     st = StepLength(value=2.0, residual=1e-12)
     assert st.value == 2.0 and st.residual == 1e-12
-
-
-def test_module_level_margin_helper(cd_wedge):
-    fs = wedge_crphi(cd_wedge)
-    w = np.array([0.3, -0.2, 0.7])
-    assert margin(fs, w) == pytest.approx(float(fs.margin(w)))

@@ -24,7 +24,7 @@ from quadfree.spectral import (
     CASE_HOMOG_H_NONZERO,
     QuadraticConstraint,
     canonicalize,
-    jacobi_eigen,
+    eigen,
     lift,
     pullback_linear,
 )
@@ -32,46 +32,60 @@ from quadfree.spectral import (
 S2 = math.sqrt(2.0)
 
 
-# --- jacobi_eigen -----------------------------------------------------------
+# --- eigen ------------------------------------------------------------------
 
 
-def test_jacobi_diagonal_input():
-    dec = jacobi_eigen(np.diag([2.0, -3.0]))
-    assert np.allclose(dec.eig, [2.0, -3.0])
-    assert np.allclose(np.abs(dec.V), np.eye(2))
+def test_eigen_diagonal_input():
+    eig, V = eigen(np.diag([2.0, -3.0]))
+    assert np.allclose(eig, [2.0, -3.0])
+    assert np.allclose(np.abs(V), np.eye(2))
 
 
-def test_jacobi_known_decomposition():
+def test_eigen_known_decomposition():
     rng = np.random.default_rng(0)
     V0 = random_orthogonal(rng, 3)
     A = V0 @ np.diag([5.0, 1.0, -2.0]) @ V0.T
-    dec = jacobi_eigen(0.5 * (A + A.T))
-    assert np.allclose(dec.eig, [5.0, 1.0, -2.0], atol=1e-9)
+    eig, _ = eigen(0.5 * (A + A.T))
+    assert np.allclose(eig, [5.0, 1.0, -2.0], atol=1e-9)
 
 
-def test_jacobi_eigenvalues_sorted_descending():
+def test_eigen_eigenvalues_sorted_descending():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((6, 6))
-    dec = jacobi_eigen(A + A.T)
-    assert np.all(np.diff(dec.eig) <= 1e-12)
+    eig, _ = eigen(A + A.T)
+    assert np.all(np.diff(eig) <= 1e-12)
 
 
-def test_jacobi_reconstruction_random():
+def test_eigen_reconstruction_random():
     rng = np.random.default_rng(2)
     for _ in range(1000):
-        k = int(rng.integers(1, 17))
+        k = int(rng.integers(1, 101))
         A = rng.standard_normal((k, k))
         A = A + A.T
-        dec = jacobi_eigen(A)
-        rec = dec.V @ np.diag(dec.eig) @ dec.V.T
+        eig, V = eigen(A)
+        rec = V @ np.diag(eig) @ V.T
         scale = max(np.max(np.abs(A)), 1.0)
         assert np.max(np.abs(rec - A)) <= 1e-9 * scale
-        assert np.max(np.abs(dec.V @ dec.V.T - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(V @ V.T - np.eye(k))) <= 1e-10
+        # sign convention: each column's largest-magnitude entry is positive
+        assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
 
 
-def test_jacobi_rejects_nonsymmetric():
+def test_eigen_rejects_nonsymmetric():
     with pytest.raises(NonSymmetricError):
-        jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_quadratic_constraint_rejects_non_finite():
+    good = dict(Q=np.eye(2), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0]))
+    for key, bad in (
+        ("Q", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        ("b", np.array([np.inf, 0.0])),
+        ("c", -np.inf),
+        ("point", np.array([3.0, np.nan])),
+    ):
+        with pytest.raises(ValueError):
+            QuadraticConstraint(**dict(good, **{key: bad}))
 
 
 # --- lift -------------------------------------------------------------------
