@@ -2,7 +2,8 @@
 commands, figure-data emission, and a demo cutting loop.
 
 Exit codes: 2 not separable, 3 parse error, 4 all rays recede,
-5 infeasible constraint, 6 unbounded LP, 7 degenerate vertex.
+5 infeasible constraint, 6 unbounded LP, 7 degenerate vertex,
+8 an oracle could not draw enough samples.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ from .errors import (
     AllRaysRecessionError,
     DegenerateVertexError,
     EmptySError,
+    NonSymmetricError,
     NotSeparableError,
     ParseError,
     QuadfreeError,
+    SamplingExhaustedError,
     UnboundedLPError,
 )
 
 _TOP_KEYS = {"dim", "Q", "b", "c", "point", "cone", "objective", "linear_constraints"}
 _REQUIRED = {"dim", "Q", "b", "c", "point"}
 _SENSES = {"<=", "=", ">="}
+_PLOT_LAYERS = ("S", "freeset")
 
 
 def parse_instance(path: str) -> dict:
@@ -58,10 +62,12 @@ def parse_instance(path: str) -> dict:
         raise ParseError(f"malformed numeric field: {exc}") from exc
     if Q.shape != (p, p) or b.shape != (p,) or point.shape != (p,):
         raise ParseError("Q/b/point shapes do not match dim")
-    if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(Q), initial=0.0)):
-        raise ParseError("Q is not symmetric within tolerance")
+    try:
+        Q = spectral._as_symmetric(Q)
+    except NonSymmetricError as exc:
+        raise ParseError(f"Q: {exc}") from exc
 
-    inst = {"raw": raw, "dim": p, "Q": 0.5 * (Q + Q.T), "b": b, "c": c, "point": point}
+    inst = {"raw": raw, "dim": p, "Q": Q, "b": b, "c": c, "point": point}
 
     if "cone" in raw:
         cone = raw["cone"]
@@ -134,6 +140,16 @@ def _to_qc(inst) -> spectral.QuadraticConstraint:
     )
 
 
+def _cone(inst) -> cuts.SimplicialCone:
+    """The instance's cone; a missing or singular one is a parse error."""
+    if "rays" not in inst:
+        raise ParseError("this command needs a cone in the instance")
+    try:
+        return cuts.SimplicialCone(apex=inst["point"], R=inst["rays"])
+    except ValueError as exc:
+        raise ParseError(f"unusable cone: {exc}") from exc
+
+
 def _cf_payload(cf: spectral.CanonicalForm) -> dict:
     return {
         "n": cf.n,
@@ -162,10 +178,7 @@ def cmd_canon(inst, args) -> int:
 
 
 def cmd_cut(inst, args) -> int:
-    if "rays" not in inst:
-        raise ParseError("cut command needs a cone in the instance")
-    cone = cuts.SimplicialCone(apex=inst["point"], R=inst["rays"])
-    cert = cuts.separate(_to_qc(inst), cone, zero_tol=args.tol)
+    cert = cuts.separate(_to_qc(inst), _cone(inst), zero_tol=args.tol)
     payload = {
         "case": cert.canonical_form.case,
         "steps": [
@@ -229,8 +242,7 @@ def cmd_verify(inst, args) -> int:
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
         reports.extend(_case2_reports(cf, fs, samples, args.seed))
     if "rays" in inst:
-        cone = cuts.SimplicialCone(apex=inst["point"], R=inst["rays"])
-        cert = cuts.intersection_cut(cone, cf, fs)
+        cert = cuts.intersection_cut(_cone(inst), cf, fs)
         reports.append(
             oracle.check_cut_validity(_to_qc(inst), cert, seed=args.seed)
         )
@@ -287,9 +299,11 @@ def _marching_squares(F, xs, ys):
 
 
 def _plot_layer_2d(f, box, grid=200):
+    """Zero-level polylines of f, which maps a point or rows of points."""
     xs = np.linspace(-box, box, grid)
     ys = np.linspace(-box, box, grid)
-    F = np.array([[f(np.array([x, y])) for y in ys] for x in xs])
+    F = f(np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
+    F = F.reshape(grid, grid)
     polylines = []
     for seg in _marching_squares(F, xs, ys):
         proj = [_newton_project(f, np.array(v)) for v in seg]
@@ -299,21 +313,22 @@ def _plot_layer_2d(f, box, grid=200):
 
 
 def cmd_plot(inst, args) -> int:
+    wanted = [s for s in (args.layers or "S,freeset").split(",") if s]
+    unknown = sorted(set(wanted) - set(_PLOT_LAYERS))
+    if unknown:
+        raise ParseError(f"unknown plot layers {unknown}; choose from {list(_PLOT_LAYERS)}")
     p = inst["dim"]
     if p != 2:
         raise ParseError("plotting supports 2 variables only")
     qc = _to_qc(inst)
     cf = spectral.canonicalize(qc, zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
-    wanted = [s for s in (args.layers or "S,freeset").split(",") if s]
     box = max(5.0, 1.5 * float(np.max(np.abs(inst["point"]))) + 3.0)
     layers = {}
     if "S" in wanted:
-        layers["S"] = _plot_layer_2d(lambda s: qc(s), box)
+        layers["S"] = _plot_layer_2d(qc, box)
     if "freeset" in wanted:
-        layers["freeset"] = _plot_layer_2d(
-            lambda s: float(fs.margin(cf.map_point(s))), box
-        )
+        layers["freeset"] = _plot_layer_2d(lambda s: fs.margin(cf.map_point(s)), box)
     digest = hashlib.sha256(emit_json(inst["raw"]).encode()).hexdigest()
     payload = {
         "layers": layers,
@@ -343,10 +358,6 @@ def cmd_loop(inst, args) -> int:
     obj = inst["objective"]
     rows = _as_leq(inst["linear_constraints"])
     Q, b, c = inst["Q"], inst["b"], inst["c"]
-
-    def q_of(s):
-        return float(s @ Q @ s + b @ s + c)
-
     sys.stdout.write(
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
@@ -358,7 +369,8 @@ def cmd_loop(inst, args) -> int:
             s_star, value = lp.solve_lp(obj, A, rhs)
         except lp.InfeasibleLPError as exc:
             raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
-        viol = q_of(s_star)
+        qc = spectral.QuadraticConstraint(Q=Q, b=b, c=c, point=s_star)
+        viol = qc(s_star)
         record = {
             "iter": it,
             "objective": value,
@@ -379,7 +391,6 @@ def cmd_loop(inst, args) -> int:
             raise DegenerateVertexError("tight constraints are rank deficient")
         R = -np.linalg.inv(A_t)
         cone = cuts.SimplicialCone(apex=s_star, R=R)
-        qc = spectral.QuadraticConstraint(Q=Q, b=b, c=c, point=s_star)
         cert = cuts.separate(qc, cone, zero_tol=args.tol)
         rows.append((cert.coef, cert.rhs))
         record["cut"] = {"coef": [float(v) for v in cert.coef], "rhs": cert.rhs}
@@ -422,6 +433,7 @@ _EXIT_CODES = (
     (EmptySError, 5),
     (UnboundedLPError, 6),
     (DegenerateVertexError, 7),
+    (SamplingExhaustedError, 8),
 )
 
 

@@ -65,15 +65,15 @@ def _check_unit(beta: np.ndarray) -> np.ndarray:
     return beta
 
 
-def phi_value(cd: CaseData, y: np.ndarray) -> float:
-    """Evaluate the gauge φ(y); positively homogeneous and total on Rᵐ."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    ny = float(np.linalg.norm(y))
-    dy = float(cd.d @ y)
-    if cd.lam_a * ny + dy <= 0.0:
-        return ny
-    rad = max(ny * ny - dy * dy, 0.0) * max(1.0 - cd.lam_a**2, 0.0)
-    return float(np.sqrt(rad) - dy * cd.lam_a)
+def phi_value(cd: CaseData, y: np.ndarray):
+    """Evaluate the gauge φ at a vector (a float) or at each row of y;
+    positively homogeneous and total on Rᵐ."""
+    y = np.asarray(y, dtype=float)
+    ny = np.sqrt((y * y).sum(axis=-1))
+    dy = y @ cd.d
+    rad = np.maximum(ny * ny - dy * dy, 0.0) * max(1.0 - cd.lam_a**2, 0.0)
+    vals = np.where(cd.lam_a * ny + dy <= 0.0, ny, np.sqrt(rad) - dy * cd.lam_a)
+    return float(vals) if y.ndim == 1 else vals
 
 
 def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:

@@ -21,26 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .corefns import CaseData
+from .corefns import CaseData, phi_value
 from .errors import ApexNotInteriorError
 
 _T_CAP = 1e12
 
 
-def _as_batch(w):
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return w[None, :], True
-    return w, False
-
-
-def _unbatch(values, single):
-    return float(values[0]) if single else values
-
-
 @dataclass(frozen=True)
 class FreeSetDescriptor:
-    """Base for all free-set variants; concrete classes implement margin."""
+    """Base for all free-set variants; concrete classes implement
+    ``_margin_rows`` over a batch of row points."""
 
     n: int
     m: int
@@ -51,6 +41,13 @@ class FreeSetDescriptor:
         return self.n + self.m + self.l
 
     def margin(self, w):
+        """Margin at a point (a float) or at each row of w (an array)."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            return float(self._margin_rows(w[None, :])[0])
+        return self._margin_rows(w)
+
+    def _margin_rows(self, W):
         raise NotImplementedError
 
     def _split(self, w):
@@ -61,11 +58,9 @@ class FreeSetDescriptor:
 class CLambda(FreeSetDescriptor):
     lam: np.ndarray = None
 
-    def margin(self, w):
-        W, single = _as_batch(w)
+    def _margin_rows(self, W):
         x, y = self._split(W)
-        vals = np.linalg.norm(y, axis=1) - x @ self.lam
-        return _unbatch(vals, single)
+        return np.linalg.norm(y, axis=1) - x @ self.lam
 
 
 @dataclass(frozen=True)
@@ -81,38 +76,11 @@ class CGLambda(FreeSetDescriptor):
                     "CGLambda needs ‖a‖ ≤ ‖d‖ and m > 1 (pass forced=True to bypass)"
                 )
 
-    def _psi(self, y):
-        """Support function of G(λ) evaluated at rows of y."""
-        cd = self.cd
-        ny = np.linalg.norm(y, axis=1)
-        if cd.d_norm == 0.0:
-            return ny
-        a_lam = float(cd.a @ cd.lam)
-        if self.m == 1:
-            members = [s for s in (-1.0, 1.0) if a_lam + cd.d[0] * s <= 0.0]
-            if not members:
-                return np.full(len(y), -np.inf)
-            return np.max(np.outer(y[:, 0], members), axis=1)
-        dy = y @ cd.d
-        nd = cd.d_norm
-        t = np.clip(a_lam / nd, -1.0, 1.0)
-        rad = np.clip(ny * ny - (dy / nd) ** 2, 0.0, None) * (1.0 - t * t)
-        relaxed = np.sqrt(rad) - a_lam * dy / nd**2
-        return np.where(a_lam * ny + dy <= 0.0, ny, relaxed)
-
-    def margin(self, w):
-        W, single = _as_batch(w)
+    def _margin_rows(self, W):
+        """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
         x, y = self._split(W)
-        vals = self._psi(y) - x @ self.cd.lam
-        return _unbatch(vals, single)
-
-
-def _phi_rows(cd: CaseData, y: np.ndarray) -> np.ndarray:
-    """Vectorized φ over rows of y."""
-    ny = np.linalg.norm(y, axis=1)
-    dy = y @ cd.d
-    rad = np.clip(ny * ny - dy * dy, 0.0, None) * max(1.0 - cd.lam_a**2, 0.0)
-    return np.where(cd.lam_a * ny + dy <= 0.0, ny, np.sqrt(rad) - dy * cd.lam_a)
+        cd = self.cd
+        return _cap_support(cd, y, -cd.lam_a, relaxed=False) - x @ cd.lam
 
 
 def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.ndarray:
@@ -147,28 +115,29 @@ def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.nda
         return out
     if nd == 0.0:
         if relaxed:
-            return _phi_rows(cd, t) if c <= 0.0 else np.full(t.shape[0], -np.inf)
+            return phi_value(cd, t) if c <= 0.0 else np.full(t.shape[0], -np.inf)
         return nt if c >= 0.0 else np.full(t.shape[0], -np.inf)
     if relaxed:
         if c > nd:
             return np.full(t.shape[0], -np.inf)
         if c < -nd:
-            return _phi_rows(cd, t)
+            return phi_value(cd, t)
         interior = cd.lam_a * nt + dt >= 0.0
-        return np.where(interior, _phi_rows(cd, t), _circle_support(cd, t, c))
+        return np.where(interior, phi_value(cd, t), _circle_support(cd, nt, dt, c))
     if c >= nd:
         return nt
     if c < -nd:
         return np.full(t.shape[0], -np.inf)
     interior = cd.lam_a * nt + dt <= 0.0
-    return np.where(interior, nt, _circle_support(cd, t, c))
+    return np.where(interior, nt, _circle_support(cd, nt, dt, c))
 
 
-def _circle_support(cd: CaseData, t: np.ndarray, c: float) -> np.ndarray:
-    """Support of ⟨β, t⟩ over the circle {‖β‖ = 1, dᵀβ = c}, per row of t."""
+def _circle_support(
+    cd: CaseData, nt: np.ndarray, dt: np.ndarray, c: float
+) -> np.ndarray:
+    """Support of ⟨β, t⟩ over the circle {‖β‖ = 1, dᵀβ = c}, per row of t,
+    from the row norms nt = ‖t‖ and the products dt = dᵀt."""
     nd = cd.d_norm
-    nt = np.linalg.norm(t, axis=1)
-    dt = t @ cd.d
     height = math.sqrt(max(1.0 - (c / nd) ** 2, 0.0))
     tang = np.sqrt(np.clip(nt * nt - (dt / nd) ** 2, 0.0, None))
     return (c / nd**2) * dt + height * tang
@@ -178,11 +147,9 @@ def _circle_support(cd: CaseData, t: np.ndarray, c: float) -> np.ndarray:
 class CPhiLambda(FreeSetDescriptor):
     cd: CaseData = None
 
-    def margin(self, w):
-        W, single = _as_batch(w)
+    def _margin_rows(self, W):
         x, y = self._split(W)
-        vals = _phi_rows(self.cd, y) - x @ self.cd.lam
-        return _unbatch(vals, single)
+        return phi_value(self.cd, y) - x @ self.cd.lam
 
 
 @dataclass(frozen=True)
@@ -195,7 +162,7 @@ class CRPhiLambda(FreeSetDescriptor):
         if not (self.cd.unit_a and self.cd.d_norm < 1.0):
             raise ValueError("CRPhiLambda needs ‖a‖ = 1 > ‖d‖")
 
-    def margin(self, w):
+    def _margin_rows(self, W):
         """max over β of −λᵀx + ∇φ(β)ᵀy − r(β), evaluated in closed form.
 
         The unit directions break into the unrelaxed cap {dᵀβ ≤ −λᵀa}
@@ -205,7 +172,6 @@ class CRPhiLambda(FreeSetDescriptor):
         and the margin is the larger of the two support values.
         """
         cd = self.cd
-        W, single = _as_batch(w)
         x, y = self._split(W)
         lam_x = x @ cd.lam
         shift = 1.0 / (1.0 - cd.d_norm**2)
@@ -213,8 +179,7 @@ class CRPhiLambda(FreeSetDescriptor):
         c = -cd.lam_a
         unrelaxed = _cap_support(cd, y, c, relaxed=False)
         relaxed = _cap_support(cd, y - y0, c, relaxed=True)
-        vals = np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
-        return _unbatch(vals, single)
+        return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
 
 
 @dataclass(frozen=True)
@@ -222,10 +187,8 @@ class Halfspace(FreeSetDescriptor):
     coef: np.ndarray = None
     rhs: float = 0.0
 
-    def margin(self, w):
-        W, single = _as_batch(w)
-        vals = W @ self.coef - self.rhs
-        return _unbatch(vals, single)
+    def _margin_rows(self, W):
+        return W @ self.coef - self.rhs
 
 
 @dataclass(frozen=True)
@@ -262,28 +225,15 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     """Supporting halfspace of the convex slice for the m = 1 case.
 
     On the hyperplane, y = (−1 − aᵀx)/d₁ and the feasible region is the
-    convex set {g(x) ≤ 0} with g(x) = ‖x‖² − y(x)².  x = 0 is always
-    interior, so bisecting from the mapped point toward 0 locates a
-    boundary point; its supporting hyperplane is the free halfspace.
+    convex set {g(x) ≤ 0} with g(x) = ‖x‖² − y(x)².  g(0) < 0 and
+    g(x̄) > 0 at the mapped point, so on the segment t·x̄ the set's
+    boundary is the first root t* = 1/(|d₁|‖x̄‖ − aᵀx̄) of
+    t|d₁|‖x̄‖ = 1 + t·aᵀx̄; g(x̄) > 0 makes the denominator exceed 1.
+    The supporting hyperplane at t*·x̄ is the free halfspace.
     """
     a, d1 = cf.a, float(cf.d[0])
     xbar = cf.mapped_point[: cf.n]
-
-    def g(x):
-        y = (-1.0 - a @ x) / d1
-        return float(x @ x - y * y)
-
-    hi = 1.0  # g(xbar) > 0 since the mapped point violates the quadratic
-    lo = 0.0  # g(0) = -1/d₁² < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid * xbar) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15:
-            break
-    x_b = 0.5 * (lo + hi) * xbar
+    x_b = xbar / (abs(d1) * np.linalg.norm(xbar) - a @ xbar)
     y_b = (-1.0 - a @ x_b) / d1
     grad = 2.0 * x_b + (2.0 * y_b / d1) * a
     coef = np.concatenate([-grad, np.zeros(cf.m + cf.l)])
@@ -293,8 +243,10 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
 def boundary_step(fs, apex, ray, tol: float = 1e-9) -> StepLength:
     """sup{t ≥ 0 : apex + t·ray inside fs}, by bracketing and bisection.
 
-    Returns +inf when the ray is a recession direction (still interior
-    at t = 1e12).  Requires the apex strictly interior.
+    The step comes from the interior side: its margin (the residual)
+    lies in [−tol, 0], or the bracket has closed on it.  Returns +inf
+    when the ray is a recession direction (still interior at t = 1e12).
+    Requires the apex strictly interior.
     """
     apex = np.asarray(apex, dtype=float).reshape(-1)
     ray = np.asarray(ray, dtype=float).reshape(-1)
@@ -307,7 +259,7 @@ def boundary_step(fs, apex, ray, tol: float = 1e-9) -> StepLength:
     def f(t):
         return fs.margin(apex + t * ray)
 
-    lo, hi = 0.0, None
+    lo, v_lo, hi = 0.0, m0, None
     t = 1.0
     while t <= _T_CAP:
         v = f(t)
@@ -316,22 +268,20 @@ def boundary_step(fs, apex, ray, tol: float = 1e-9) -> StepLength:
             break
         if v == 0.0:
             return StepLength(value=t, residual=0.0)
-        lo = t
+        lo, v_lo = t, v
         t *= 2.0
     if hi is None:
         if f(_T_CAP) <= 0.0:
             return StepLength(value=np.inf, residual=0.0)
         hi = _T_CAP
 
-    v_mid = f(hi)
-    mid = hi
     while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        v_mid = f(mid)
-        if abs(v_mid) <= tol:
-            return StepLength(value=mid, residual=float(v_mid))
-        if v_mid > 0.0:
+        v = f(mid)
+        if v > 0.0:
             hi = mid
         else:
-            lo = mid
-    return StepLength(value=mid, residual=float(v_mid))
+            lo, v_lo = mid, v
+            if v >= -tol:
+                break
+    return StepLength(value=lo, residual=v_lo)

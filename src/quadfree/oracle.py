@@ -61,6 +61,23 @@ def _unit_rows(rng, count, dim):
     return g / norms[:, None]
 
 
+def _rejection_sample(draw, count: int, seed: int, cap: int = _MAX_ATTEMPTS) -> np.ndarray:
+    """``count`` rows from ``draw(rng, batch)``, which returns the accepted
+    rows among ``batch`` attempts; raises once ``cap`` attempts are spent."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    have = 0
+    attempts = 0
+    while have < count and attempts < cap:
+        batch = min(4 * (count - have) + 64, cap - attempts)
+        attempts += batch
+        rows.append(draw(rng, batch))
+        have += rows[-1].shape[0]
+    if have < count:
+        raise SamplingExhaustedError(f"only {have} of {count} points found")
+    return np.vstack(rows)[:count]
+
+
 def sample_S(cf: spectral.CanonicalForm, count: int, seed: int) -> np.ndarray:
     """Points of {‖x‖ ≤ ‖y‖} on the slice aᵀx + dᵀy + hᵀz = −1.
 
@@ -70,26 +87,16 @@ def sample_S(cf: spectral.CanonicalForm, count: int, seed: int) -> np.ndarray:
     """
     if cf.m < 1:
         raise SamplingExhaustedError("no y block: the feasible slice is degenerate")
-    rng = np.random.default_rng(seed)
-    rows = []
-    have = 0
-    attempts = 0
-    while have < count and attempts < _MAX_ATTEMPTS:
-        batch = min(4 * (count - have) + 64, _MAX_ATTEMPTS - attempts)
-        attempts += batch
+
+    def draw(rng, batch):
         x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows(rng, batch, cf.n)
         y = _unit_rows(rng, batch, cf.m)
         z = rng.uniform(-10.0, 10.0, (batch, cf.l))
         form = x @ cf.a + y @ cf.d + z @ cf.h
         keep = form < -1e-6
-        if np.any(keep):
-            scale = -1.0 / form[keep]
-            w = np.hstack([x[keep], y[keep], z[keep]]) * scale[:, None]
-            rows.append(w)
-            have += w.shape[0]
-    if have < count:
-        raise SamplingExhaustedError(f"only {have} of {count} points found")
-    return np.vstack(rows)[:count]
+        return np.hstack([x[keep], y[keep], z[keep]]) * (-1.0 / form[keep])[:, None]
+
+    return _rejection_sample(draw, count, seed)
 
 
 def sample_S_homogeneous(
@@ -98,23 +105,14 @@ def sample_S_homogeneous(
     """Points of {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0} (no slice, no scaling)."""
     a = np.asarray(a, dtype=float).reshape(-1)
     d = np.asarray(d, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
-    rows = []
-    have = 0
-    attempts = 0
-    while have < count and attempts < _MAX_ATTEMPTS:
-        batch = min(4 * (count - have) + 64, _MAX_ATTEMPTS - attempts)
-        attempts += batch
+
+    def draw(rng, batch):
         x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows(rng, batch, len(a))
         y = _unit_rows(rng, batch, len(d))
         keep = (x @ a + y @ d) <= 0.0
-        if np.any(keep):
-            w = np.hstack([x[keep], y[keep], np.zeros((int(keep.sum()), l))])
-            rows.append(w)
-            have += w.shape[0]
-    if have < count:
-        raise SamplingExhaustedError(f"only {have} of {count} points found")
-    return np.vstack(rows)[:count]
+        return np.hstack([x[keep], y[keep], np.zeros((int(keep.sum()), l))])
+
+    return _rejection_sample(draw, count, seed)
 
 
 def _slice_maximizer(lam, a, c):
@@ -426,28 +424,17 @@ def sample_quadratic_region(
     With a cone, points are apex + R·u for multipliers u ∈ [0, box]ᵖ, so
     the result is valid territory for an intersection cut.
     """
-    rng = np.random.default_rng(seed)
     p = qc.dim
-    rows = []
-    have = 0
-    attempts = 0
-    cap = 10 * _MAX_ATTEMPTS
-    while have < count and attempts < cap:
-        batch = min(4 * (count - have) + 64, cap - attempts)
-        attempts += batch
+
+    def draw(rng, batch):
         if cone is None:
             s = rng.uniform(-box, box, (batch, p))
         else:
             u = rng.uniform(0.0, box, (batch, p))
             s = cone.apex[None, :] + u @ cone.R.T
-        vals = np.einsum("ij,jk,ik->i", s, qc.Q, s) + s @ qc.b + qc.c
-        keep = vals <= 0.0
-        if np.any(keep):
-            rows.append(s[keep])
-            have += int(keep.sum())
-    if have < count:
-        raise SamplingExhaustedError(f"only {have} of {count} points found")
-    return np.vstack(rows)[:count]
+        return s[qc(s) <= 0.0]
+
+    return _rejection_sample(draw, count, seed, cap=10 * _MAX_ATTEMPTS)
 
 
 def check_cut_validity(

@@ -73,9 +73,11 @@ class QuadraticConstraint:
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def __call__(self, s: np.ndarray) -> float:
+    def __call__(self, s: np.ndarray):
+        """q at a point (a float) or at each row of s (an array)."""
         s = np.asarray(s, dtype=float)
-        return float(s @ self.Q @ s + self.b @ s + self.c)
+        vals = np.sum((s @ self.Q) * s, axis=-1) + s @ self.b + self.c
+        return float(vals) if s.ndim == 1 else vals
 
 
 def eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +132,9 @@ class CanonicalForm:
         return float(self.scale.get("quad_scale", 1.0))
 
     def map_point(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float).reshape(-1)
-        return self.M @ np.concatenate([s, [1.0]])
+        """w = M(s, 1) for a point or for each row of s."""
+        s = np.asarray(s, dtype=float)
+        return s @ self.M[:, :-1].T + self.M[:, -1]
 
     def map_direction(self, r: np.ndarray) -> np.ndarray:
         """Image of an s-space direction under the linear part of M."""

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from quadfree import oracle
 from quadfree.cli import emit_json, main, parse_instance
-from quadfree.errors import ParseError
+from quadfree.errors import ParseError, SamplingExhaustedError
 
 S2 = math.sqrt(2.0)
 
@@ -175,6 +176,14 @@ def test_cut_empty_s_exit_5(tmp_path):
     assert main(["cut", path]) == 5
 
 
+def test_singular_cone_exit_3(tmp_path):
+    path = write_instance(
+        tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [2.0, 0.0]]})
+    )
+    assert main(["cut", path]) == 3
+    assert main(["verify", path, "--samples", "500"]) == 3
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -197,6 +206,17 @@ def test_verify_forced_cglambda_fails(tmp_path, capsys):
     assert out["passed"] is False
     freeness = [r for r in out["reports"] if r["name"] == "freeness"][0]
     assert freeness["passed"] is False
+
+
+def test_verify_sampling_exhausted_exit_8(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise SamplingExhaustedError("only 0 of 10000 points found")
+
+    monkeypatch.setattr(oracle, "check_cut_validity", exhausted)
+    path = write_instance(
+        tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [0.0, 1.0]]})
+    )
+    assert main(["verify", path, "--samples", "500"]) == 8
 
 
 def test_verify_lambda_neg_a_instance_passes(tmp_path, capsys):
@@ -250,6 +270,11 @@ def test_plot_refuses_high_dimension(tmp_path):
             point=[3.0] + [0.0] * (dim - 1),
         )
         assert main(["plot", path]) == 3
+
+
+def test_plot_rejects_unknown_layer(tmp_path):
+    path = write_instance(tmp_path, **wedge_fields())
+    assert main(["plot", path, "--layers", "S,cut"]) == 3
 
 
 # --- loop --------------------------------------------------------------------

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_casedata, random_unit, wedge_canonical
-from quadfree import spectral
+from conftest import random_casedata, random_instance, random_unit, wedge_canonical
+from quadfree import cuts, spectral
 from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient, in_G
-from quadfree.errors import ApexNotInteriorError
+from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError
 from quadfree.freesets import (
     CGLambda,
     CLambda,
@@ -109,6 +109,39 @@ def test_crphilambda_dominates_every_inequality():
             assert margins[i] >= sampled - 1e-9
             if m == 1:
                 assert margins[i] <= sampled + 1e-9  # enumeration is exact
+
+
+def _case1_casedata(rng, n, m):
+    """Random (λ, a, d) with ‖a‖ < ‖d‖, the CGLambda precondition."""
+    lam = random_unit(rng, n)
+    a = rng.standard_normal(n) * 0.3
+    d = random_unit(rng, m) * (np.linalg.norm(a) + rng.uniform(0.1, 1.0))
+    return CaseData(lam=lam, a=a, d=d)
+
+
+def test_cglambda_margin_is_support_of_G():
+    # margin + λᵀx = max{βᵀy : β ∈ G(λ)}: never below any sampled member,
+    # and on a fine angle grid (m = 2) attained to the grid spacing.
+    rng = np.random.default_rng(12)
+    for m in (2, 3):
+        for _ in range(5):
+            n = int(rng.integers(1, 4))
+            cd = _case1_casedata(rng, n, m)
+            fs = CGLambda(n, m, 0, cd=cd)
+            if m == 2:
+                angles = np.linspace(0.0, 2.0 * np.pi, 8000, endpoint=False)
+                betas = np.column_stack([np.cos(angles), np.sin(angles)])
+            else:
+                betas = np.array([random_unit(rng, m) for _ in range(8000)])
+            betas = betas[cd.lam_a + betas @ cd.d <= 0.0]
+            assert len(betas) > 1000
+            x = rng.standard_normal((40, n))
+            y = np.array([random_unit(rng, m) for _ in range(40)])
+            support = fs.margin(np.hstack([x, y])) + x @ cd.lam
+            sampled = np.max(y @ betas.T, axis=1)
+            assert np.all(support >= sampled - 1e-12)
+            if m == 2:
+                assert np.all(support <= sampled + 1e-3)
 
 
 def test_crphilambda_requires_unit_a(cd_scaled):
@@ -227,6 +260,8 @@ def test_build_convex_m1_supporting_halfspace():
         s = rng.uniform(-1.0, 1.0, 2)
         if float(s @ s) <= 1.0:
             assert fs.margin(cf.map_point(s)) >= -1e-9
+    # the halfspace touches the unit disk where the segment to the point exits it
+    assert abs(fs.margin(cf.map_point([1.0, 0.0]))) <= 1e-12
 
 
 def test_built_set_contains_mapped_point():
@@ -342,6 +377,59 @@ def test_boundary_step_wedge_matches_closed_form(cd_wedge):
         else:
             far = apex + 1e12 * ray
             assert fs.margin(far) <= 0.0
+
+
+def test_boundary_steps_come_from_interior_side():
+    rng = np.random.default_rng(13)
+    finite = 0
+    for n, m, l in [(1, 1, 0), (2, 1, 0), (1, 2, 0), (2, 2, 0), (3, 2, 0), (2, 3, 1), (3, 3, 0)]:
+        for _ in range(6):
+            qc = random_instance(rng, n, m, l)
+            R = np.eye(qc.dim)
+            try:
+                cert = cuts.separate(qc, cuts.SimplicialCone(apex=qc.point, R=R))
+            except AllRaysRecessionError:
+                continue
+            cf, fs = cert.canonical_form, cert.free_set
+            apex_w = cf.map_point(qc.point)
+            for j, st in enumerate(cert.steps):
+                if math.isfinite(st.value):
+                    ray_w = cf.map_direction(R[:, j])
+                    assert fs.margin(apex_w + st.value * ray_w) <= 0.0
+                    assert st.residual <= 0.0
+                    finite += 1
+    assert finite >= 50
+
+
+def _rows_cases():
+    rng = np.random.default_rng(14)
+    cd = random_casedata(rng, 3, 2)
+    cd1 = _case1_casedata(rng, 2, 3)
+    qc = random_instance(rng, 2, 2, 1)
+    cf = spectral.canonicalize(qc)
+    W = rng.standard_normal((50, 5)) * 3.0
+    return {
+        "phi_value": (lambda Y: phi_value(cd, Y), W[:, :2]),
+        "q": (qc, W[:, :4]),
+        "map_point": (cf.map_point, W[:, :4]),
+        "CLambda": (CLambda(3, 2, 0, lam=cd.lam).margin, W),
+        "CGLambda": (CGLambda(2, 3, 0, cd=cd1).margin, W),
+        "CPhiLambda": (CPhiLambda(3, 2, 0, cd=cd).margin, W),
+        "CRPhiLambda": (CRPhiLambda(3, 2, 0, cd=cd).margin, W),
+        "Halfspace": (
+            Halfspace(3, 2, 0, coef=rng.standard_normal(5), rhs=0.7).margin,
+            W,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rows_cases()))
+def test_rows_match_points(name):
+    f, rows = _rows_cases()[name]
+    got = f(rows)
+    assert got.shape[0] == rows.shape[0]
+    expect = np.array([f(row) for row in rows])
+    assert np.allclose(got, expect, rtol=1e-14, atol=1e-14)
 
 
 def test_step_length_record():
