@@ -18,8 +18,7 @@ from .freesets import (
     CRPhiLambda,
     FreeSetDescriptor,
     Halfspace,
-    StepLength,
-    boundary_step,
+    boundary_steps,
     build_free_set,
 )
 from .oracle import (

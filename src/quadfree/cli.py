@@ -1,9 +1,10 @@
 """Command-line surface: instance I/O, canonicalization/cut/verify
 commands, figure-data emission, and a demo cutting loop.
 
-Exit codes: 2 not separable, 3 parse error, 4 all rays recede,
-5 infeasible constraint, 6 unbounded LP, 7 degenerate vertex,
-8 an oracle could not draw enough samples.
+Exit codes: 2 not separable, 3 parse or usage error, 4 all rays recede,
+5 infeasible constraint or LP emptied by cuts, 6 unbounded LP,
+7 degenerate vertex, 8 an oracle could not draw enough samples,
+9 LP infeasible before any cut.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     AllRaysRecessionError,
     DegenerateVertexError,
     EmptySError,
+    InfeasibleLPError,
     NonSymmetricError,
     NotSeparableError,
     ParseError,
@@ -182,7 +183,7 @@ def cmd_cut(inst, args) -> int:
     payload = {
         "case": cert.canonical_form.case,
         "steps": [
-            {"value": st.value, "residual": st.residual} for st in cert.steps
+            {"value": t, "residual": r} for t, r in zip(cert.steps, cert.residuals)
         ],
         "weights": cert.weights,
         "coef": cert.coef,
@@ -367,7 +368,9 @@ def cmd_loop(inst, args) -> int:
         rhs = np.array([r[1] for r in rows])
         try:
             s_star, value = lp.solve_lp(obj, A, rhs)
-        except lp.InfeasibleLPError as exc:
+        except InfeasibleLPError as exc:
+            if it == 0:
+                raise
             raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
         qc = spectral.QuadraticConstraint(Q=Q, b=b, c=c, point=s_star)
         viol = qc(s_star)
@@ -401,12 +404,22 @@ def cmd_loop(inst, args) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (parse error); argparse's own 2 means "not
+    separable" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadfree",
         description="Maximal quadratic-free sets and intersection cuts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}
     for name, fn in (
         ("canon", cmd_canon),
         ("cut", cmd_cut),
@@ -414,15 +427,16 @@ def _build_parser():
         ("plot", cmd_plot),
         ("loop", cmd_loop),
     ):
-        sp = sub.add_parser(name)
-        sp.add_argument("instance")
-        sp.add_argument("--samples", type=int, default=10_000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-iters", type=int, default=50)
-        sp.add_argument("--layers", type=str, default="S,freeset")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--force-free-set", type=str, default=None)
-        sp.set_defaults(fn=fn)
+        cmd[name] = sub.add_parser(name)
+        cmd[name].add_argument("instance")
+        cmd[name].add_argument("--tol", type=float, default=1e-9)
+        cmd[name].set_defaults(fn=fn)
+    cmd["verify"].add_argument("--samples", type=int, default=10_000)
+    cmd["verify"].add_argument("--seed", type=int, default=0)
+    cmd["verify"].add_argument("--force-free-set", type=str, default=None)
+    cmd["plot"].add_argument("--layers", type=str, default="S,freeset")
+    cmd["plot"].add_argument("--seed", type=int, default=0)
+    cmd["loop"].add_argument("--max-iters", type=int, default=50)
     return parser
 
 
@@ -434,17 +448,12 @@ _EXIT_CODES = (
     (UnboundedLPError, 6),
     (DegenerateVertexError, 7),
     (SamplingExhaustedError, 8),
+    (InfeasibleLPError, 9),
 )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    env_seed = os.environ.get("QUADFREE_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print("ignoring malformed QUADFREE_SEED", file=sys.stderr)
     try:
         inst = parse_instance(args.instance)
         return args.fn(inst, args)

@@ -43,9 +43,12 @@ class SimplicialCone:
 
 @dataclass(frozen=True)
 class CutCertificate:
-    """A cut coefᵀs ≤ rhs violated by the cone apex, with bookkeeping."""
+    """A cut coefᵀs ≤ rhs violated by the cone apex, with bookkeeping:
+    per ray j, the boundary step steps[j] (+inf for a recession ray), its
+    margin residuals[j] and the weight 1 / steps[j]."""
 
-    steps: tuple
+    steps: np.ndarray
+    residuals: np.ndarray
     coef: np.ndarray
     rhs: float
     apex_violation: float
@@ -62,26 +65,21 @@ def intersection_cut(
     tol: float = 1e-9,
 ) -> CutCertificate:
     """Assemble the intersection cut for one cone and free set."""
-    apex_w = cf.map_point(cone.apex)
-    steps = []
-    for j in range(cone.dim):
-        ray_w = cf.map_direction(cone.R[:, j])
-        if not np.linalg.norm(ray_w) > 0.0:
-            raise ValueError("cone ray maps to a zero direction")
-        steps.append(freesets.boundary_step(fs, apex_w, ray_w, tol=tol))
-    if all(np.isinf(st.value) for st in steps):
+    steps, residuals = freesets.boundary_steps(
+        fs, cf.map_point(cone.apex), cf.map_direction(cone.R.T), tol=tol
+    )
+    if np.all(np.isinf(steps)):
         raise AllRaysRecessionError("free set contains the whole cone")
 
-    weights = np.array(
-        [0.0 if np.isinf(st.value) else 1.0 / st.value for st in steps]
-    )
+    weights = 1.0 / steps
     # Σ_j weights_j · (R⁻¹(s − apex))_j ≥ 1, rewritten as coefᵀs ≤ rhs.
     gamma = np.linalg.solve(cone.R.T, weights)
     coef = -gamma
     rhs = -(1.0 + gamma @ cone.apex)
     violation = float(coef @ cone.apex - rhs)
     return CutCertificate(
-        steps=tuple(steps),
+        steps=steps,
+        residuals=residuals,
         coef=coef,
         rhs=float(rhs),
         apex_violation=violation,

@@ -55,6 +55,10 @@ class PreconditionViolatedError(QuadfreeError):
     """A documented precondition of a verification routine fails."""
 
 
+class InfeasibleLPError(QuadfreeError):
+    """The linear relaxation has no feasible point."""
+
+
 class UnboundedLPError(QuadfreeError):
     """The linear relaxation is unbounded in the objective direction."""
 

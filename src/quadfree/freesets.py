@@ -191,14 +191,6 @@ class Halfspace(FreeSetDescriptor):
         return W @ self.coef - self.rhs
 
 
-@dataclass(frozen=True)
-class StepLength:
-    """Largest step along a ray staying inside the set (may be +inf)."""
-
-    value: float
-    residual: float
-
-
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
     """Pick the maximal free set matching the canonical case tag."""
     n, m, l = cf.n, cf.m, cf.l
@@ -240,48 +232,56 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
 
 
-def boundary_step(fs, apex, ray, tol: float = 1e-9) -> StepLength:
-    """sup{t ≥ 0 : apex + t·ray inside fs}, by bracketing and bisection.
+def boundary_steps(
+    fs, apex, rays, tol: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """sup{t ≥ 0 : apex + t·r inside fs} for each row r of rays, by
+    bracketing and bisection over all rays together; returns the arrays
+    (steps, residuals).
 
-    The step comes from the interior side: its margin (the residual)
-    lies in [−tol, 0], or the bracket has closed on it.  Returns +inf
-    when the ray is a recession direction (still interior at t = 1e12).
-    Requires the apex strictly interior.
+    Each ray doubles t = 1, 2, …, 2³⁹ until its margin turns positive; an
+    exact 0 returns that t with residual 0, and a ray still ≤ 0 at
+    t = 1e12 is a recession direction, step +inf with residual 0.  The
+    brackets are then bisected together.  Each finite step comes from the
+    interior side: its margin (the residual) lies in [−tol, 0], or the
+    bracket has closed on it.  Every margin call evaluates one row per
+    ray still open.  Requires the apex strictly interior.
     """
     apex = np.asarray(apex, dtype=float).reshape(-1)
-    ray = np.asarray(ray, dtype=float).reshape(-1)
-    if not np.linalg.norm(ray) > 0.0:
-        raise ValueError("ray must be nonzero")
+    rays = np.asarray(rays, dtype=float)
+    if not np.all(np.linalg.norm(rays, axis=1) > 0.0):
+        raise ValueError("every ray must be nonzero")
     m0 = fs.margin(apex)
     if not m0 < -tol:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
 
-    def f(t):
-        return fs.margin(apex + t * ray)
-
-    lo, v_lo, hi = 0.0, m0, None
-    t = 1.0
-    while t <= _T_CAP:
-        v = f(t)
-        if v > 0.0:
-            hi = t
-            break
-        if v == 0.0:
-            return StepLength(value=t, residual=0.0)
-        lo, v_lo = t, v
+    k = rays.shape[0]
+    steps, residuals = np.full(k, np.inf), np.zeros(k)
+    lo, v_lo, hi = np.zeros(k), np.full(k, float(m0)), np.full(k, np.inf)
+    doubling, t = np.arange(k), 1.0
+    while t <= _T_CAP and doubling.size:
+        v = fs.margin(apex + t * rays[doubling])
+        hi[doubling[v > 0.0]] = t
+        steps[doubling[v == 0.0]] = t
+        inside = ~(v >= 0.0)
+        doubling, v = doubling[inside], v[inside]
+        lo[doubling], v_lo[doubling] = t, v
         t *= 2.0
-    if hi is None:
-        if f(_T_CAP) <= 0.0:
-            return StepLength(value=np.inf, residual=0.0)
-        hi = _T_CAP
+    if doubling.size:
+        v = fs.margin(apex + _T_CAP * rays[doubling])
+        hi[doubling[~(v <= 0.0)]] = _T_CAP  # the others recede
 
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        v = f(mid)
-        if v > 0.0:
-            hi = mid
-        else:
-            lo, v_lo = mid, v
-            if v >= -tol:
-                break
-    return StepLength(value=lo, residual=v_lo)
+    def wide(idx):
+        return idx[hi[idx] - lo[idx] > 1e-12 * np.maximum(hi[idx], 1.0)]
+
+    bracketed = np.flatnonzero(hi < np.inf)
+    active = wide(bracketed)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        v = fs.margin(apex + mid[:, None] * rays[active])
+        out = v > 0.0
+        hi[active[out]] = mid[out]
+        lo[active[~out]], v_lo[active[~out]] = mid[~out], v[~out]
+        active = wide(active[out | ~(v >= -tol)])
+    steps[bracketed], residuals[bracketed] = lo[bracketed], v_lo[bracketed]
+    return steps, residuals

@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnboundedLPError
+from .errors import InfeasibleLPError, UnboundedLPError
 
 _EPS = 1e-9
-
-
-class InfeasibleLPError(Exception):
-    """The linear relaxation has no feasible point."""
 
 
 def _pivot(T, basis, row, col):

@@ -112,7 +112,6 @@ class CanonicalForm:
     m: int
     l: int
     M: np.ndarray
-    Minv: np.ndarray
     a: np.ndarray
     d: np.ndarray
     h: np.ndarray
@@ -137,19 +136,15 @@ class CanonicalForm:
         return s @ self.M[:, :-1].T + self.M[:, -1]
 
     def map_direction(self, r: np.ndarray) -> np.ndarray:
-        """Image of an s-space direction under the linear part of M."""
-        r = np.asarray(r, dtype=float).reshape(-1)
-        return self.M[:, :-1] @ r
+        """Image of an s-space direction, or of each row of r, under the
+        linear part of M."""
+        return np.asarray(r, dtype=float) @ self.M[:, :-1].T
 
     def blocks(self, w: np.ndarray):
         """Split a w-point (or batch of rows) into (x, y, z)."""
         w = np.asarray(w, dtype=float)
         n, m = self.n, self.m
         return w[..., :n], w[..., n : n + m], w[..., n + m :]
-
-    def hyperplane_value(self, w: np.ndarray) -> np.ndarray:
-        x, y, z = self.blocks(w)
-        return x @ self.a + y @ self.d + z @ self.h
 
 
 def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalForm:
@@ -180,7 +175,6 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
     sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
     perm = np.concatenate([pos, neg, zer])
     M = (sigma[:, None] * V.T)[perm]
-    Minv = (V / sigma)[:, perm]
 
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
     g = -(V[-1] / sigma)[perm]
@@ -199,7 +193,7 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
 
     def build(case):
         return CanonicalForm(
-            n=n, m=m, l=l, M=M, Minv=Minv, a=a, d=d, h=h,
+            n=n, m=m, l=l, M=M, a=a, d=d, h=h,
             mapped_point=wbar, lam=lam, case=case, scale=scale,
         )
 
@@ -216,7 +210,6 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
     # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
     mu = norm_a
     M = mu * M
-    Minv = Minv / mu
     wbar = mu * wbar
     a, d, h = a / mu, d / mu, h / mu
     scale = dict(scale, case2_rescale=mu, quad_scale=mu * mu)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from quadfree import oracle
+from quadfree import lp, oracle
 from quadfree.cli import emit_json, main, parse_instance
-from quadfree.errors import ParseError, SamplingExhaustedError
+from quadfree.errors import InfeasibleLPError, ParseError, SamplingExhaustedError
 
 S2 = math.sqrt(2.0)
 
@@ -45,6 +45,47 @@ def loop_fields():
             {"coef": [0.0, 1.0], "rhs": 10.0, "sense": "<="},
         ],
     }
+
+
+# --- usage -------------------------------------------------------------------
+
+
+def _usage_exit(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_usage_errors_exit_3(tmp_path):
+    path = write_instance(tmp_path, **wedge_fields())
+    assert _usage_exit([]) == 3
+    assert _usage_exit(["cut"]) == 3
+    assert _usage_exit(["nonsense", path]) == 3
+    assert _usage_exit(["loop", path, "--max-iters", "many"]) == 3
+    assert _usage_exit(["--help"]) == 0
+    assert _usage_exit(["verify", "--help"]) == 0
+
+
+def test_each_command_takes_only_its_flags(tmp_path):
+    path = write_instance(tmp_path, **wedge_fields())
+    flags = {
+        "--tol": "1e-9",
+        "--samples": "5",
+        "--seed": "1",
+        "--force-free-set": "CGLAMBDA",
+        "--layers": "S",
+        "--max-iters": "2",
+    }
+    takes = {
+        "canon": {"--tol"},
+        "cut": {"--tol"},
+        "verify": {"--samples", "--seed", "--tol", "--force-free-set"},
+        "plot": {"--layers", "--seed", "--tol"},
+        "loop": {"--max-iters", "--tol"},
+    }
+    for command, own in takes.items():
+        for flag in set(flags) - own:
+            assert _usage_exit([command, path, flag, flags[flag]]) == 3, (command, flag)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -231,13 +272,15 @@ def test_verify_lambda_neg_a_instance_passes(tmp_path, capsys):
     assert code == 0 and out["passed"] is True
 
 
-def test_verify_seed_env_override(tmp_path, capsys, monkeypatch):
+def test_seed_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, **wedge_fields())
     monkeypatch.setenv("QUADFREE_SEED", "123")
     assert main(["verify", path, "--samples", "500", "--seed", "7"]) == 0
     out = json.loads(capsys.readouterr().out)
     freeness = [r for r in out["reports"] if r["name"] == "freeness"][0]
-    assert freeness["seed"] == 123
+    assert freeness["seed"] == 7
+    assert main(["plot", path]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 0
 
 
 # --- plot --------------------------------------------------------------------
@@ -321,6 +364,41 @@ def test_loop_unbounded_exit_6(tmp_path):
     ]
     path = write_instance(tmp_path, **fields)
     assert main(["loop", path]) == 6
+
+
+def test_loop_infeasible_start_exit_9(tmp_path, capsys):
+    # x ≤ −3 and x ≥ 3: the LP is empty before any cut
+    path = write_instance(
+        tmp_path,
+        dim=1,
+        Q=[[-1.0]],
+        b=[0.0],
+        c=1.0,
+        point=[0.0],
+        objective=[1.0],
+        linear_constraints=[
+            {"coef": [1.0], "rhs": -3.0, "sense": "<="},
+            {"coef": [1.0], "rhs": 3.0, "sense": ">="},
+        ],
+    )
+    assert main(["loop", path]) == 9
+    assert "InfeasibleLPError" in capsys.readouterr().err
+
+
+def test_loop_emptied_by_cuts_exit_5(tmp_path, monkeypatch):
+    solve = lp.solve_lp
+    calls = []
+
+    def empty_after_first(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise InfeasibleLPError("phase 1 ended with positive artificial mass")
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", empty_after_first)
+    path = write_instance(tmp_path, **loop_fields())
+    assert main(["loop", path]) == 5
+    assert len(calls) == 2
 
 
 def test_loop_requires_objective_exit_3(tmp_path):

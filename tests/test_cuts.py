@@ -34,7 +34,6 @@ def _identity_cf(p):
         m=0,
         l=0,
         M=np.eye(k),
-        Minv=np.eye(k),
         a=np.zeros(k),
         d=np.zeros(0),
         h=np.zeros(0),
@@ -54,7 +53,7 @@ def test_unit_steps_give_unit_sum_cut():
     fs = _BoxSet(3, 0, 0)
     cone = SimplicialCone(apex=np.zeros(2), R=np.eye(2))
     cert = intersection_cut(cone, cf, fs)
-    assert all(st.value == pytest.approx(1.0, abs=1e-8) for st in cert.steps)
+    assert np.allclose(cert.steps, 1.0, rtol=0.0, atol=1e-8)
     # Σ s_j ≥ 1 under the ≤ convention: coef = −1, rhs = −1
     assert np.allclose(cert.coef, [-1.0, -1.0], atol=1e-8)
     assert cert.rhs == pytest.approx(-1.0, abs=1e-8)
@@ -78,8 +77,8 @@ def test_infinite_step_zeroes_coefficient():
 
     slab = _Slab(3, 0, 0)
     cert = intersection_cut(cone, cf, slab)
-    assert cert.steps[0].value == pytest.approx(1.0, abs=1e-8)
-    assert cert.steps[1].value == math.inf
+    assert cert.steps[0] == pytest.approx(1.0, abs=1e-8)
+    assert cert.steps[1] == math.inf
     assert cert.coef[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -119,9 +118,9 @@ def test_separate_at_p80():
     cert = separate(qc, SimplicialCone(apex=qc.point, R=R))
     assert cert.apex_violation > 0.0
     # each finite step ends on the free-set boundary, where q ≥ 0
-    for st, ray in zip(cert.steps, R.T):
-        if math.isfinite(st.value):
-            assert qc(qc.point + st.value * ray) >= 0.0
+    for step, ray in zip(cert.steps, R.T):
+        if math.isfinite(step):
+            assert qc(qc.point + step * ray) >= 0.0
 
 
 def test_wedge_end_to_end_cut():
@@ -164,7 +163,7 @@ def test_scale_equivariance_of_cut():
     mu = 3.0
     scaled = separate(qc, SimplicialCone(apex=qc.point, R=mu * np.eye(2)))
     for st_b, st_s in zip(base.steps, scaled.steps):
-        assert st_s.value == pytest.approx(st_b.value / mu, rel=1e-8)
+        assert st_s == pytest.approx(st_b / mu, rel=1e-8)
     # the s-space cut is the same inequality
     assert np.allclose(scaled.coef, base.coef, atol=1e-10)
     assert scaled.rhs == pytest.approx(base.rhs, abs=1e-10)
@@ -185,8 +184,7 @@ def test_step_monotonicity_under_set_enlargement():
     cone = SimplicialCone(apex=np.array([-2.0, -2.0]), R=np.eye(2))
     cert_small = intersection_cut(cone, cf, small)
     cert_big = intersection_cut(cone, cf, big)
-    for st_s, st_b in zip(cert_small.steps, cert_big.steps):
-        assert st_b.value >= st_s.value - 1e-8
+    assert np.all(cert_big.steps >= cert_small.steps - 1e-8)
 
 
 def test_certificate_records_context():
@@ -199,5 +197,5 @@ def test_certificate_records_context():
     assert len(cert.steps) == 2
     assert np.allclose(
         cert.weights,
-        [1.0 / st.value if math.isfinite(st.value) else 0.0 for st in cert.steps],
+        [1.0 / st if math.isfinite(st) else 0.0 for st in cert.steps],
     )

@@ -13,8 +13,7 @@ from quadfree.freesets import (
     CPhiLambda,
     CRPhiLambda,
     Halfspace,
-    StepLength,
-    boundary_step,
+    boundary_steps,
     build_free_set,
 )
 
@@ -196,7 +195,6 @@ def _synthetic_cf(n, m, l, a, d, h, case, lam=None):
         m=m,
         l=l,
         M=np.eye(k),
-        Minv=np.eye(k),
         a=np.asarray(a, float),
         d=np.asarray(d, float),
         h=np.asarray(h, float),
@@ -328,35 +326,46 @@ def test_containment_cphilambda_in_crphilambda():
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
 
-# --- boundary_step ---------------------------------------------------------------
+# --- boundary_steps --------------------------------------------------------------
 
 
 def test_boundary_step_clambda_finite():
     fs = CLambda(1, 1, 0, lam=np.array([1.0]))
-    st = boundary_step(fs, np.array([3.0, 0.0]), np.array([0.0, 1.0]))
-    assert st.value == pytest.approx(3.0, abs=1e-8)
-    assert abs(st.residual) <= 1e-9
+    steps, residuals = boundary_steps(fs, np.array([3.0, 0.0]), np.array([[0.0, 1.0]]))
+    assert steps[0] == pytest.approx(3.0, abs=1e-8)
+    assert abs(residuals[0]) <= 1e-9
 
 
 def test_boundary_step_recession_direction():
     fs = CLambda(1, 1, 0, lam=np.array([1.0]))
-    st = boundary_step(fs, np.array([3.0, 0.0]), np.array([1.0, 0.0]))
-    assert st.value == math.inf
+    steps, _ = boundary_steps(fs, np.array([3.0, 0.0]), np.array([[1.0, 0.0]]))
+    assert steps[0] == math.inf
 
 
 def test_boundary_step_requires_interior_apex():
     fs = CLambda(1, 1, 0, lam=np.array([1.0]))
     with pytest.raises(ApexNotInteriorError):
-        boundary_step(fs, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+        boundary_steps(fs, np.array([1.0, 1.0]), np.array([[0.0, 1.0]]))
 
 
 def test_boundary_step_ray_scaling():
     fs = CLambda(1, 1, 0, lam=np.array([1.0]))
     apex = np.array([3.0, 0.5])
     ray = np.array([0.1, 1.0])
-    t1 = boundary_step(fs, apex, ray).value
-    t2 = boundary_step(fs, apex, 4.0 * ray).value
+    t1, t2 = boundary_steps(fs, apex, np.array([ray, 4.0 * ray]))[0]
     assert t2 == pytest.approx(t1 / 4.0, rel=1e-9)
+
+
+def test_boundary_steps_mixed_cone():
+    # From (3, 0) inside |y| ≤ x: rays with a positive x part recede, the
+    # others meet |y| = x at a closed-form step; (−1, 2) lands on it
+    # exactly at t = 1, the first doubling point.
+    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    rays = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 2.0], [2.0, 1.0], [0.0, -0.5], [1.0, -1.0]])
+    steps, residuals = boundary_steps(fs, np.array([3.0, 0.0]), rays)
+    assert np.allclose(steps, [3.0, math.inf, 1.0, math.inf, 6.0, math.inf], rtol=1e-9)
+    assert np.all(residuals <= 0.0) and np.all(residuals >= -1e-9)
+    assert np.all(residuals[np.isinf(steps)] == 0.0)
 
 
 def test_boundary_step_wedge_matches_closed_form(cd_wedge):
@@ -367,13 +376,12 @@ def test_boundary_step_wedge_matches_closed_form(cd_wedge):
     fs = build_free_set(cf)
     apex = cf.mapped_point
     rng = np.random.default_rng(9)
-    for _ in range(50):
-        ray = rng.standard_normal(3)
-        st = boundary_step(fs, apex, ray)
-        if math.isfinite(st.value):
-            assert abs(fs.margin(apex + st.value * ray)) <= 1e-8
+    rays = rng.standard_normal((50, 3))
+    for ray, step in zip(rays, boundary_steps(fs, apex, rays)[0]):
+        if math.isfinite(step):
+            assert abs(fs.margin(apex + step * ray)) <= 1e-8
             # just inside / just outside consistency
-            assert fs.margin(apex + (st.value * (1 - 1e-6)) * ray) <= 1e-8
+            assert fs.margin(apex + (step * (1 - 1e-6)) * ray) <= 1e-8
         else:
             far = apex + 1e12 * ray
             assert fs.margin(far) <= 0.0
@@ -392,11 +400,11 @@ def test_boundary_steps_come_from_interior_side():
                 continue
             cf, fs = cert.canonical_form, cert.free_set
             apex_w = cf.map_point(qc.point)
-            for j, st in enumerate(cert.steps):
-                if math.isfinite(st.value):
+            for j, (step, residual) in enumerate(zip(cert.steps, cert.residuals)):
+                if math.isfinite(step):
                     ray_w = cf.map_direction(R[:, j])
-                    assert fs.margin(apex_w + st.value * ray_w) <= 0.0
-                    assert st.residual <= 0.0
+                    assert fs.margin(apex_w + step * ray_w) <= 0.0
+                    assert residual <= 0.0
                     finite += 1
     assert finite >= 50
 
@@ -407,11 +415,20 @@ def _rows_cases():
     cd1 = _case1_casedata(rng, 2, 3)
     qc = random_instance(rng, 2, 2, 1)
     cf = spectral.canonicalize(qc)
+    fs = build_free_set(cf)
     W = rng.standard_normal((50, 5)) * 3.0
+
+    def steps(rays):
+        # (step, residual) per ray; one ray is passed as a single row
+        out = np.column_stack(boundary_steps(fs, cf.mapped_point, np.atleast_2d(rays)))
+        return out if np.ndim(rays) == 2 else out[0]
+
     return {
         "phi_value": (lambda Y: phi_value(cd, Y), W[:, :2]),
         "q": (qc, W[:, :4]),
         "map_point": (cf.map_point, W[:, :4]),
+        "map_direction": (cf.map_direction, W[:, :4]),
+        "boundary_steps": (steps, W),
         "CLambda": (CLambda(3, 2, 0, lam=cd.lam).margin, W),
         "CGLambda": (CGLambda(2, 3, 0, cd=cd1).margin, W),
         "CPhiLambda": (CPhiLambda(3, 2, 0, cd=cd).margin, W),
@@ -430,8 +447,3 @@ def test_rows_match_points(name):
     assert got.shape[0] == rows.shape[0]
     expect = np.array([f(row) for row in rows])
     assert np.allclose(got, expect, rtol=1e-14, atol=1e-14)
-
-
-def test_step_length_record():
-    st = StepLength(value=2.0, residual=1e-12)
-    assert st.value == 2.0 and st.residual == 1e-12

@@ -233,15 +233,6 @@ def test_canonicalize_mapped_point_consistent():
     assert np.allclose(cf.lam, x / np.linalg.norm(x), atol=1e-12)
 
 
-def test_minv_inverts_m():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        qc = random_instance(rng, 2, 1, 1)
-        cf = canonicalize(qc)
-        k = cf.M.shape[0]
-        assert np.max(np.abs(cf.Minv @ cf.M - np.eye(k))) <= 1e-8
-
-
 # --- pullback_linear --------------------------------------------------------
 
 
