@@ -3,8 +3,8 @@ commands, figure-data emission, and a demo cutting loop.
 
 Exit codes: 2 not separable, 3 parse or usage error, 4 all rays recede,
 5 infeasible constraint or LP emptied by cuts, 6 unbounded LP,
-7 degenerate vertex, 8 an oracle could not draw enough samples,
-9 LP infeasible before any cut.
+7 degenerate vertex, 8 the freeness sampler could not draw enough
+points, 9 LP infeasible before any cut.
 """
 
 from __future__ import annotations
@@ -277,26 +277,23 @@ def _newton_project(f, v, target=1e-8, iters=30, fd=1e-5):
 
 
 def _marching_squares(F, xs, ys):
-    """Zero-level segments of a grid sampling, by edge interpolation."""
-    segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [
-                (F[i, j], xs[i], ys[j]),
-                (F[i + 1, j], xs[i + 1], ys[j]),
-                (F[i + 1, j + 1], xs[i + 1], ys[j + 1]),
-                (F[i, j + 1], xs[i], ys[j + 1]),
-            ]
-            pts = []
-            for k in range(4):
-                f0, x0, y0 = corners[k]
-                f1, x1, y1 = corners[(k + 1) % 4]
-                if (f0 < 0) != (f1 < 0):
-                    t = f0 / (f0 - f1)
-                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            for k in range(0, len(pts) - 1, 2):
-                segments.append([pts[k], pts[k + 1]])
-    return segments
+    """Zero-level segments (an array of shape (k, 2, 2)) of a grid sampling,
+    by edge interpolation: cells in i-major order, each cell's crossings
+    in edge order from corner (i, j) counter-clockwise, paired in turn."""
+    ni, nj = len(xs) - 1, len(ys) - 1
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    hits, points = [], []
+    for k in range(4):
+        (i0, j0), (i1, j1) = corners[k], corners[(k + 1) % 4]
+        f0, f1 = F[i0 : i0 + ni, j0 : j0 + nj], F[i1 : i1 + ni, j1 : j1 + nj]
+        hit = (f0 < 0) != (f1 < 0)
+        t = np.divide(f0, f0 - f1, out=np.zeros_like(f0), where=hit)
+        x0, x1 = xs[i0 : i0 + ni, None], xs[i1 : i1 + ni, None]
+        y0, y1 = ys[None, j0 : j0 + nj], ys[None, j1 : j1 + nj]
+        hits.append(hit)
+        points.append(np.stack([x0 + t * (x1 - x0), y0 + t * (y1 - y0)], axis=-1))
+    hits = np.stack(hits, axis=-1).reshape(-1)
+    return np.stack(points, axis=2).reshape(-1, 2)[hits].reshape(-1, 2, 2)
 
 
 def _plot_layer_2d(f, box, grid=200):
@@ -307,7 +304,7 @@ def _plot_layer_2d(f, box, grid=200):
     F = F.reshape(grid, grid)
     polylines = []
     for seg in _marching_squares(F, xs, ys):
-        proj = [_newton_project(f, np.array(v)) for v in seg]
+        proj = [_newton_project(f, v) for v in seg]
         if all(v is not None for v in proj):
             polylines.append([list(map(float, v)) for v in proj])
     return {"kind": "polylines", "polylines": polylines}
@@ -333,7 +330,7 @@ def cmd_plot(inst, args) -> int:
     digest = hashlib.sha256(emit_json(inst["raw"]).encode()).hexdigest()
     payload = {
         "layers": layers,
-        "metadata": {"instance_sha256": digest, "seed": args.seed, "box": box},
+        "metadata": {"instance_sha256": digest, "box": box},
     }
     sys.stdout.write(emit_json(payload))
     return 0
@@ -435,7 +432,6 @@ def _build_parser():
     cmd["verify"].add_argument("--seed", type=int, default=0)
     cmd["verify"].add_argument("--force-free-set", type=str, default=None)
     cmd["plot"].add_argument("--layers", type=str, default="S,freeset")
-    cmd["plot"].add_argument("--seed", type=int, default=0)
     cmd["loop"].add_argument("--max-iters", type=int, default=50)
     return parser
 

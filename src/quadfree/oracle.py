@@ -1,10 +1,11 @@
 """Independent verifiers: sampling, brute-force optima, and certificate
-checks for freeness, maximality witnesses, duality and convexity.
+checks for freeness, maximality witnesses, duality, convexity and cuts.
 
 Everything here deliberately avoids the closed forms under test — the
 samplers parametrize the sets directly, the brute-force gauge evaluates
-the defining maximum, and witnesses are checked against their defining
-identities.
+the defining maximum, witnesses are checked against their defining
+identities, and a cut is checked by evaluating q on the region it
+removes, rebuilt from the cut and its cone alone.
 """
 
 from __future__ import annotations
@@ -61,15 +62,15 @@ def _unit_rows(rng, count, dim):
     return g / norms[:, None]
 
 
-def _rejection_sample(draw, count: int, seed: int, cap: int = _MAX_ATTEMPTS) -> np.ndarray:
+def _rejection_sample(draw, count: int, seed: int) -> np.ndarray:
     """``count`` rows from ``draw(rng, batch)``, which returns the accepted
-    rows among ``batch`` attempts; raises once ``cap`` attempts are spent."""
+    rows among ``batch`` attempts; raises once ``_MAX_ATTEMPTS`` are spent."""
     rng = np.random.default_rng(seed)
     rows = []
     have = 0
     attempts = 0
-    while have < count and attempts < cap:
-        batch = min(4 * (count - have) + 64, cap - attempts)
+    while have < count and attempts < _MAX_ATTEMPTS:
+        batch = min(4 * (count - have) + 64, _MAX_ATTEMPTS - attempts)
         attempts += batch
         rows.append(draw(rng, batch))
         have += rows[-1].shape[0]
@@ -115,25 +116,6 @@ def sample_S_homogeneous(
     return _rejection_sample(draw, count, seed)
 
 
-def _slice_maximizer(lam, a, c):
-    """Exact argmax of λᵀx over {‖x‖ ≤ 1, aᵀx ≤ c}, or None if empty."""
-    candidates = []
-    na2 = float(a @ a)
-    if na2 == 0.0:
-        return lam.copy() if c >= 0.0 else None
-    if float(a @ lam) <= c:
-        candidates.append(lam)
-    x0 = (c / na2) * a
-    if np.linalg.norm(x0) <= 1.0:
-        lam_perp = lam - (float(a @ lam) / na2) * a
-        npp = np.linalg.norm(lam_perp)
-        room = np.sqrt(max(1.0 - float(x0 @ x0), 0.0))
-        candidates.append(x0 + room * lam_perp / npp if npp > 1e-14 else x0)
-    if not candidates:
-        return None
-    return max(candidates, key=lambda x: float(lam @ x))
-
-
 def structured_slice_points(
     lam: np.ndarray, a: np.ndarray, d: np.ndarray, l: int = 0, seed: int = 0
 ) -> np.ndarray:
@@ -156,12 +138,23 @@ def structured_slice_points(
     else:
         rng = np.random.default_rng(seed)
         betas = np.vstack([_unit_rows(rng, 256, m), np.eye(m), -np.eye(m)])
-    points = []
-    for beta in betas:
-        x = _slice_maximizer(lam, a, float(-(d @ beta)))
-        if x is not None:
-            points.append(np.concatenate([x, beta, np.zeros(l)]))
-    return np.array(points) if points else np.zeros((0, len(lam) + m + l))
+    # Per β, the argmax of λᵀx over {‖x‖ ≤ 1, aᵀx ≤ c = −dᵀβ}: λ if it is
+    # feasible and better, else the best point of the ball on aᵀx = c.
+    c = -(betas @ d)
+    na2 = float(a @ a)
+    X = np.tile(lam, (len(c), 1))
+    keep = lam_in = float(a @ lam) <= c
+    if na2 > 0.0:
+        x0 = (c / na2)[:, None] * a
+        on_ball = np.linalg.norm(x0, axis=1) <= 1.0
+        lam_perp = lam - (float(a @ lam) / na2) * a
+        npp = np.linalg.norm(lam_perp)
+        room = np.sqrt(np.maximum(1.0 - np.sum(x0 * x0, axis=1), 0.0))
+        x = x0 + room[:, None] * lam_perp / npp if npp > 1e-14 else x0
+        better = on_ball & ~(lam_in & (float(lam @ lam) >= x @ lam))
+        X[better] = x[better]
+        keep = lam_in | on_ball
+    return np.hstack([X[keep], betas[keep], np.zeros((int(keep.sum()), l))])
 
 
 def check_freeness(
@@ -413,28 +406,15 @@ def check_gradient(cd: CaseData, y: np.ndarray, step: float = 1e-6) -> Verificat
 
 
 def sample_quadratic_region(
-    qc: spectral.QuadraticConstraint,
-    count: int,
-    seed: int,
-    box: float = 10.0,
-    cone=None,
+    qc: spectral.QuadraticConstraint, count: int, seed: int, box: float = 10.0
 ) -> np.ndarray:
-    """Rejection samples of {q ≤ 0}, optionally restricted to a cone.
-
-    With a cone, points are apex + R·u for multipliers u ∈ [0, box]ᵖ, so
-    the result is valid territory for an intersection cut.
-    """
-    p = qc.dim
+    """Rejection samples of {q ≤ 0} in the box [−box, box]ᵖ."""
 
     def draw(rng, batch):
-        if cone is None:
-            s = rng.uniform(-box, box, (batch, p))
-        else:
-            u = rng.uniform(0.0, box, (batch, p))
-            s = cone.apex[None, :] + u @ cone.R.T
+        s = rng.uniform(-box, box, (batch, qc.dim))
         return s[qc(s) <= 0.0]
 
-    return _rejection_sample(draw, count, seed, cap=10 * _MAX_ATTEMPTS)
+    return _rejection_sample(draw, count, seed)
 
 
 def check_cut_validity(
@@ -442,15 +422,38 @@ def check_cut_validity(
     cert,
     count: int = 10**4,
     seed: int = 0,
-    box: float = 10.0,
 ) -> VerificationReport:
-    """No sampled feasible point in the cut's cone may violate the cut."""
-    samples = sample_quadratic_region(qc, count, seed, box=box, cone=cert.cone)
-    slack = cert.rhs - samples @ cert.coef
-    worst = float(np.min(slack))
-    passed = worst >= -1e-7
-    witness = None if passed else samples[int(np.argmin(slack))]
+    """No point of S = {q ≤ 0} may lie in the region the cut removes.
+
+    That region is conv{apex, apex + t_j r_j}, where ray r_j meets the
+    cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < 0; a ray it
+    never meets gets a multiplier drawn from [0, 10].  It comes from the
+    cut and the cone alone, not from ``cert.steps``, and lies in the
+    S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite
+    vertex, at ``count // 2`` seeded points of the far face and at the
+    rest inside; the worst residual is the least such value.  A cut that
+    keeps its apex fails with no samples.
+    """
+    apex, R = cert.cone.apex, cert.cone.R
+    excess = float(cert.coef @ apex - cert.rhs)
+    if not excess > 0.0:
+        return VerificationReport("cut_validity", 0, -np.inf, False, 1e-9, apex, seed)
+    slope = cert.coef @ R
+    meets = slope < 0.0
+    k = int(meets.sum())
+    rng = np.random.default_rng(seed)
+    face = rng.dirichlet(np.ones(k), count // 2)
+    inner = rng.dirichlet(np.ones(k + 1), count - count // 2)[:, :k]
+    U = np.zeros((k + count, len(apex)))
+    U[:, meets] = np.vstack([np.eye(k), face, inner]) * (-excess / slope[meets])
+    U[k:, ~meets] = rng.uniform(0.0, 10.0, (count, len(apex) - k))
+    samples = apex + U @ R.T
+    scale = np.linalg.norm(spectral.lift(qc.Q, qc.b, qc.c), 2)
+    rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))
+    worst = float(np.min(rel))
+    passed = worst >= -1e-9
+    witness = None if passed else samples[int(np.argmin(rel))]
     return VerificationReport(
-        name="cut_validity", samples=count, worst_residual=worst,
-        passed=passed, tolerance=1e-7, witness=witness, seed=seed,
+        name="cut_validity", samples=k + count, worst_residual=worst,
+        passed=passed, tolerance=1e-9, witness=witness, seed=seed,
     )

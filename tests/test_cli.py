@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadfree import lp, oracle
-from quadfree.cli import emit_json, main, parse_instance
+from quadfree.cli import _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import InfeasibleLPError, ParseError, SamplingExhaustedError
 
 S2 = math.sqrt(2.0)
@@ -80,7 +80,7 @@ def test_each_command_takes_only_its_flags(tmp_path):
         "canon": {"--tol"},
         "cut": {"--tol"},
         "verify": {"--samples", "--seed", "--tol", "--force-free-set"},
-        "plot": {"--layers", "--seed", "--tol"},
+        "plot": {"--layers", "--tol"},
         "loop": {"--max-iters", "--tol"},
     }
     for command, own in takes.items():
@@ -253,7 +253,7 @@ def test_verify_sampling_exhausted_exit_8(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise SamplingExhaustedError("only 0 of 10000 points found")
 
-    monkeypatch.setattr(oracle, "check_cut_validity", exhausted)
+    monkeypatch.setattr(oracle, "sample_S", exhausted)
     path = write_instance(
         tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [0.0, 1.0]]})
     )
@@ -280,7 +280,6 @@ def test_seed_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):
     freeness = [r for r in out["reports"] if r["name"] == "freeness"][0]
     assert freeness["seed"] == 7
     assert main(["plot", path]) == 0
-    assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 0
 
 
 # --- plot --------------------------------------------------------------------
@@ -318,6 +317,39 @@ def test_plot_refuses_high_dimension(tmp_path):
 def test_plot_rejects_unknown_layer(tmp_path):
     path = write_instance(tmp_path, **wedge_fields())
     assert main(["plot", path, "--layers", "S,cut"]) == 3
+
+
+def _marching_squares_loop(F, xs, ys):
+    """Cell-by-cell reference for ``cli._marching_squares``."""
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            corners = [
+                (F[i, j], xs[i], ys[j]),
+                (F[i + 1, j], xs[i + 1], ys[j]),
+                (F[i + 1, j + 1], xs[i + 1], ys[j + 1]),
+                (F[i, j + 1], xs[i], ys[j + 1]),
+            ]
+            pts = []
+            for k in range(4):
+                f0, x0, y0 = corners[k]
+                f1, x1, y1 = corners[(k + 1) % 4]
+                if (f0 < 0) != (f1 < 0):
+                    t = f0 / (f0 - f1)
+                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            segments += [[pts[k], pts[k + 1]] for k in range(0, len(pts), 2)]
+    return np.array(segments).reshape(-1, 2, 2)
+
+
+def test_marching_squares_matches_cell_loop():
+    rng = np.random.default_rng(0)
+    F = rng.standard_normal((25, 30))
+    F[rng.random(F.shape) < 0.1] = 0.0
+    xs, ys = np.linspace(-2.0, 2.0, 25), np.linspace(-1.0, 3.0, 30)
+    neg = F < 0
+    saddles = (neg[:-1, :-1] == neg[1:, 1:]) & (neg[1:, :-1] == neg[:-1, 1:])
+    assert np.any(saddles & (neg[:-1, :-1] != neg[1:, :-1]))
+    assert np.array_equal(_marching_squares(F, xs, ys), _marching_squares_loop(F, xs, ys))
 
 
 # --- loop --------------------------------------------------------------------

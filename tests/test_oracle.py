@@ -1,12 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_casedata, random_instance, random_unit, wedge_canonical
+from conftest import (
+    random_casedata,
+    random_instance,
+    random_orthogonal,
+    random_unit,
+    wedge_canonical,
+)
 from quadfree import oracle, spectral
 from quadfree.corefns import CaseData, phi_value, r_coefficient, x_beta
+from quadfree.cuts import SimplicialCone, separate
 from quadfree.errors import (
+    AllRaysRecessionError,
     NotInStrictRegionError,
     PreconditionViolatedError,
     SamplingExhaustedError,
@@ -57,6 +68,98 @@ def test_sample_quadratic_region_feasible():
     assert np.max(vals) <= 0.0
 
 
+# --- cut validity --------------------------------------------------------------
+
+
+def _cut(apex, R, steps):
+    """The cut Σ_j u_j / steps_j ≥ 1 on the cone (apex, R), as coefᵀs ≤ rhs."""
+    coef = -np.linalg.solve(R.T, 1.0 / np.asarray(steps, dtype=float))
+    cone = SimplicialCone(apex=apex, R=R)
+    return SimpleNamespace(coef=coef, rhs=float(coef @ cone.apex) - 1.0, cone=cone)
+
+
+def _step_into_S(qc, apex, R):
+    """A ray j and a step τ on it with q(apex + τ r_j) < 0, the most
+    negative relative to ‖Q̃‖₂(1 + ‖s‖²) among the rays; None if no ray
+    clearly enters S.  Along a ray q is ατ² + βτ + q(apex): past the root
+    when α < 0, between the roots when α > 0."""
+    alpha = np.sum((R.T @ qc.Q) * R.T, axis=1)
+    beta = R.T @ (2.0 * qc.Q @ apex + qc.b)
+    gamma = qc(apex)
+    disc = beta * beta - 4.0 * alpha * gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (-beta - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * alpha)
+        tau = np.where(alpha < 0.0, 2.0 * far, -beta / (2.0 * alpha))
+    enters = (alpha < 0.0) | ((alpha > 0.0) & (beta < 0.0) & (disc > 0.0))
+    if not np.any(enters):
+        return None
+    tau = np.where(enters, tau, 1.0)
+    S = apex + tau[:, None] * R.T
+    scale = np.linalg.norm(spectral.lift(qc.Q, qc.b, qc.c), 2)
+    rel = np.where(enters, qc(S) / (scale * (1.0 + np.sum(S * S, axis=1))), np.inf)
+    j = int(np.argmin(rel))
+    return (j, float(tau[j])) if rel[j] < -1e-6 else None
+
+
+@settings(
+    derandomize=True, max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.data())
+def test_cut_validity_catches_a_step_moved_into_S(data):
+    p = data.draw(st.integers(10, 16), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    # at most 2n negative eigenvalues, so random_instance finds a violated point
+    m = data.draw(st.integers(1, min(2 * n, p + 1 - n)), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    R = random_orthogonal(rng, p)
+    try:
+        cert = separate(qc, SimplicialCone(apex=qc.point, R=R))
+    except AllRaysRecessionError:
+        assume(False)
+    rep = oracle.check_cut_validity(qc, cert)
+    assert rep.passed, rep.worst_residual
+
+    moved = _step_into_S(qc, qc.point, R)
+    assume(moved is not None)
+    j, tau = moved
+    steps = cert.steps.copy()
+    assert tau > steps[j]  # the real step stops short of S
+    steps[j] = tau
+    rep = oracle.check_cut_validity(qc, _cut(qc.point, R, steps))
+    assert not rep.passed, rep.worst_residual
+    assert qc(rep.witness) < 0.0
+
+
+def test_cut_validity_follows_rays_the_cut_never_meets():
+    # the cut s₁ ≤ 2.9 on the cone at (3, 0) with rays (−1, 0) and (0, 1)
+    # removes {2.9 < s₁ ≤ 3, s₂ ≥ 0}; ray 2 never meets it
+    apex, R = np.array([3.0, 0.0]), np.array([[-1.0, 0.0], [0.0, 1.0]])
+    cut = _cut(apex, R, [0.1, np.inf])
+    disc = spectral.QuadraticConstraint(
+        Q=np.eye(2), b=np.zeros(2), c=-1.0, point=apex
+    )
+    assert oracle.check_cut_validity(disc, cut).passed
+    # s₁² ≤ s₂² holds at (3, s₂) once s₂ ≥ 3, which is inside [0, 10]
+    cone_S = spectral.QuadraticConstraint(
+        Q=np.diag([1.0, -1.0]), b=np.zeros(2), c=0.0, point=apex
+    )
+    rep = oracle.check_cut_validity(cone_S, cut)
+    assert not rep.passed
+    assert rep.witness[1] >= 3.0
+
+
+def test_cut_validity_fails_a_cut_that_keeps_its_apex():
+    qc = spectral.QuadraticConstraint(
+        Q=np.eye(2), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0])
+    )
+    cut = _cut(qc.point, -np.eye(2), [1.0, 1.0])
+    kept = SimpleNamespace(coef=cut.coef, rhs=cut.rhs + 2.0, cone=cut.cone)
+    rep = oracle.check_cut_validity(qc, kept)
+    assert not rep.passed and rep.samples == 0
+
+
 # --- freeness ----------------------------------------------------------------
 
 
@@ -77,6 +180,52 @@ def test_built_sets_pass_freeness():
         rep = oracle.check_freeness(fs, samples, seed=done)
         assert rep.passed, (cf.case, rep.worst_residual)
         done += 1
+
+
+def _slice_points_loop(lam, a, d, l=0, seed=0):
+    """β-by-β reference for ``oracle.structured_slice_points``."""
+    m = len(d)
+    if m == 1:
+        betas = np.array([[-1.0], [1.0]])
+    elif m == 2:
+        t = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        betas = np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        rng = np.random.default_rng(seed)
+        betas = np.vstack([oracle._unit_rows(rng, 256, m), np.eye(m), -np.eye(m)])
+    points = []
+    for beta in betas:
+        c, na2 = float(-(d @ beta)), float(a @ a)
+        candidates = [lam] if float(a @ lam) <= c else []
+        x0 = (c / na2) * a if na2 > 0.0 else None
+        if x0 is not None and np.linalg.norm(x0) <= 1.0:
+            lam_perp = lam - (float(a @ lam) / na2) * a
+            npp = np.linalg.norm(lam_perp)
+            room = np.sqrt(max(1.0 - float(x0 @ x0), 0.0))
+            candidates.append(x0 + room * lam_perp / npp if npp > 1e-14 else x0)
+        if candidates:
+            x = max(candidates, key=lambda x: float(lam @ x))
+            points.append(np.concatenate([x, beta, np.zeros(l)]))
+    return np.array(points).reshape(-1, len(lam) + m + l)
+
+
+def test_structured_slice_points_match_beta_loop(cd_wedge, cd_scaled, cd_polars):
+    rng = np.random.default_rng(16)
+    cases = [(cd.lam, cd.a, cd.d) for cd in (cd_wedge, cd_scaled, cd_polars)]
+    cases += [(np.array([1.0, 0.0]), np.zeros(2), np.array([0.5, -0.2]))]  # a = 0
+    cases += [(np.array([0.6, 0.8]), s * np.array([0.6, 0.8]), np.array([0.3, 0.1, 0.2]))
+              for s in (1.0, -1.0)]  # λ = ±a
+    for _ in range(60):
+        n, m = (int(k) for k in rng.integers(1, 5, 2))
+        a = rng.standard_normal(n) * rng.uniform(0.2, 3.0)
+        cases.append((random_unit(rng, n), a, rng.standard_normal(m) * rng.uniform(0.05, 2.0)))
+    for lam, a, d in cases:
+        for l, seed in ((0, 0), (2, 3)):
+            got = oracle.structured_slice_points(lam, a, d, l=l, seed=seed)
+            ref = _slice_points_loop(lam, a, d, l=l, seed=seed)
+            assert got.shape == ref.shape
+            assert np.array_equal(got[:, len(lam):], ref[:, len(lam):])  # same β kept
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
 
 
 def test_forced_cglambda_fails_on_scaled_witness(cd_scaled):
