@@ -1,10 +1,8 @@
 """Command-line surface: instance I/O, canonicalization/cut/verify
 commands, figure-data emission, and a demo cutting loop.
 
-Exit codes: 2 not separable, 3 parse or usage error, 4 all rays recede,
-5 infeasible constraint or LP emptied by cuts, 6 unbounded LP,
-7 degenerate vertex, 8 the freeness sampler could not draw enough
-points, 9 LP infeasible before any cut.
+Exit codes are ``_EXIT_CODES``, tabulated in the README; 1 is kept for
+a failed verification report.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from . import cuts, freesets, lp, oracle, spectral
 from .corefns import CaseData
 from .errors import (
     AllRaysRecessionError,
+    DegenerateQuadraticError,
     DegenerateVertexError,
     EmptySError,
     InfeasibleLPError,
@@ -229,6 +228,8 @@ def _case2_reports(cf, fs, samples, seed):
 
 def cmd_verify(inst, args) -> int:
     cf = spectral.canonicalize(_to_qc(inst), zero_tol=args.tol)
+    if cf.case == spectral.CASE_EMPTY_S:
+        raise EmptySError("constraint is infeasible; nothing to verify")
     if args.force_free_set:
         name = args.force_free_set.upper()
         if name != "CGLAMBDA":
@@ -445,6 +446,7 @@ _EXIT_CODES = (
     (DegenerateVertexError, 7),
     (SamplingExhaustedError, 8),
     (InfeasibleLPError, 9),
+    (DegenerateQuadraticError, 10),
 )
 
 

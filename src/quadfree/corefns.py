@@ -70,7 +70,7 @@ def phi_value(cd: CaseData, y: np.ndarray):
     positively homogeneous and total on Rᵐ."""
     y = np.asarray(y, dtype=float)
     ny = np.sqrt((y * y).sum(axis=-1))
-    dy = y @ cd.d
+    dy = (y * cd.d).sum(axis=-1)
     rad = np.maximum(ny * ny - dy * dy, 0.0) * max(1.0 - cd.lam_a**2, 0.0)
     vals = np.where(cd.lam_a * ny + dy <= 0.0, ny, np.sqrt(rad) - dy * cd.lam_a)
     return float(vals) if y.ndim == 1 else vals

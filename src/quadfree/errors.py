@@ -15,8 +15,8 @@ class NotSeparableError(QuadfreeError):
 
 
 class DegenerateQuadraticError(QuadfreeError):
-    """The quadratic has no negative eigenvalue after homogenization, so
-    the feasible region is convex and the canonical split is unavailable."""
+    """Every eigenvalue of the lifted matrix vanishes at the zero
+    tolerance, so the quadratic has no canonical form."""
 
 
 class UndefinedGradientError(QuadfreeError):

@@ -60,7 +60,7 @@ class CLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return np.linalg.norm(y, axis=1) - x @ self.lam
+        return np.linalg.norm(y, axis=1) - (x * self.lam).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class CGLambda(FreeSetDescriptor):
         """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
         x, y = self._split(W)
         cd = self.cd
-        return _cap_support(cd, y, -cd.lam_a, relaxed=False) - x @ cd.lam
+        return _cap_support(cd, y, -cd.lam_a, relaxed=False) - (x * cd.lam).sum(axis=1)
 
 
 def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.ndarray:
@@ -97,7 +97,7 @@ def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.nda
     """
     nd = cd.d_norm
     nt = np.linalg.norm(t, axis=1)
-    dt = t @ cd.d
+    dt = (t * cd.d).sum(axis=1)
     if cd.d.shape[0] == 1:
         d1 = float(cd.d[0])
         out = np.full(t.shape[0], -np.inf)
@@ -149,7 +149,7 @@ class CPhiLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return phi_value(self.cd, y) - x @ self.cd.lam
+        return phi_value(self.cd, y) - (x * self.cd.lam).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class CRPhiLambda(FreeSetDescriptor):
         """
         cd = self.cd
         x, y = self._split(W)
-        lam_x = x @ cd.lam
+        lam_x = (x * cd.lam).sum(axis=1)
         shift = 1.0 / (1.0 - cd.d_norm**2)
         y0 = cd.d * shift
         c = -cd.lam_a
@@ -188,7 +188,7 @@ class Halfspace(FreeSetDescriptor):
     rhs: float = 0.0
 
     def _margin_rows(self, W):
-        return W @ self.coef - self.rhs
+        return (W * self.coef).sum(axis=1) - self.rhs
 
 
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
@@ -232,20 +232,22 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
 
 
-def boundary_steps(
-    fs, apex, rays, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
-    """sup{t ≥ 0 : apex + t·r inside fs} for each row r of rays, by
-    bracketing and bisection over all rays together; returns the arrays
-    (steps, residuals).
+def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """sup{t ≥ 0 : apex + t·r inside fs} for each row r of rays, for all
+    rays together; returns the arrays (steps, residuals).
 
-    Each ray doubles t = 1, 2, …, 2³⁹ until its margin turns positive; an
-    exact 0 returns that t with residual 0, and a ray still ≤ 0 at
-    t = 1e12 is a recession direction, step +inf with residual 0.  The
-    brackets are then bisected together.  Each finite step comes from the
-    interior side: its margin (the residual) lies in [−tol, 0], or the
-    bracket has closed on it.  Every margin call evaluates one row per
-    ray still open.  Requires the apex strictly interior.
+    Along a ray, f(t) = margin(apex + t·r) is convex (a support function
+    minus a linear term) with f(0) < 0.  The first call takes t = 1 and
+    1e12: f(1) = 0 is the step, and f(1e12) ≤ 0 makes f ≤ 0 on [0, 1e12],
+    a recession ray with step +inf; both have residual 0.  Each later
+    call takes three points per bracket [lo, hi]: the chord root, interior
+    by convexity; the root of the line through the last two interior
+    points, exterior if its slope is positive; and the midpoint (geometric
+    when hi > 4·lo > 0), which bounds the rounds as bisection does.  Each
+    point is classified by its own margin, so lo is interior even where
+    rounding breaks convexity.  A ray stops when its residual, the margin
+    at lo, is in [−tol, 0] or the bracket has closed to 1e-12 relative.
+    No step depends on the other rays.  The apex must be interior.
     """
     apex = np.asarray(apex, dtype=float).reshape(-1)
     rays = np.asarray(rays, dtype=float)
@@ -255,33 +257,37 @@ def boundary_steps(
     if not m0 < -tol:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
 
-    k = rays.shape[0]
-    steps, residuals = np.full(k, np.inf), np.zeros(k)
-    lo, v_lo, hi = np.zeros(k), np.full(k, float(m0)), np.full(k, np.inf)
-    doubling, t = np.arange(k), 1.0
-    while t <= _T_CAP and doubling.size:
-        v = fs.margin(apex + t * rays[doubling])
-        hi[doubling[v > 0.0]] = t
-        steps[doubling[v == 0.0]] = t
-        inside = ~(v >= 0.0)
-        doubling, v = doubling[inside], v[inside]
-        lo[doubling], v_lo[doubling] = t, v
-        t *= 2.0
-    if doubling.size:
-        v = fs.margin(apex + _T_CAP * rays[doubling])
-        hi[doubling[~(v <= 0.0)]] = _T_CAP  # the others recede
+    v1, v_cap = np.split(fs.margin(np.vstack([apex + rays, apex + _T_CAP * rays])), 2)
+    inside = ~(v1 >= 0.0)
+    prev, v_prev = np.where(inside, 0.0, np.nan), np.full_like(v1, m0)
+    lo, v_lo = np.where(inside, 1.0, 0.0), np.where(inside, v1, m0)
+    hi = np.where(inside, np.where(v_cap <= 0.0, np.inf, _T_CAP), np.where(v1 > 0.0, 1.0, np.inf))
+    v_hi = np.where(inside, v_cap, v1)
 
-    def wide(idx):
-        return idx[hi[idx] - lo[idx] > 1e-12 * np.maximum(hi[idx], 1.0)]
+    def still_open(idx):
+        wide = hi[idx] - lo[idx] > 1e-12 * np.maximum(hi[idx], 1.0)
+        return idx[wide & ~(v_lo[idx] >= -tol)]
 
-    bracketed = np.flatnonzero(hi < np.inf)
-    active = wide(bracketed)
+    active = still_open(np.flatnonzero(hi < np.inf))
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        v = fs.margin(apex + mid[:, None] * rays[active])
-        out = v > 0.0
-        hi[active[out]] = mid[out]
-        lo[active[~out]], v_lo[active[~out]] = mid[~out], v[~out]
-        active = wide(active[out | ~(v >= -tol)])
-    steps[bracketed], residuals[bracketed] = lo[bracketed], v_lo[bracketed]
-    return steps, residuals
+        a, lo_a, hi_a = active, lo[active], hi[active]
+        chord = lo_a + (hi_a - lo_a) * (v_lo[a] / (v_lo[a] - v_hi[a]))
+        slope = (v_lo[a] - v_prev[a]) / (lo_a - prev[a])
+        line = lo_a - np.divide(v_lo[a], slope, out=np.full(a.size, np.nan), where=slope > 0.0)
+        geometric = (hi_a > 4.0 * lo_a) & (lo_a > 0.0)
+        mid = np.where(geometric, np.sqrt(lo_a * hi_a), 0.5 * (lo_a + hi_a))
+        T = np.sort(np.column_stack([chord, line, mid]), axis=1)
+        ok = (T > lo_a[:, None]) & (T < hi_a[:, None])
+        V = np.full(T.shape, np.nan)
+        V[ok] = fs.margin(apex + T[ok][:, None] * rays[a[np.nonzero(ok)[0]]])
+        # ascending, so lo and prev end as the top two interior points below hi
+        for t, v in zip(T.T, V.T):
+            new = (lo[a] < t) & (t < hi[a])
+            out, inn = new & (v > 0.0), new & ~(v > 0.0)
+            hi[a[out]], v_hi[a[out]] = t[out], v[out]
+            prev[a[inn]], v_prev[a[inn]] = lo[a[inn]], v_lo[a[inn]]
+            lo[a[inn]], v_lo[a[inn]] = t[inn], v[inn]
+        active = still_open(a)
+    bracketed = hi < np.inf
+    steps = np.where(bracketed, lo, np.where(v1 == 0.0, 1.0, np.inf))
+    return steps, np.where(bracketed, v_lo, 0.0)

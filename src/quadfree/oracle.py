@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import freesets, spectral
-from .corefns import CaseData, phi_gradient, r_coefficient, x_beta
+from .corefns import CaseData, phi_gradient, phi_value, r_coefficient, theta_dual, x_beta
 from .errors import (
     NotInStrictRegionError,
     PreconditionViolatedError,
@@ -66,9 +66,7 @@ def _rejection_sample(draw, count: int, seed: int) -> np.ndarray:
     """``count`` rows from ``draw(rng, batch)``, which returns the accepted
     rows among ``batch`` attempts; raises once ``_MAX_ATTEMPTS`` are spent."""
     rng = np.random.default_rng(seed)
-    rows = []
-    have = 0
-    attempts = 0
+    rows, have, attempts = [], 0, 0
     while have < count and attempts < _MAX_ATTEMPTS:
         batch = min(4 * (count - have) + 64, _MAX_ATTEMPTS - attempts)
         attempts += batch
@@ -349,8 +347,6 @@ def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
 
 def check_duality(cd: CaseData, y: np.ndarray) -> VerificationReport:
     """Strong duality: the dual objective at θ(y) equals φ(y)."""
-    from .corefns import phi_value, theta_dual
-
     y = np.asarray(y, dtype=float).reshape(-1)
     th = theta_dual(cd, y)
     if np.isinf(th):
@@ -368,10 +364,7 @@ def check_duality(cd: CaseData, y: np.ndarray) -> VerificationReport:
 
 def check_convexity(cd: CaseData, pairs) -> VerificationReport:
     """Midpoint convexity of φ on the given (y₁, y₂) pairs."""
-    from .corefns import phi_value
-
-    worst = 0.0
-    witness = None
+    worst, witness = 0.0, None
     for y1, y2 in pairs:
         lhs = phi_value(cd, 0.5 * (np.asarray(y1) + np.asarray(y2)))
         rhs = 0.5 * (phi_value(cd, y1) + phi_value(cd, y2))
@@ -387,8 +380,6 @@ def check_convexity(cd: CaseData, pairs) -> VerificationReport:
 
 def check_gradient(cd: CaseData, y: np.ndarray, step: float = 1e-6) -> VerificationReport:
     """Central finite differences and the Euler identity for ∇φ."""
-    from .corefns import phi_value
-
     y = np.asarray(y, dtype=float).reshape(-1)
     grad = phi_gradient(cd, y)
     fd = np.empty_like(grad)

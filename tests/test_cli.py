@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadfree import lp, oracle
-from quadfree.cli import _marching_squares, emit_json, main, parse_instance
+from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import InfeasibleLPError, ParseError, SamplingExhaustedError
 
 S2 = math.sqrt(2.0)
@@ -215,6 +217,46 @@ def test_cut_empty_s_exit_5(tmp_path):
         cone={"rays": [[1.0, 0.0], [0.0, 1.0]]},
     )
     assert main(["cut", path]) == 5
+
+
+def test_verify_empty_s_exit_5(tmp_path, capsys):
+    # S = {‖s‖² + 1 ≤ 0} is empty: verify exits as cut does, before sampling
+    path = write_instance(
+        tmp_path,
+        dim=2,
+        Q=[[1.0, 0.0], [0.0, 1.0]],
+        b=[0.0, 0.0],
+        c=1.0,
+        point=[3.0, 0.0],
+        cone={"rays": [[-1.0, 0.0], [0.0, 1.0]]},
+    )
+    assert main(["cut", path]) == 5
+    assert main(["verify", path]) == 5
+    assert "EmptySError" in capsys.readouterr().err
+
+
+def test_degenerate_quadratic_exit_10(tmp_path, capsys):
+    # every lifted eigenvalue of 1e-10·s² is below the zero tolerance
+    path = write_instance(
+        tmp_path, dim=1, Q=[[1e-10]], b=[0.0], c=0.0, point=[1000.0],
+        cone={"rays": [[-1.0]]},
+    )
+    for command in ("canon", "cut", "verify"):
+        assert main([command, path]) == 10
+        assert "DegenerateQuadraticError" in capsys.readouterr().err
+
+
+def test_exit_codes_match_the_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d+) \| (.+) \|$", readme.split("Exit codes:")[1], re.M)
+    listed = [int(code) for code, _ in rows]
+    codes = [code for _, code in _EXIT_CODES]
+    assert len(set(listed)) == len(listed)
+    assert len(set(codes)) == len(codes)
+    assert set(listed) == {0, 1} | set(codes)
+    # 1 is the verdict of a failed report, never an error's code
+    assert ("1", "a verification report failed") in rows
+    assert 0 not in codes and 1 not in codes
 
 
 def test_singular_cone_exit_3(tmp_path):

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_casedata, random_instance, random_unit, wedge_canonical
+from conftest import (
+    random_casedata,
+    random_instance,
+    random_orthogonal,
+    random_unit,
+    wedge_canonical,
+)
 from quadfree import cuts, spectral
 from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient, in_G
 from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError
@@ -368,10 +376,48 @@ def test_boundary_steps_mixed_cone():
     assert np.all(residuals[np.isinf(steps)] == 0.0)
 
 
+def test_boundary_steps_root_near_the_cap():
+    # Halfspace 1e-11·x ≤ 8 or ≤ 20 from the origin along (1, 0): the
+    # root 8e11 lies between 2³⁹ and the 1e12 cap, the root 2e12 beyond it.
+    rays = np.array([[1e-11, 0.0]])
+    near = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=8.0)
+    steps, residuals = boundary_steps(near, np.zeros(2), rays)
+    assert math.isfinite(steps[0]) and steps[0] == pytest.approx(8e11, rel=1e-9)
+    assert near.margin(steps[0] * rays[0]) <= 0.0 and residuals[0] <= 0.0
+    far = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=20.0)
+    steps, residuals = boundary_steps(far, np.zeros(2), rays)
+    assert steps[0] == math.inf and residuals[0] == 0.0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_boundary_steps_of_any_subset_match_the_batch(data):
+    p = data.draw(st.integers(4, 16), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    # at most 2n negative eigenvalues, so random_instance finds a violated point
+    m = data.draw(st.integers(1, min(2 * n, p + 1 - n)), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    cf = spectral.canonicalize(qc)
+    fs = build_free_set(cf)
+    apex, rays = cf.map_point(qc.point), cf.map_direction(random_orthogonal(rng, p))
+    steps, residuals = boundary_steps(fs, apex, rays)
+    subset = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True),
+        label="subset",
+    )
+    sub_steps, sub_residuals = boundary_steps(fs, apex, rays[subset])
+    assert np.array_equal(sub_steps, steps[subset])
+    assert np.array_equal(sub_residuals, residuals[subset])
+    for step, residual, ray in zip(steps, residuals, rays):
+        if math.isfinite(step):  # the residual is the margin at the step
+            assert fs.margin(apex + step * ray) == residual <= 0.0
+
+
 def test_boundary_step_wedge_matches_closed_form(cd_wedge):
     # On each branch the margin is linear in t up to a square root of a
-    # quadratic, so the bisection result can be verified by evaluating
-    # the margin at the returned step.
+    # quadratic, so the step can be verified by evaluating the margin
+    # at the returned step.
     cf = wedge_canonical()
     fs = build_free_set(cf)
     apex = cf.mapped_point
@@ -440,10 +486,19 @@ def _rows_cases():
     }
 
 
+# Each row of a free-set margin (and so each ray's step) is a sum along
+# that row alone, so it does not depend on the other rows of the batch.
+_EXACT_ROWS = {"phi_value", "boundary_steps", "CLambda", "CGLambda", "CPhiLambda",
+               "CRPhiLambda", "Halfspace"}
+
+
 @pytest.mark.parametrize("name", list(_rows_cases()))
 def test_rows_match_points(name):
     f, rows = _rows_cases()[name]
     got = f(rows)
     assert got.shape[0] == rows.shape[0]
     expect = np.array([f(row) for row in rows])
-    assert np.allclose(got, expect, rtol=1e-14, atol=1e-14)
+    if name in _EXACT_ROWS:
+        assert np.array_equal(got, expect)
+    else:
+        assert np.allclose(got, expect, rtol=1e-14, atol=1e-14)
