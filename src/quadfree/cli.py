@@ -18,6 +18,7 @@ from . import cuts, freesets, lp, oracle, spectral
 from .corefns import CaseData
 from .errors import (
     AllRaysRecessionError,
+    ApexNotInteriorError,
     DegenerateQuadraticError,
     DegenerateVertexError,
     EmptySError,
@@ -25,6 +26,7 @@ from .errors import (
     NonSymmetricError,
     NotSeparableError,
     ParseError,
+    PreconditionViolatedError,
     QuadfreeError,
     SamplingExhaustedError,
     UnboundedLPError,
@@ -341,13 +343,14 @@ def cmd_plot(inst, args) -> int:
 
 
 def _as_leq(constraints):
+    """(A, rhs) with the constraints as rows of A s ≤ rhs."""
     rows = []
     for coef, rhs, sense in constraints:
         if sense in ("<=", "="):
             rows.append((np.asarray(coef, dtype=float), float(rhs)))
         if sense in (">=", "="):
             rows.append((-np.asarray(coef, dtype=float), -float(rhs)))
-    return rows
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
 def cmd_loop(inst, args) -> int:
@@ -355,21 +358,22 @@ def cmd_loop(inst, args) -> int:
         raise ParseError("loop command needs objective and linear_constraints")
     p = inst["dim"]
     obj = inst["objective"]
-    rows = _as_leq(inst["linear_constraints"])
+    A, rhs = _as_leq(inst["linear_constraints"])
     Q, b, c = inst["Q"], inst["b"], inst["c"]
     sys.stdout.write(
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
     )
+    tableau = lp.optimal_tableau(obj, A, rhs)
     for it in range(args.max_iters + 1):
-        A = np.array([r[0] for r in rows])
-        rhs = np.array([r[1] for r in rows])
-        try:
-            s_star, value = lp.solve_lp(obj, A, rhs)
-        except InfeasibleLPError as exc:
-            if it == 0:
-                raise
-            raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
+        if it:  # re-optimise after the last cut; never solve from scratch
+            try:
+                tableau.add_cut(cert.coef, cert.rhs)
+            except InfeasibleLPError as exc:
+                raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
+            A = np.vstack([A, cert.coef])
+            rhs = np.append(rhs, cert.rhs)
+        s_star, value = tableau.vertex()
         qc = spectral.QuadraticConstraint(Q=Q, b=b, c=c, point=s_star)
         viol = qc(s_star)
         record = {
@@ -382,7 +386,7 @@ def cmd_loop(inst, args) -> int:
             record["converged"] = True
             sys.stdout.write(json.dumps(record) + "\n")
             return 0
-        tight = [i for i in range(len(rows)) if abs(A[i] @ s_star - rhs[i]) <= 1e-7]
+        tight = [i for i in range(len(A)) if abs(A[i] @ s_star - rhs[i]) <= 1e-7]
         if len(tight) != p:
             raise DegenerateVertexError(
                 f"{len(tight)} tight constraints at the vertex, need {p}"
@@ -393,7 +397,6 @@ def cmd_loop(inst, args) -> int:
         R = -np.linalg.inv(A_t)
         cone = cuts.SimplicialCone(apex=s_star, R=R)
         cert = cuts.separate(qc, cone, zero_tol=args.tol)
-        rows.append((cert.coef, cert.rhs))
         record["cut"] = {"coef": [float(v) for v in cert.coef], "rhs": cert.rhs}
         sys.stdout.write(json.dumps(record) + "\n")
     return 0
@@ -447,6 +450,8 @@ _EXIT_CODES = (
     (SamplingExhaustedError, 8),
     (InfeasibleLPError, 9),
     (DegenerateQuadraticError, 10),
+    (ApexNotInteriorError, 11),
+    (PreconditionViolatedError, 12),
 )
 
 

@@ -115,7 +115,16 @@ def random_instance(
             s = rng.uniform(-box, box, p)
             if float(s @ Q @ s + b @ s + c) > 1e-3:
                 return QuadraticConstraint(Q=Q, b=b, c=c, point=s)
-    raise AssertionError("could not find a violating point")
+    # No luck in the boxes: take (s̄, 1) ∝ V₊α in the positive eigenspace,
+    # where q̃ = αᵀ diag(vals₊) α > 0, with α tilted toward u = V₊ᵀe_last so
+    # that the last coordinate is nonzero.
+    u = V0[-1, :n]
+    u_hat = u / np.linalg.norm(u)
+    g = rng.standard_normal(n)
+    tau = rng.uniform(0.3, 1.0) * rng.choice((-1.0, 1.0))
+    alpha = g - (u_hat @ g) * u_hat + tau * np.linalg.norm(g) * u_hat
+    w = V0[:, :n] @ alpha
+    return QuadraticConstraint(Q=Q, b=b, c=c, point=w[:p] / w[p])
 
 
 def wedge_constraint() -> QuadraticConstraint:

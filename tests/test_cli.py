@@ -8,7 +8,16 @@ import pytest
 
 from quadfree import lp, oracle
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
-from quadfree.errors import InfeasibleLPError, ParseError, SamplingExhaustedError
+from quadfree.errors import (
+    NonSymmetricError,
+    NotInStrictRegionError,
+    NotUnitError,
+    ParseError,
+    PreconditionViolatedError,
+    QuadfreeError,
+    SamplingExhaustedError,
+    UndefinedGradientError,
+)
 
 S2 = math.sqrt(2.0)
 
@@ -246,6 +255,48 @@ def test_degenerate_quadratic_exit_10(tmp_path, capsys):
         assert "DegenerateQuadraticError" in capsys.readouterr().err
 
 
+def test_apex_not_interior_exit_11(tmp_path, capsys):
+    # q = s₁² − s₂² − 1 at (1 + 6e-10, 0) is 1.2e-9 > --tol, but the apex
+    # margin, about −6e-10, is not below −1e-9
+    path = write_instance(
+        tmp_path, dim=2, Q=[[1.0, 0.0], [0.0, -1.0]], b=[0.0, 0.0], c=-1.0,
+        point=[1.0 + 6e-10, 0.0], cone={"rays": [[1.0, 0.0], [0.0, 1.0]]},
+    )
+    for command in ("cut", "verify"):
+        assert main([command, path]) == 11
+        assert "ApexNotInteriorError" in capsys.readouterr().err
+
+
+def test_verify_maximality_precondition_exit_12(tmp_path, capsys, monkeypatch):
+    def outside(*args, **kwargs):
+        raise PreconditionViolatedError("no admissible rotation angles")
+
+    monkeypatch.setattr(oracle, "asymptote_sequence", outside)
+    path = write_instance(tmp_path, **wedge_fields())
+    assert main(["verify", path, "--samples", "500"]) == 12
+    assert "PreconditionViolatedError" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Errors that cannot reach cli.main, so they need no exit code.
+_CANNOT_REACH_MAIN = {
+    # parse_instance turns it into ParseError and symmetrizes Q before use
+    NonSymmetricError,
+    # λ, a and β are normalized before CaseData or a unit check sees them
+    NotUnitError,
+    # _case2_reports catches it around check_gradient; asymptote_sequence
+    # takes φ's gradient only off the excluded ray, where ‖d‖ < 1 holds
+    UndefinedGradientError,
+    # _case2_reports passes exposing_witness only β with aᵀλ + dᵀβ < −1e-6
+    NotInStrictRegionError,
+}
+
+
 def test_exit_codes_match_the_readme():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| (\d+) \| (.+) \|$", readme.split("Exit codes:")[1], re.M)
@@ -257,6 +308,10 @@ def test_exit_codes_match_the_readme():
     # 1 is the verdict of a failed report, never an error's code
     assert ("1", "a verification report failed") in rows
     assert 0 not in codes and 1 not in codes
+    # every error either has a code or is listed as unable to reach main
+    mapped = {exc for exc, _ in _EXIT_CODES}
+    assert not mapped & _CANNOT_REACH_MAIN
+    assert set(_subclasses(QuadfreeError)) == mapped | _CANNOT_REACH_MAIN
 
 
 def test_singular_cone_exit_3(tmp_path):
@@ -410,6 +465,31 @@ def test_loop_converges(tmp_path, capsys):
     assert len(records) <= 51
 
 
+def test_loop_vertices_match_a_cold_solve_over_the_cuts(tmp_path, capsys):
+    # min s1 + 2·s2 over the box [−3, 3]² against the unit disk: each
+    # vertex after the first is re-optimised over the box and every cut
+    fields = loop_fields()
+    fields.update(Q=[[1.0, 0.0], [0.0, 1.0]], c=-1.0, objective=[1.0, 2.0])
+    fields["linear_constraints"] = [
+        {"coef": coef, "rhs": 3.0, "sense": "<="}
+        for coef in ([-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0])
+    ]
+    path = write_instance(tmp_path, **fields)
+    assert main(["loop", path, "--max-iters", "8"]) == 0
+    records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(records) == 9
+    A = [row["coef"] for row in fields["linear_constraints"]]
+    rhs = [3.0] * 4
+    for record in records:
+        s, value = lp.solve_lp(np.array(fields["objective"]), np.array(A), np.array(rhs))
+        assert np.allclose(record["vertex"], s, rtol=0.0, atol=1e-9)
+        assert record["objective"] == pytest.approx(value, abs=1e-9)
+        A.append(record["cut"]["coef"])
+        rhs.append(record["cut"]["rhs"])
+    # an outer approximation: below the disk's minimum −√5, and close to it
+    assert -math.sqrt(5.0) - 1e-3 < records[-1]["objective"] < -math.sqrt(5.0)
+
+
 def test_loop_zero_iterations_when_feasible(tmp_path, capsys):
     fields = loop_fields()
     # flip the quadratic so the first LP vertex (−3, −1) already satisfies it
@@ -459,20 +539,28 @@ def test_loop_infeasible_start_exit_9(tmp_path, capsys):
     assert "InfeasibleLPError" in capsys.readouterr().err
 
 
-def test_loop_emptied_by_cuts_exit_5(tmp_path, monkeypatch):
-    solve = lp.solve_lp
-    calls = []
-
-    def empty_after_first(*args):
-        calls.append(args)
-        if len(calls) > 1:
-            raise InfeasibleLPError("phase 1 ended with positive artificial mass")
-        return solve(*args)
-
-    monkeypatch.setattr(lp, "solve_lp", empty_after_first)
-    path = write_instance(tmp_path, **loop_fields())
+def test_loop_emptied_by_cuts_exit_5(tmp_path, capsys):
+    # −s² + 1 ≤ 0 on −0.5 ≤ s ≤ 0.5: the first vertex s = −0.5 is cut by
+    # s ≥ 1, which leaves no point, so the dual simplex finds no column
+    path = write_instance(
+        tmp_path,
+        dim=1,
+        Q=[[-1.0]],
+        b=[0.0],
+        c=1.0,
+        point=[0.0],
+        objective=[1.0],
+        linear_constraints=[
+            {"coef": [-1.0], "rhs": 0.5, "sense": "<="},
+            {"coef": [1.0], "rhs": 0.5, "sense": "<="},
+        ],
+    )
     assert main(["loop", path]) == 5
-    assert len(calls) == 2
+    captured = capsys.readouterr()
+    records = [json.loads(ln) for ln in captured.out.splitlines()[1:]]
+    assert [r["iter"] for r in records if "cut" in r] == [0]
+    assert len(records) == 1
+    assert "EmptySError" in captured.err
 
 
 def test_loop_requires_objective_exit_3(tmp_path):

@@ -394,8 +394,7 @@ def test_boundary_steps_root_near_the_cap():
 def test_boundary_steps_of_any_subset_match_the_batch(data):
     p = data.draw(st.integers(4, 16), label="p")
     n = data.draw(st.integers(1, p), label="n")
-    # at most 2n negative eigenvalues, so random_instance finds a violated point
-    m = data.draw(st.integers(1, min(2 * n, p + 1 - n)), label="m")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     qc = random_instance(rng, n, m, p + 1 - n - m)
     cf = spectral.canonicalize(qc)

@@ -109,8 +109,7 @@ def _step_into_S(qc, apex, R):
 def test_cut_validity_catches_a_step_moved_into_S(data):
     p = data.draw(st.integers(10, 16), label="p")
     n = data.draw(st.integers(1, p), label="n")
-    # at most 2n negative eigenvalues, so random_instance finds a violated point
-    m = data.draw(st.integers(1, min(2 * n, p + 1 - n)), label="m")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     qc = random_instance(rng, n, m, p + 1 - n - m)
     R = random_orthogonal(rng, p)
