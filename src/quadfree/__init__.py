@@ -3,7 +3,6 @@ inequalities, with oracle-based verifiers."""
 
 from .corefns import (
     CaseData,
-    in_G,
     phi_gradient,
     phi_value,
     r_coefficient,
@@ -42,7 +41,6 @@ from .spectral import (
     canonicalize,
     eigen,
     lift,
-    pullback_linear,
 )
 
 __version__ = "0.1.0"

@@ -165,10 +165,10 @@ def _cf_payload(cf: spectral.CanonicalForm) -> dict:
         "M": cf.M,
         "mapped_point": cf.mapped_point,
         "scale": {
-            "eigenvalues": cf.scale["eigenvalues"],
-            "signature": list(cf.scale["signature"]),
-            "quad_scale": cf.scale["quad_scale"],
-            "case2_rescale": cf.scale.get("case2_rescale"),
+            "eigenvalues": cf.eigenvalues,
+            "signature": [cf.n, cf.m, cf.l],
+            "quad_scale": cf.quad_scale,
+            "case2_rescale": cf.case2_rescale,
         },
     }
 
@@ -195,7 +195,7 @@ def cmd_cut(inst, args) -> int:
     return 0
 
 
-def _case2_reports(cf, fs, samples, seed):
+def _case2_reports(cf, fs, seed):
     cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
     rng = np.random.default_rng(seed + 1)
     reports = []
@@ -222,7 +222,7 @@ def _case2_reports(cf, fs, samples, seed):
             loose.append(beta)
     for beta in strict:
         reports.append(oracle.exposing_witness(cd, beta, fs)[1])
-    if np.linalg.norm(cd.lam + cd.a) > 1e-9:
+    if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
         for beta in loose:
             reports.append(oracle.asymptote_sequence(cd, beta, 1000)[2])
     return reports
@@ -244,7 +244,7 @@ def cmd_verify(inst, args) -> int:
     samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
-        reports.extend(_case2_reports(cf, fs, samples, args.seed))
+        reports.extend(_case2_reports(cf, fs, args.seed))
     if "rays" in inst:
         cert = cuts.intersection_cut(_cone(inst), cf, fs)
         reports.append(
@@ -414,6 +414,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(kind, low):
+    """An argparse ``type``: a finite ``kind`` value ≥ ``low``; any other
+    text is a usage error."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value < np.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind.__name__} in [{low}, inf)")
+        return value
+
+    return parse
+
+
 def _build_parser():
     parser = _Parser(
         prog="quadfree",
@@ -430,13 +446,13 @@ def _build_parser():
     ):
         cmd[name] = sub.add_parser(name)
         cmd[name].add_argument("instance")
-        cmd[name].add_argument("--tol", type=float, default=1e-9)
+        cmd[name].add_argument("--tol", type=_at_least(float, 0.0), default=1e-9)
         cmd[name].set_defaults(fn=fn)
-    cmd["verify"].add_argument("--samples", type=int, default=10_000)
-    cmd["verify"].add_argument("--seed", type=int, default=0)
+    cmd["verify"].add_argument("--samples", type=_at_least(int, 1), default=10_000)
+    cmd["verify"].add_argument("--seed", type=_at_least(int, 0), default=0)
     cmd["verify"].add_argument("--force-free-set", type=str, default=None)
     cmd["plot"].add_argument("--layers", type=str, default="S,freeset")
-    cmd["loop"].add_argument("--max-iters", type=int, default=50)
+    cmd["loop"].add_argument("--max-iters", type=_at_least(int, 0), default=50)
     return parser
 
 

@@ -5,8 +5,8 @@ x-space, the hyperplane data (a, d), and the sublinear gauge
 
     φ(y) = max { λᵀx : ‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0 },
 
-together with its gradient, the dual multiplier θ, the asymptotic
-relaxation amount r(β) and membership in the index set
+together with its gradient, the dual multiplier θ and the asymptotic
+relaxation amount r(β), which vanishes on the index set
 G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
 """
 
@@ -126,10 +126,3 @@ def x_beta(cd: CaseData, y: np.ndarray) -> np.ndarray:
         return cd.lam * ny
     s = np.sqrt(max(ny * ny - dy * dy, 0.0) / max(1.0 - cd.lam_a**2, 0.0))
     return s * cd.lam - (dy + cd.lam_a * s) * cd.a
-
-
-def in_G(cd: CaseData, beta: np.ndarray, tol: float = 1e-9):
-    """Membership of a unit β in G(λ); returns (member, strict)."""
-    beta = _check_unit(beta)
-    value = float(cd.a @ cd.lam + cd.d @ beta)
-    return value <= tol, value < -tol

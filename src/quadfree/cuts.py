@@ -36,10 +36,6 @@ class SimplicialCone:
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "R", R)
 
-    @property
-    def dim(self) -> int:
-        return self.apex.shape[0]
-
 
 @dataclass(frozen=True)
 class CutCertificate:
@@ -62,11 +58,10 @@ def intersection_cut(
     cone: SimplicialCone,
     cf: spectral.CanonicalForm,
     fs: freesets.FreeSetDescriptor,
-    tol: float = 1e-9,
 ) -> CutCertificate:
     """Assemble the intersection cut for one cone and free set."""
     steps, residuals = freesets.boundary_steps(
-        fs, cf.map_point(cone.apex), cf.map_direction(cone.R.T), tol=tol
+        fs, cf.map_point(cone.apex), cf.map_direction(cone.R.T)
     )
     if np.all(np.isinf(steps)):
         raise AllRaysRecessionError("free set contains the whole cone")

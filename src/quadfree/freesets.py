@@ -36,10 +36,6 @@ class FreeSetDescriptor:
     m: int
     l: int
 
-    @property
-    def dim(self) -> int:
-        return self.n + self.m + self.l
-
     def margin(self, w):
         """Margin at a point (a float) or at each row of w (an array)."""
         w = np.asarray(w, dtype=float)
@@ -205,11 +201,11 @@ def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
         return CGLambda(n, m, l, cd=CaseData(cf.lam, cf.a, cf.d))
     if case == spectral.CASE_CONVEX_M1:
         return _convex_m1_halfspace(cf)
-    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
     if case == spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
-        return CPhiLambda(n, m, l, cd=cd)
+        # λ = −a makes φ(y) = ‖y‖, so C_φ(λ) is the norm cone C_λ.
+        return CLambda(n, m, l, lam=cf.lam)
     if case == spectral.CASE_CASE2_CR:
-        return CRPhiLambda(n, m, l, cd=cd)
+        return CRPhiLambda(n, m, l, cd=CaseData(cf.lam, cf.a, cf.d, unit_a=True))
     raise ValueError(f"unknown case tag {case!r}")
 
 

@@ -9,7 +9,7 @@ construction applies downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,6 @@ CASE_CASE1_CGLAMBDA = "CASE1_CGLAMBDA"
 CASE_CONVEX_M1 = "CONVEX_M1"
 CASE_CASE2_CR = "CASE2_CR"
 CASE_CASE2_CR_LAMBDA_NEG_A = "CASE2_CR_LAMBDA_NEG_A"
-
-ALL_CASES = (
-    CASE_EMPTY_S,
-    CASE_HOMOG_H_NONZERO,
-    CASE_CASE1_CGLAMBDA,
-    CASE_CONVEX_M1,
-    CASE_CASE2_CR,
-    CASE_CASE2_CR_LAMBDA_NEG_A,
-)
 
 
 def _as_symmetric(A: np.ndarray) -> np.ndarray:
@@ -95,18 +86,17 @@ def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
     """Homogenize (Q, b, c) so (s,1)ᵀ Q̃ (s,1) = q(s)."""
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1, 1)
-    p = Q.shape[0]
-    if b.shape[0] != p:
+    if b.shape[0] != Q.shape[0]:
         raise ValueError("Q and b have inconsistent dimensions")
-    top = np.hstack([Q, b / 2.0])
-    bottom = np.hstack([b.T / 2.0, np.array([[float(c)]])])
-    return np.vstack([top, bottom])
+    return np.block([[Q, b / 2.0], [b.T / 2.0, float(c)]])
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """Result of canonicalize: coordinates w = M(s,1), a case tag and
-    the hyperplane data (a, d, h) with right-hand side -1."""
+    the hyperplane data (a, d, h) with right-hand side -1, the lifted
+    eigenvalues (descending), the factor with ‖x‖² − ‖y‖² = quad_scale·q(s),
+    and μ = ‖a‖ when case 2 rescaled M by it (else None)."""
 
     n: int
     m: int
@@ -118,17 +108,9 @@ class CanonicalForm:
     mapped_point: np.ndarray
     lam: np.ndarray
     case: str
-    scale: dict = field(default_factory=dict)
-
-    @property
-    def p(self) -> int:
-        """Dimension of the original variable space."""
-        return self.M.shape[0] - 1
-
-    @property
-    def quad_scale(self) -> float:
-        """Factor with ‖x‖² − ‖y‖² = quad_scale · q(s)."""
-        return float(self.scale.get("quad_scale", 1.0))
+    eigenvalues: np.ndarray | None = None
+    quad_scale: float = 1.0
+    case2_rescale: float | None = None
 
     def map_point(self, s: np.ndarray) -> np.ndarray:
         """w = M(s, 1) for a point or for each row of s."""
@@ -139,12 +121,6 @@ class CanonicalForm:
         """Image of an s-space direction, or of each row of r, under the
         linear part of M."""
         return np.asarray(r, dtype=float) @ self.M[:, :-1].T
-
-    def blocks(self, w: np.ndarray):
-        """Split a w-point (or batch of rows) into (x, y, z)."""
-        w = np.asarray(w, dtype=float)
-        n, m = self.n, self.m
-        return w[..., :n], w[..., n : n + m], w[..., n + m :]
 
 
 def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalForm:
@@ -179,50 +155,26 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
     g = -(V[-1] / sigma)[perm]
 
-    scale: dict = {
-        "eigenvalues": eig.copy(),
-        "signature": (n, m, l),
-        "quad_scale": 1.0,
-    }
-
     wbar = M @ np.concatenate([qc.point, [1.0]])
     a, d, h = g[:n], g[n : n + m], g[n + m :]
 
     xbar = wbar[:n]
     lam = xbar / np.linalg.norm(xbar)
 
-    def build(case):
-        return CanonicalForm(
-            n=n, m=m, l=l, M=M, a=a, d=d, h=h,
-            mapped_point=wbar, lam=lam, case=case, scale=scale,
-        )
-
+    mu = None  # the case-2 rescaling factor
     if m == 0:
-        return build(CASE_EMPTY_S)
-    g_scale = 1.0 + float(np.linalg.norm(g))
-    if np.linalg.norm(h) > zero_tol * g_scale:
-        return build(CASE_HOMOG_H_NONZERO)
-
-    norm_a, norm_d = np.linalg.norm(a), np.linalg.norm(d)
-    if norm_a <= norm_d:
-        return build(CASE_CASE1_CGLAMBDA if m > 1 else CASE_CONVEX_M1)
-
-    # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
-    mu = norm_a
-    M = mu * M
-    wbar = mu * wbar
-    a, d, h = a / mu, d / mu, h / mu
-    scale = dict(scale, case2_rescale=mu, quad_scale=mu * mu)
-    case = (
-        CASE_CASE2_CR_LAMBDA_NEG_A
-        if np.linalg.norm(lam + a) <= zero_tol
-        else CASE_CASE2_CR
+        case = CASE_EMPTY_S
+    elif np.linalg.norm(h) > zero_tol * (1.0 + float(np.linalg.norm(g))):
+        case = CASE_HOMOG_H_NONZERO
+    elif np.linalg.norm(a) <= np.linalg.norm(d):
+        case = CASE_CASE1_CGLAMBDA if m > 1 else CASE_CONVEX_M1
+    else:
+        # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
+        mu = np.linalg.norm(a)
+        M, wbar, a, d, h = mu * M, mu * wbar, a / mu, d / mu, h / mu
+        lam_neg_a = np.linalg.norm(lam + a) <= zero_tol
+        case = CASE_CASE2_CR_LAMBDA_NEG_A if lam_neg_a else CASE_CASE2_CR
+    return CanonicalForm(
+        n=n, m=m, l=l, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam, case=case,
+        eigenvalues=eig, quad_scale=1.0 if mu is None else mu * mu, case2_rescale=mu,
     )
-    return build(case)
-
-
-def pullback_linear(cf: CanonicalForm, alpha: np.ndarray, beta: float):
-    """Map a w-space inequality αᵀw ≤ β back to s-space via w = M(s,1)."""
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    lifted = cf.M.T @ alpha
-    return lifted[:-1], float(beta) - float(lifted[-1])

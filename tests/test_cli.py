@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadfree import lp, oracle
+from quadfree import lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
@@ -73,6 +73,16 @@ def test_usage_errors_exit_3(tmp_path):
     assert _usage_exit(["cut"]) == 3
     assert _usage_exit(["nonsense", path]) == 3
     assert _usage_exit(["loop", path, "--max-iters", "many"]) == 3
+    for argv in (
+        ["verify", path, "--samples", "0"],
+        ["verify", path, "--samples", "-3"],
+        ["verify", path, "--seed", "-1"],
+        ["loop", path, "--max-iters", "-1"],
+        ["canon", path, "--tol", "-1"],
+        ["canon", path, "--tol", "nan"],
+        ["cut", path, "--tol", "inf"],
+    ):
+        assert _usage_exit(argv) == 3, argv
     assert _usage_exit(["--help"]) == 0
     assert _usage_exit(["verify", "--help"]) == 0
 
@@ -150,6 +160,35 @@ def test_canon_wedge(tmp_path, capsys):
     assert out["case"] == "CASE2_CR"
     assert [out["n"], out["m"], out["l"]] == [2, 1, 0]
     assert abs(np.linalg.norm(out["a"]) - 1.0) <= 1e-12
+
+
+def test_canon_scale_object(tmp_path, capsys):
+    # outside case 2 nothing is rescaled
+    path = write_instance(
+        tmp_path, dim=2, Q=[[1.0, 0.0], [0.0, -1.0]], b=[0.0, 0.0], c=-1.0, point=[3.0, 0.5]
+    )
+    assert main(["canon", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["case"] == "CASE1_CGLAMBDA"
+    assert out["scale"] == {
+        "eigenvalues": [1.0, -1.0, -1.0],
+        "signature": [1, 2, 0],
+        "quad_scale": 1.0,
+        "case2_rescale": None,
+    }
+    # case 2 rescales M by μ = ‖a‖ of the unscaled form, which is
+    # √(Σ V[-1, i]² / eig_i) over the positive lifted eigenpairs
+    path = write_instance(tmp_path, **wedge_fields())
+    assert main(["canon", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["case"] == "CASE2_CR"
+    fields = wedge_fields()
+    eig, V = np.linalg.eigh(spectral.lift(fields["Q"], fields["b"], fields["c"]))
+    mu = math.sqrt(float(np.sum(V[-1, eig > 0] ** 2 / eig[eig > 0])))
+    assert out["scale"]["case2_rescale"] == pytest.approx(mu, rel=1e-12)
+    assert out["scale"]["quad_scale"] == out["scale"]["case2_rescale"] ** 2
+    assert out["scale"]["signature"] == [2, 1, 0]
+    assert np.allclose(out["scale"]["eigenvalues"], eig[::-1], rtol=0.0, atol=1e-12)
 
 
 def test_canon_homogeneous(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_casedata, random_unit
 from quadfree.corefns import (
     CaseData,
-    in_G,
     phi_gradient,
     phi_value,
     r_coefficient,
@@ -262,61 +261,3 @@ def test_x_beta_attains_phi():
         if cd.lam_a * ny + float(cd.d @ y) > 0.0:  # constrained branch
             assert abs(np.linalg.norm(xb) - ny) <= 1e-9 * (1.0 + ny)
             assert abs(float(cd.a @ xb) + float(cd.d @ y)) <= 1e-9 * (1.0 + ny)
-
-
-# --- in_G -------------------------------------------------------------------
-
-
-def test_in_G_wedge_singleton(cd_wedge):
-    # aᵀλ + dᵀ(−1) = −1/√2 < 0: member, and strictly inside the region.
-    member, strict = in_G(cd_wedge, np.array([-1.0]))
-    assert member and strict
-    member, _ = in_G(cd_wedge, np.array([1.0]))
-    assert not member
-
-
-def test_in_G_scaled_singleton(cd_scaled):
-    member, strict = in_G(cd_scaled, np.array([-1.0]))
-    assert member and strict
-    member, _ = in_G(cd_scaled, np.array([1.0]))
-    assert not member
-
-
-def test_in_G_boundary_direction():
-    # aᵀλ + dᵀβ = 0: member but not strict.
-    cd = CaseData(
-        lam=np.array([0.0, 1.0]),
-        a=np.array([1.0, 0.0]),
-        d=np.array([0.5]),
-        unit_a=True,
-    )
-    member, strict = in_G(cd, np.array([1.0]))
-    assert not member  # aᵀλ + d = 0.5 > 0
-    member, strict = in_G(cd, np.array([-1.0]))
-    assert member and strict  # aᵀλ − d = −0.5 < 0
-    cd0 = CaseData(
-        lam=np.array([0.0, 1.0]),
-        a=np.array([1.0, 0.0]),
-        d=np.array([0.0]),
-        unit_a=True,
-    )
-    member, strict = in_G(cd0, np.array([1.0]))
-    assert member and not strict
-
-
-def test_in_G_full_sphere_when_d_zero():
-    rng = np.random.default_rng(13)
-    lam = random_unit(rng, 3)
-    a = random_unit(rng, 3)
-    while float(a @ lam) >= -0.1:
-        a = random_unit(rng, 3)
-    cd = CaseData(lam=lam, a=a, d=np.zeros(2), unit_a=True)
-    for _ in range(1000):
-        beta = random_unit(rng, 2)
-        member, strict = in_G(cd, beta)
-        assert member and strict
-
-
-def test_in_G_rejects_non_unit(cd_wedge):
-    with pytest.raises(NotUnitError):
-        in_G(cd_wedge, np.array([0.5]))

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import random_instance, wedge_canonical, wedge_constraint
+from conftest import random_instance, random_orthogonal, wedge_canonical, wedge_constraint
 from quadfree import oracle, spectral
+from quadfree.corefns import CaseData
 from quadfree.cuts import CutCertificate, SimplicialCone, intersection_cut, separate
 from quadfree.errors import AllRaysRecessionError, EmptySError
 from quadfree.freesets import (
@@ -123,6 +124,41 @@ def test_separate_at_p80():
             assert qc(qc.point + step * ray) >= 0.0
 
 
+def _lambda_neg_a_instances(rng, count):
+    """The wedge with its point where λ = −a, then random case-2 quadratics
+    with (s̄, 1) ∝ Q̃₊⁺e_last, whose canonical image has λ = −a."""
+    wedge = wedge_constraint()
+    found = [spectral.QuadraticConstraint(
+        Q=wedge.Q, b=wedge.b, c=wedge.c, point=np.array([1.6 * S2, -1.6 * S2])
+    )]
+    while len(found) < count:
+        qc = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0)
+        eig, V = np.linalg.eigh(spectral.lift(qc.Q, qc.b, qc.c))
+        pos = eig > 0.0
+        w = V[:, pos] @ (V[-1, pos] / eig[pos])
+        qc = spectral.QuadraticConstraint(Q=qc.Q, b=qc.b, c=qc.c, point=w[:-1] / w[-1])
+        if spectral.canonicalize(qc).case == spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
+            found.append(qc)
+    return found
+
+
+def test_lambda_neg_a_cuts_with_the_norm_cone():
+    # λ = −a makes φ(y) = ‖y‖, so C_λ is C_φ(λ): the same margins bit for
+    # bit, hence the same steps, residuals and cut.
+    rng = np.random.default_rng(31)
+    for qc in _lambda_neg_a_instances(rng, 12):
+        cf = spectral.canonicalize(qc)
+        fs = build_free_set(cf)
+        assert isinstance(fs, CLambda)
+        phi_set = CPhiLambda(cf.n, cf.m, cf.l, cd=CaseData(cf.lam, cf.a, cf.d, unit_a=True))
+        W = 3.0 * rng.standard_normal((200, cf.n + cf.m + cf.l))
+        assert np.array_equal(fs.margin(W), phi_set.margin(W))
+        cone = SimplicialCone(apex=qc.point, R=random_orthogonal(rng, qc.dim))
+        cert, ref = separate(qc, cone), intersection_cut(cone, cf, phi_set)
+        for field in ("steps", "residuals", "coef", "rhs"):
+            assert np.array_equal(getattr(cert, field), getattr(ref, field)), field
+
+
 def test_wedge_end_to_end_cut():
     qc = wedge_constraint()
     cone = SimplicialCone(apex=qc.point, R=np.eye(2))
@@ -174,8 +210,6 @@ def test_step_monotonicity_under_set_enlargement():
     # only grow when the set is enlarged.
     rng = np.random.default_rng(2)
     cf = wedge_canonical()
-    from quadfree.corefns import CaseData
-
     cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
     small = CLambda(cf.n, cf.m, cf.l, lam=cf.lam)
     big = CPhiLambda(cf.n, cf.m, cf.l, cd=cd)

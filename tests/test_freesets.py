@@ -13,7 +13,7 @@ from conftest import (
     wedge_canonical,
 )
 from quadfree import cuts, spectral
-from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient, in_G
+from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient
 from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError
 from quadfree.freesets import (
     CGLambda,
@@ -99,8 +99,7 @@ def test_crphilambda_dominates_every_inequality():
             betas = [random_unit(rng, m) for _ in range(3000)]
         rows = []
         for b in betas:
-            member, _ = in_G(cd, b)
-            if member:
+            if float(cd.a @ cd.lam + cd.d @ b) <= 1e-9:  # β ∈ G(λ)
                 rows.append((b.astype(float), 0.0))
             else:
                 rows.append((phi_gradient(cd, b), r_coefficient(cd, b)))
@@ -232,7 +231,7 @@ def test_build_case2_variants(cd_wedge):
         2, 1, 0, a=a, d=[0.5], h=[],
         case=spectral.CASE_CASE2_CR_LAMBDA_NEG_A, lam=-a,
     )
-    assert isinstance(build_free_set(cf2), CPhiLambda)
+    assert isinstance(build_free_set(cf2), CLambda)
 
 
 def test_build_homogeneous_gives_cylinder():

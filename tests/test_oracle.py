@@ -33,7 +33,7 @@ S2 = math.sqrt(2.0)
 def test_sample_S_satisfies_defining_relations():
     cf = wedge_canonical()
     W = oracle.sample_S(cf, 1000, seed=0)
-    x, y, z = cf.blocks(W)
+    x, y, z = W[:, : cf.n], W[:, cf.n : cf.n + cf.m], W[:, cf.n + cf.m :]
     cone_resid = np.linalg.norm(x, axis=1) - np.linalg.norm(y, axis=1)
     assert np.max(cone_resid) <= 1e-10
     slice_resid = np.abs(x @ cf.a + y @ cf.d + (z @ cf.h if cf.l else 0.0) + 1.0)
