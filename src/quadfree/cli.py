@@ -213,13 +213,9 @@ def _case2_reports(cf, fs, seed):
     ]
     reports.append(oracle.check_convexity(cd, pairs))
 
-    strict, loose = [], []
-    for beta in oracle._unit_rows(rng, 200, cf.m):
-        val = float(cd.a @ cd.lam + cd.d @ beta)
-        if val < -1e-6 and len(strict) < 25:
-            strict.append(beta)
-        elif cd.lam_a + float(cd.d @ beta) >= 0.0 and len(loose) < 10:
-            loose.append(beta)
+    betas = oracle._unit_rows(rng, 200, cf.m)
+    val = cd.lam_a + betas @ cd.d
+    strict, loose = betas[val < -1e-6][:25], betas[val >= 0.0][:10]
     for beta in strict:
         reports.append(oracle.exposing_witness(cd, beta, fs)[1])
     if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
@@ -230,8 +226,7 @@ def _case2_reports(cf, fs, seed):
 
 def cmd_verify(inst, args) -> int:
     cf = spectral.canonicalize(_to_qc(inst), zero_tol=args.tol)
-    if cf.case == spectral.CASE_EMPTY_S:
-        raise EmptySError("constraint is infeasible; nothing to verify")
+    fs = freesets.build_free_set(cf)
     if args.force_free_set:
         name = args.force_free_set.upper()
         if name != "CGLAMBDA":
@@ -239,8 +234,6 @@ def cmd_verify(inst, args) -> int:
         fs = freesets.CGLambda(
             cf.n, cf.m, cf.l, cd=CaseData(cf.lam, cf.a, cf.d), forced=True
         )
-    else:
-        fs = freesets.build_free_set(cf)
     samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
@@ -391,11 +384,10 @@ def cmd_loop(inst, args) -> int:
             raise DegenerateVertexError(
                 f"{len(tight)} tight constraints at the vertex, need {p}"
             )
-        A_t = A[tight]
-        if np.linalg.cond(A_t) > 1e10:
-            raise DegenerateVertexError("tight constraints are rank deficient")
-        R = -np.linalg.inv(A_t)
-        cone = cuts.SimplicialCone(apex=s_star, R=R)
+        try:  # np.linalg.LinAlgError is a ValueError too
+            cone = cuts.SimplicialCone(apex=s_star, R=-np.linalg.inv(A[tight]))
+        except ValueError as exc:
+            raise DegenerateVertexError(f"tight constraints are rank deficient: {exc}") from exc
         cert = cuts.separate(qc, cone, zero_tol=args.tol)
         record["cut"] = {"coef": [float(v) for v in cert.coef], "rhs": cert.rhs}
         sys.stdout.write(json.dumps(record) + "\n")

@@ -1,13 +1,15 @@
-"""Scalar machinery behind the nonconvex free sets.
+"""The gauge behind the nonconvex free sets, and what it derives.
 
 Everything here lives in canonical coordinates: a unit direction λ in
 x-space, the hyperplane data (a, d), and the sublinear gauge
 
     φ(y) = max { λᵀx : ‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0 },
 
-together with its gradient, the dual multiplier θ and the asymptotic
-relaxation amount r(β), which vanishes on the index set
-G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
+together with its gradient, the dual multiplier θ, the maximizer x(β)
+and the asymptotic relaxation amount r(β), which is θ(β) on the unit
+sphere and vanishes on the index set G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
+All of them read one decomposition of y (``_gauge_parts``); ``phi_value``
+takes a vector or a batch of rows, the others one vector.
 """
 
 from __future__ import annotations
@@ -65,64 +67,58 @@ def _check_unit(beta: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _gauge_parts(cd: CaseData, y: np.ndarray):
+    """‖y‖, dᵀy, the flat-branch mask λᵀa‖y‖ + dᵀy ≤ 0 (where φ(y) = ‖y‖)
+    and the clamped radicands (‖y‖² − (dᵀy)²)₊ and (1 − (λᵀa)²)₊, for a
+    vector or for each row of y."""
+    ny = np.sqrt((y * y).sum(axis=-1))
+    dy = (y * cd.d).sum(axis=-1)
+    flat = cd.lam_a * ny + dy <= 0.0
+    return ny, dy, flat, np.maximum(ny * ny - dy * dy, 0.0), max(1.0 - cd.lam_a**2, 0.0)
+
+
 def phi_value(cd: CaseData, y: np.ndarray):
     """Evaluate the gauge φ at a vector (a float) or at each row of y;
     positively homogeneous and total on Rᵐ."""
     y = np.asarray(y, dtype=float)
-    ny = np.sqrt((y * y).sum(axis=-1))
-    dy = (y * cd.d).sum(axis=-1)
-    rad = np.maximum(ny * ny - dy * dy, 0.0) * max(1.0 - cd.lam_a**2, 0.0)
-    vals = np.where(cd.lam_a * ny + dy <= 0.0, ny, np.sqrt(rad) - dy * cd.lam_a)
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
+    vals = np.where(flat, ny, np.sqrt(wsq * lam_sq) - dy * cd.lam_a)
     return float(vals) if y.ndim == 1 else vals
 
 
 def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
     """Gradient of φ where defined; raises at 0 and on the excluded ray."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    ny = float(np.linalg.norm(y))
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
     if ny == 0.0:
         raise UndefinedGradientError("φ is not differentiable at y = 0")
-    dy = float(cd.d @ y)
-    if cd.lam_a * ny + dy <= 0.0:
+    if flat:
         return y / ny
-    wsq = ny * ny - dy * dy
-    if wsq <= 0.0:
+    if wsq == 0.0:
         raise UndefinedGradientError("φ is not differentiable along the ray through d")
-    coef = np.sqrt(max(1.0 - cd.lam_a**2, 0.0)) / np.sqrt(wsq)
-    return coef * (y - cd.d * dy) - cd.lam_a * cd.d
+    return np.sqrt(lam_sq) / np.sqrt(wsq) * (y - cd.d * dy) - cd.lam_a * cd.d
 
 
 def theta_dual(cd: CaseData, y: np.ndarray) -> float:
     """Optimal dual multiplier for φ(y); +inf on the degenerate ray."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    ny = float(np.linalg.norm(y))
-    dy = float(cd.d @ y)
-    if cd.lam_a * ny + dy <= 0.0:
+    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.asarray(y, dtype=float).reshape(-1))
+    if flat:
         return 0.0
-    wsq = ny * ny - dy * dy
-    if wsq <= 0.0:
+    if wsq == 0.0:
         return np.inf
-    return cd.lam_a + dy * np.sqrt(max(1.0 - cd.lam_a**2, 0.0)) / np.sqrt(wsq)
+    return float(cd.lam_a + dy * np.sqrt(lam_sq) / np.sqrt(wsq))
 
 
 def r_coefficient(cd: CaseData, beta: np.ndarray) -> float:
-    """Asymptotic relaxation amount r(β) for a unit index β."""
-    beta = _check_unit(beta)
-    db = float(cd.d @ beta)
-    if cd.lam_a + db <= 0.0:
-        return 0.0
-    phi = phi_value(cd, beta)
-    denom = phi + db * cd.lam_a
-    # denom = √((1−(dᵀβ)²)(1−(λᵀa)²)) > 0 under ‖d‖ < 1 = ‖a‖.
-    return (db + cd.lam_a * phi) / denom
+    """Asymptotic relaxation amount r(β) for a unit index β; on the unit
+    sphere it is the dual multiplier θ(β), and 0 on G(λ)."""
+    return theta_dual(cd, _check_unit(beta))
 
 
 def x_beta(cd: CaseData, y: np.ndarray) -> np.ndarray:
     """Maximizer of λᵀx over {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0}."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    ny = float(np.linalg.norm(y))
-    dy = float(cd.d @ y)
-    if cd.lam_a * ny + dy <= 0.0:
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.asarray(y, dtype=float).reshape(-1))
+    if flat:
         return cd.lam * ny
-    s = np.sqrt(max(ny * ny - dy * dy, 0.0) / max(1.0 - cd.lam_a**2, 0.0))
+    s = np.sqrt(wsq / lam_sq)
     return s * cd.lam - (dy + cd.lam_a * s) * cd.a

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import freesets, spectral
-from .errors import AllRaysRecessionError, EmptySError
+from .errors import AllRaysRecessionError
 
 _COND_CAP = 1e10
 
@@ -92,7 +92,4 @@ def separate(
 ) -> CutCertificate:
     """End to end: canonicalize, build the free set, cut."""
     cf = spectral.canonicalize(qc, zero_tol=zero_tol)
-    if cf.case == spectral.CASE_EMPTY_S:
-        raise EmptySError("constraint is infeasible; no cut needed")
-    fs = freesets.build_free_set(cf)
-    return intersection_cut(cone, cf, fs)
+    return intersection_cut(cone, cf, freesets.build_free_set(cf))

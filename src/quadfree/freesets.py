@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .corefns import CaseData, phi_value
-from .errors import ApexNotInteriorError
+from .corefns import CaseData, _gauge_parts, phi_value
+from .errors import ApexNotInteriorError, EmptySError
 
 _T_CAP = 1e12
 
@@ -76,27 +76,26 @@ class CGLambda(FreeSetDescriptor):
         """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
         x, y = self._split(W)
         cd = self.cd
-        return _cap_support(cd, y, -cd.lam_a, relaxed=False) - (x * cd.lam).sum(axis=1)
+        return _cap_support(cd, y, relaxed=False) - (x * cd.lam).sum(axis=1)
 
 
-def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.ndarray:
+def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     """Support value over a spherical cap of unit directions, per row of t.
 
-    With ``relaxed=False`` the cap is {‖β‖ = 1, dᵀβ ≤ c} and the support of
-    ⟨β, t⟩ is taken; with ``relaxed=True`` the cap is {‖β‖ = 1, dᵀβ ≥ c} and
-    the direction is the curved gauge gradient, whose support over the cap
-    equals φ(t) when the gauge's own maximizer lies inside the cap.  In
-    either case, when the maximizer falls outside the cap the optimum sits
-    on the boundary circle {dᵀβ = c}, where both direction fields coincide
-    with β itself, giving the circle support ``_circle_support``.  An empty
-    cap yields −inf.
+    With c = −λᵀa and ``relaxed=False`` the cap is {‖β‖ = 1, dᵀβ ≤ c} and
+    the support of ⟨β, t⟩ is taken; with ``relaxed=True`` the cap is
+    {‖β‖ = 1, dᵀβ ≥ c} and the direction is the curved gauge gradient,
+    whose support over the cap equals φ(t) when the gauge's own maximizer
+    lies inside the cap.  In either case, when the maximizer falls outside
+    the cap the optimum sits on the boundary circle {dᵀβ = c}, where both
+    direction fields coincide with β itself, giving the circle support
+    ``_circle_support``.  An empty cap yields −inf.
     """
-    nd = cd.d_norm
-    nt = np.linalg.norm(t, axis=1)
-    dt = (t * cd.d).sum(axis=1)
+    c = -cd.lam_a
+    empty = np.full(t.shape[0], -np.inf)
     if cd.d.shape[0] == 1:
         d1 = float(cd.d[0])
-        out = np.full(t.shape[0], -np.inf)
+        out = empty
         for beta in (-1.0, 1.0):
             inside = d1 * beta >= c if relaxed else d1 * beta <= c
             if not inside:
@@ -109,23 +108,19 @@ def _cap_support(cd: CaseData, t: np.ndarray, c: float, relaxed: bool) -> np.nda
                 slope = beta
             out = np.maximum(out, slope * t[:, 0])
         return out
-    if nd == 0.0:
-        if relaxed:
-            return phi_value(cd, t) if c <= 0.0 else np.full(t.shape[0], -np.inf)
-        return nt if c >= 0.0 else np.full(t.shape[0], -np.inf)
+    nd = cd.d_norm
+    nt, dt, flat = _gauge_parts(cd, t)[:3]
     if relaxed:
         if c > nd:
-            return np.full(t.shape[0], -np.inf)
-        if c < -nd:
+            return empty
+        if c < -nd or nd == 0.0:
             return phi_value(cd, t)
-        interior = cd.lam_a * nt + dt >= 0.0
-        return np.where(interior, phi_value(cd, t), _circle_support(cd, nt, dt, c))
+        return np.where(flat, _circle_support(cd, nt, dt, c), phi_value(cd, t))
     if c >= nd:
         return nt
     if c < -nd:
-        return np.full(t.shape[0], -np.inf)
-    interior = cd.lam_a * nt + dt <= 0.0
-    return np.where(interior, nt, _circle_support(cd, nt, dt, c))
+        return empty
+    return np.where(flat, nt, _circle_support(cd, nt, dt, c))
 
 
 def _circle_support(
@@ -172,9 +167,8 @@ class CRPhiLambda(FreeSetDescriptor):
         lam_x = (x * cd.lam).sum(axis=1)
         shift = 1.0 / (1.0 - cd.d_norm**2)
         y0 = cd.d * shift
-        c = -cd.lam_a
-        unrelaxed = _cap_support(cd, y, c, relaxed=False)
-        relaxed = _cap_support(cd, y - y0, c, relaxed=True)
+        unrelaxed = _cap_support(cd, y, relaxed=False)
+        relaxed = _cap_support(cd, y - y0, relaxed=True)
         return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
 
 
@@ -188,12 +182,12 @@ class Halfspace(FreeSetDescriptor):
 
 
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
-    """Pick the maximal free set matching the canonical case tag."""
+    """Pick the maximal free set matching the canonical case tag; an empty
+    feasible region raises ``EmptySError``."""
     n, m, l = cf.n, cf.m, cf.l
     case = cf.case
     if case == spectral.CASE_EMPTY_S:
-        # Feasible region is empty: the whole space is trivially free.
-        return Halfspace(n, m, l, coef=np.zeros(n + m + l), rhs=1.0)
+        raise EmptySError("the feasible region is empty; there is nothing to cut")
     if case == spectral.CASE_HOMOG_H_NONZERO:
         # CLambda reads only x and y, so it is a cylinder over z already.
         return CLambda(n, m, l, lam=cf.lam)

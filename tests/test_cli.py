@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadfree import lp, oracle, spectral
+from quadfree import cuts, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
@@ -115,7 +115,7 @@ def test_each_command_takes_only_its_flags(tmp_path):
 def test_parse_emit_round_trip(tmp_path):
     path = write_instance(tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [0.0, 1.0]]}))
     inst = parse_instance(path)
-    original = open(path, encoding="utf-8").read()
+    original = Path(path).read_text(encoding="utf-8")
     assert emit_json(inst["raw"]) == original
 
 
@@ -268,7 +268,8 @@ def test_cut_empty_s_exit_5(tmp_path):
 
 
 def test_verify_empty_s_exit_5(tmp_path, capsys):
-    # S = {‖s‖² + 1 ≤ 0} is empty: verify exits as cut does, before sampling
+    # S = {‖s‖² + 1 ≤ 0} is empty: verify and plot exit as cut does, before
+    # sampling or drawing anything
     path = write_instance(
         tmp_path,
         dim=2,
@@ -280,7 +281,9 @@ def test_verify_empty_s_exit_5(tmp_path, capsys):
     )
     assert main(["cut", path]) == 5
     assert main(["verify", path]) == 5
-    assert "EmptySError" in capsys.readouterr().err
+    assert main(["plot", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("EmptySError") == 3
 
 
 def test_degenerate_quadratic_exit_10(tmp_path, capsys):
@@ -547,6 +550,18 @@ def test_loop_degenerate_vertex_exit_7(tmp_path):
     )
     path = write_instance(tmp_path, **fields)
     assert main(["loop", path]) == 7
+
+
+def test_loop_ill_conditioned_cone_exit_7(tmp_path, capsys, monkeypatch):
+    # the cone at the vertex rejects its rays (as for cond > 1e10): exit 7
+    def ill_conditioned(*args, **kwargs):
+        raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
+
+    monkeypatch.setattr(cuts, "SimplicialCone", ill_conditioned)
+    path = write_instance(tmp_path, **loop_fields())
+    assert main(["loop", path]) == 7
+    err = capsys.readouterr().err
+    assert "DegenerateVertexError" in err and "Traceback" not in err
 
 
 def test_loop_unbounded_exit_6(tmp_path):

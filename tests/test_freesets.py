@@ -14,7 +14,7 @@ from conftest import (
 )
 from quadfree import cuts, spectral
 from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient
-from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError
+from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError, EmptySError
 from quadfree.freesets import (
     CGLambda,
     CLambda,
@@ -242,12 +242,11 @@ def test_build_homogeneous_gives_cylinder():
     assert isinstance(fs, CLambda)
 
 
-def test_build_empty_s_gives_trivial_halfspace():
+def test_build_empty_s_raises():
+    # an empty S needs no cut: build_free_set decides that for every caller
     cf = _synthetic_cf(2, 0, 0, a=[0.0, 0.0], d=[], h=[], case=spectral.CASE_EMPTY_S)
-    fs = build_free_set(cf)
-    assert isinstance(fs, Halfspace)
-    # the whole space is inside (margin < 0 everywhere)
-    assert fs.margin(np.array([17.0, -3.0])) < 0.0
+    with pytest.raises(EmptySError):
+        build_free_set(cf)
 
 
 def test_build_convex_m1_supporting_halfspace():

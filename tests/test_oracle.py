@@ -14,7 +14,7 @@ from conftest import (
     wedge_canonical,
 )
 from quadfree import oracle, spectral
-from quadfree.corefns import CaseData, phi_value, r_coefficient, x_beta
+from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient, x_beta
 from quadfree.cuts import SimplicialCone, separate
 from quadfree.errors import (
     AllRaysRecessionError,
@@ -401,6 +401,63 @@ def test_check_gradient_reports():
         assert rep.passed, rep.worst_residual
         assert rep.extra["euler_residual"] <= 1e-10
         done += 1
+
+
+def _convexity_loop(cd, pairs):
+    """Pair-by-pair reference for ``oracle.check_convexity``."""
+    worst, witness = 0.0, None
+    for y1, y2 in pairs:
+        lhs = oracle.phi_value(cd, 0.5 * (y1 + y2))
+        gap = lhs - 0.5 * (oracle.phi_value(cd, y1) + oracle.phi_value(cd, y2))
+        if gap > worst:
+            worst, witness = gap, np.concatenate([y1, y2])
+    passed = worst <= 1e-10
+    return oracle.VerificationReport(
+        name="convexity", samples=len(pairs), worst_residual=float(worst),
+        passed=passed, tolerance=1e-10, witness=None if passed else witness,
+    )
+
+
+def _gradient_loop(cd, y, step=1e-6):
+    """Coordinate-by-coordinate reference for ``oracle.check_gradient``."""
+    grad = phi_gradient(cd, y)
+    fd = np.empty_like(grad)
+    for i in range(len(y)):
+        e = np.zeros_like(y)
+        e[i] = step
+        fd[i] = (oracle.phi_value(cd, y + e) - oracle.phi_value(cd, y - e)) / (2.0 * step)
+    fd_res = float(np.max(np.abs(fd - grad)))
+    euler_res = abs(float(grad @ y) - float(oracle.phi_value(cd, y)))
+    return oracle.VerificationReport(
+        name="gradient", samples=1, worst_residual=fd_res,
+        passed=fd_res <= 1e-5 and euler_res <= 1e-10, tolerance=1e-5,
+        extra={"euler_residual": euler_res},
+    )
+
+
+@pytest.mark.parametrize("convex", [True, False])
+def test_batched_phi_checks_match_loops(convex, monkeypatch):
+    # the checks evaluate φ once on stacked rows; a row gives the same bits
+    # alone or in a batch, so each report equals its loop's, field by field
+    if not convex:
+        monkeypatch.setattr(oracle, "phi_value", lambda cd, y: np.cos(3.0 * (y * y).sum(axis=-1)))
+    rng = np.random.default_rng(16)
+    failed = {"convexity": 0, "gradient": 0}
+    for trial in range(80):
+        m = 1 + trial % 4
+        cd = random_casedata(rng, int(rng.integers(1, 4)), m)
+        pairs = [(rng.standard_normal(m), rng.standard_normal(m)) for _ in range(25)]
+        y = rng.standard_normal(m)
+        for rep, ref in (
+            (oracle.check_convexity(cd, pairs), _convexity_loop(cd, pairs)),
+            (oracle.check_gradient(cd, y), _gradient_loop(cd, y)),
+        ):
+            assert rep.as_dict() == ref.as_dict()
+            failed[rep.name] += not rep.passed
+    if convex:
+        assert failed["convexity"] == 0
+    else:  # the failing-witness path is compared too
+        assert min(failed.values()) > 0
 
 
 def test_report_serialization():
