@@ -8,6 +8,7 @@ a failed verification report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -34,12 +35,28 @@ from .errors import (
 
 _TOP_KEYS = {"dim", "Q", "b", "c", "point", "cone", "objective", "linear_constraints"}
 _REQUIRED = {"dim", "Q", "b", "c", "point"}
-_SENSES = {"<=", "=", ">="}
+_SENSES = {"<=": (1.0,), "=": (1.0, -1.0), ">=": (-1.0,)}  # signs of the ≤ rows
 _PLOT_LAYERS = ("S", "freeset")
 
 
+def _read(value, shape, what) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, else a ParseError."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from exc
+    if arr.shape != shape:
+        raise ParseError(f"{what} has shape {arr.shape}, need {shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} must be finite (no NaN or Infinity)")
+    return arr
+
+
 def parse_instance(path: str) -> dict:
-    """Strictly parse an instance file; unknown keys are rejected."""
+    """Strictly parse an instance file into library objects: ``qc`` (a
+    QuadraticConstraint), ``cone`` (a SimplicialCone, if given),
+    ``objective`` (if given) and ``A``, ``rhs``, every constraint as rows
+    of A s ≤ rhs. Unknown keys and malformed fields are ParseErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -53,62 +70,49 @@ def parse_instance(path: str) -> dict:
     missing = _REQUIRED - set(raw)
     if missing:
         raise ParseError(f"missing keys: {sorted(missing)}")
+    p = raw["dim"]
+    if type(p) is not int or p < 1:
+        raise ParseError(f"dim must be an integer >= 1, got {p!r}")
 
     try:
-        p = int(raw["dim"])
-        Q = np.array(raw["Q"], dtype=float)
-        b = np.array(raw["b"], dtype=float)
-        c = float(raw["c"])
-        point = np.array(raw["point"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed numeric field: {exc}") from exc
-    if Q.shape != (p, p) or b.shape != (p,) or point.shape != (p,):
-        raise ParseError("Q/b/point shapes do not match dim")
-    try:
-        Q = spectral._as_symmetric(Q)
+        qc = spectral.QuadraticConstraint(
+            Q=_read(raw["Q"], (p, p), "Q"),
+            b=_read(raw["b"], (p,), "b"),
+            c=float(_read(raw["c"], (), "c")),
+            point=_read(raw["point"], (p,), "point"),
+        )
     except NonSymmetricError as exc:
         raise ParseError(f"Q: {exc}") from exc
-
-    inst = {"raw": raw, "dim": p, "Q": Q, "b": b, "c": c, "point": point}
+    inst = {"raw": raw, "qc": qc}
 
     if "cone" in raw:
         cone = raw["cone"]
         if not isinstance(cone, dict) or set(cone) != {"rays"}:
             raise ParseError('cone must be {"rays": [...]}')
-        try:
-            rays = np.array(cone["rays"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed rays: {exc}") from exc
-        if rays.shape != (p, p):
-            raise ParseError("cone needs exactly p rays of dimension p")
-        inst["rays"] = rays.T  # ray list rows → ray columns
+        rays = _read(cone["rays"], (p, p), "cone rays")
+        try:  # ray list rows → ray columns
+            inst["cone"] = cuts.SimplicialCone(apex=qc.point, R=rays.T)
+        except ValueError as exc:
+            raise ParseError(f"unusable cone: {exc}") from exc
 
     if "objective" in raw:
-        obj = np.array(raw["objective"], dtype=float)
-        if obj.shape != (p,):
-            raise ParseError("objective dimension mismatch")
-        inst["objective"] = obj
+        inst["objective"] = _read(raw["objective"], (p,), "objective")
 
-    if "linear_constraints" in raw:
-        rows = raw["linear_constraints"]
-        if not isinstance(rows, list):
-            raise ParseError("linear_constraints must be a list")
-        parsed = []
-        for row in rows:
-            if not isinstance(row, dict) or set(row) != {"coef", "rhs", "sense"}:
-                raise ParseError("each constraint needs exactly coef/rhs/sense")
-            if row["sense"] not in _SENSES:
-                raise ParseError(f"bad sense {row['sense']!r}")
-            coef = np.array(row["coef"], dtype=float)
-            if coef.shape != (p,):
-                raise ParseError("constraint coef dimension mismatch")
-            parsed.append((coef, float(row["rhs"]), row["sense"]))
-        inst["linear_constraints"] = parsed
-
-    numbers = [Q, b, c, point, inst.get("rays", 0.0), inst.get("objective", 0.0)]
-    numbers += [v for coef, rhs, _ in inst.get("linear_constraints", ()) for v in (coef, rhs)]
-    if not all(np.isfinite(v).all() for v in numbers):
-        raise ParseError("numeric fields must be finite (no NaN or Infinity)")
+    rows = raw.get("linear_constraints", [])
+    if not isinstance(rows, list):
+        raise ParseError("linear_constraints must be a list")
+    A, rhs = [], []
+    for row in rows:
+        if not isinstance(row, dict) or set(row) != {"coef", "rhs", "sense"}:
+            raise ParseError("each constraint needs exactly coef/rhs/sense")
+        if not isinstance(row["sense"], str) or row["sense"] not in _SENSES:
+            raise ParseError(f"bad sense {row['sense']!r}")
+        coef = _read(row["coef"], (p,), "constraint coef")
+        bound = float(_read(row["rhs"], (), "constraint rhs"))
+        for sign in _SENSES[row["sense"]]:
+            A.append(sign * coef)
+            rhs.append(sign * bound)
+    inst["A"], inst["rhs"] = np.array(A).reshape(-1, p), np.array(rhs)
     return inst
 
 
@@ -136,20 +140,11 @@ def _plain(obj):
     return obj
 
 
-def _to_qc(inst) -> spectral.QuadraticConstraint:
-    return spectral.QuadraticConstraint(
-        Q=inst["Q"], b=inst["b"], c=inst["c"], point=inst["point"]
-    )
-
-
 def _cone(inst) -> cuts.SimplicialCone:
-    """The instance's cone; a missing or singular one is a parse error."""
-    if "rays" not in inst:
+    """The instance's cone; a missing one is a parse error."""
+    if "cone" not in inst:
         raise ParseError("this command needs a cone in the instance")
-    try:
-        return cuts.SimplicialCone(apex=inst["point"], R=inst["rays"])
-    except ValueError as exc:
-        raise ParseError(f"unusable cone: {exc}") from exc
+    return inst["cone"]
 
 
 def _cf_payload(cf: spectral.CanonicalForm) -> dict:
@@ -174,13 +169,13 @@ def _cf_payload(cf: spectral.CanonicalForm) -> dict:
 
 
 def cmd_canon(inst, args) -> int:
-    cf = spectral.canonicalize(_to_qc(inst), zero_tol=args.tol)
+    cf = spectral.canonicalize(inst["qc"], zero_tol=args.tol)
     sys.stdout.write(emit_json(_cf_payload(cf)))
     return 0
 
 
 def cmd_cut(inst, args) -> int:
-    cert = cuts.separate(_to_qc(inst), _cone(inst), zero_tol=args.tol)
+    cert = cuts.separate(inst["qc"], _cone(inst), zero_tol=args.tol)
     payload = {
         "case": cert.canonical_form.case,
         "steps": [
@@ -225,12 +220,9 @@ def _case2_reports(cf, fs, seed):
 
 
 def cmd_verify(inst, args) -> int:
-    cf = spectral.canonicalize(_to_qc(inst), zero_tol=args.tol)
+    cf = spectral.canonicalize(inst["qc"], zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
-    if args.force_free_set:
-        name = args.force_free_set.upper()
-        if name != "CGLAMBDA":
-            raise ParseError(f"cannot force free set {name!r}")
+    if args.force_free_set:  # the parser admits CGLAMBDA only
         fs = freesets.CGLambda(
             cf.n, cf.m, cf.l, cd=CaseData(cf.lam, cf.a, cf.d), forced=True
         )
@@ -238,11 +230,9 @@ def cmd_verify(inst, args) -> int:
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
         reports.extend(_case2_reports(cf, fs, args.seed))
-    if "rays" in inst:
-        cert = cuts.intersection_cut(_cone(inst), cf, fs)
-        reports.append(
-            oracle.check_cut_validity(_to_qc(inst), cert, seed=args.seed)
-        )
+    if "cone" in inst:
+        cert = cuts.intersection_cut(inst["cone"], cf, fs)
+        reports.append(oracle.check_cut_validity(inst["qc"], cert, seed=args.seed))
     passed = all(r.passed for r in reports)
     sys.stdout.write(
         emit_json({"passed": passed, "reports": [r.as_dict() for r in reports]})
@@ -311,13 +301,12 @@ def cmd_plot(inst, args) -> int:
     unknown = sorted(set(wanted) - set(_PLOT_LAYERS))
     if unknown:
         raise ParseError(f"unknown plot layers {unknown}; choose from {list(_PLOT_LAYERS)}")
-    p = inst["dim"]
-    if p != 2:
+    qc = inst["qc"]
+    if qc.dim != 2:
         raise ParseError("plotting supports 2 variables only")
-    qc = _to_qc(inst)
     cf = spectral.canonicalize(qc, zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
-    box = max(5.0, 1.5 * float(np.max(np.abs(inst["point"]))) + 3.0)
+    box = max(5.0, 1.5 * float(np.max(np.abs(qc.point))) + 3.0)
     layers = {}
     if "S" in wanted:
         layers["S"] = _plot_layer_2d(qc, box)
@@ -335,29 +324,16 @@ def cmd_plot(inst, args) -> int:
 # --- cutting loop -----------------------------------------------------------
 
 
-def _as_leq(constraints):
-    """(A, rhs) with the constraints as rows of A s ≤ rhs."""
-    rows = []
-    for coef, rhs, sense in constraints:
-        if sense in ("<=", "="):
-            rows.append((np.asarray(coef, dtype=float), float(rhs)))
-        if sense in (">=", "="):
-            rows.append((-np.asarray(coef, dtype=float), -float(rhs)))
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-
-
 def cmd_loop(inst, args) -> int:
-    if "objective" not in inst or "linear_constraints" not in inst:
+    if "objective" not in inst or "linear_constraints" not in inst["raw"]:
         raise ParseError("loop command needs objective and linear_constraints")
-    p = inst["dim"]
-    obj = inst["objective"]
-    A, rhs = _as_leq(inst["linear_constraints"])
-    Q, b, c = inst["Q"], inst["b"], inst["c"]
+    p = inst["qc"].dim
+    A, rhs = inst["A"], inst["rhs"]
     sys.stdout.write(
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
     )
-    tableau = lp.optimal_tableau(obj, A, rhs)
+    tableau = lp.optimal_tableau(inst["objective"], A, rhs)
     for it in range(args.max_iters + 1):
         if it:  # re-optimise after the last cut; never solve from scratch
             try:
@@ -367,7 +343,7 @@ def cmd_loop(inst, args) -> int:
             A = np.vstack([A, cert.coef])
             rhs = np.append(rhs, cert.rhs)
         s_star, value = tableau.vertex()
-        qc = spectral.QuadraticConstraint(Q=Q, b=b, c=c, point=s_star)
+        qc = dataclasses.replace(inst["qc"], point=s_star)
         viol = qc(s_star)
         record = {
             "iter": it,
@@ -379,7 +355,7 @@ def cmd_loop(inst, args) -> int:
             record["converged"] = True
             sys.stdout.write(json.dumps(record) + "\n")
             return 0
-        tight = [i for i in range(len(A)) if abs(A[i] @ s_star - rhs[i]) <= 1e-7]
+        tight = np.flatnonzero(np.abs(A @ s_star - rhs) <= 1e-7)
         if len(tight) != p:
             raise DegenerateVertexError(
                 f"{len(tight)} tight constraints at the vertex, need {p}"
@@ -442,7 +418,7 @@ def _build_parser():
         cmd[name].set_defaults(fn=fn)
     cmd["verify"].add_argument("--samples", type=_at_least(int, 1), default=10_000)
     cmd["verify"].add_argument("--seed", type=_at_least(int, 0), default=0)
-    cmd["verify"].add_argument("--force-free-set", type=str, default=None)
+    cmd["verify"].add_argument("--force-free-set", type=str.upper, choices=("CGLAMBDA",))
     cmd["plot"].add_argument("--layers", type=str, default="S,freeset")
     cmd["loop"].add_argument("--max-iters", type=_at_least(int, 0), default=50)
     return parser

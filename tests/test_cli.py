@@ -81,6 +81,7 @@ def test_usage_errors_exit_3(tmp_path):
         ["canon", path, "--tol", "-1"],
         ["canon", path, "--tol", "nan"],
         ["cut", path, "--tol", "inf"],
+        ["verify", path, "--force-free-set", "CPHI"],
     ):
         assert _usage_exit(argv) == 3, argv
     assert _usage_exit(["--help"]) == 0
@@ -146,8 +147,32 @@ def test_parse_rays_transposed_to_columns(tmp_path):
         tmp_path, **wedge_fields(cone={"rays": [[1.0, 2.0], [3.0, 4.0]]})
     )
     inst = parse_instance(path)
-    assert np.allclose(inst["rays"][:, 0], [1.0, 2.0])
-    assert np.allclose(inst["rays"][:, 1], [3.0, 4.0])
+    assert np.allclose(inst["cone"].R[:, 0], [1.0, 2.0])
+    assert np.allclose(inst["cone"].R[:, 1], [3.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("objective", ["x"]),
+        ("coef", ["x"]),
+        ("rhs", "x"),
+        ("sense", [1]),
+        ("dim", 2.7),
+        ("dim", "2"),
+    ],
+)
+def test_malformed_field_exit_3(tmp_path, capsys, field, value):
+    fields = loop_fields()
+    if field in ("coef", "rhs", "sense"):
+        fields["linear_constraints"][0][field] = value
+    else:
+        fields[field] = value
+    path = write_instance(tmp_path, **fields)
+    assert main(["loop", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ParseError: ") and captured.err.count("\n") == 1
 
 
 # --- canon -------------------------------------------------------------------
@@ -327,7 +352,8 @@ def _subclasses(cls):
 
 # Errors that cannot reach cli.main, so they need no exit code.
 _CANNOT_REACH_MAIN = {
-    # parse_instance turns it into ParseError and symmetrizes Q before use
+    # parse_instance turns it into ParseError; QuadraticConstraint
+    # symmetrizes Q before use
     NonSymmetricError,
     # λ, a and β are normalized before CaseData or a unit check sees them
     NotUnitError,
@@ -337,6 +363,12 @@ _CANNOT_REACH_MAIN = {
     # _case2_reports passes exposing_witness only β with aᵀλ + dᵀβ < −1e-6
     NotInStrictRegionError,
 }
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_exit_codes_match_the_readme():
@@ -360,8 +392,9 @@ def test_singular_cone_exit_3(tmp_path):
     path = write_instance(
         tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [2.0, 0.0]]})
     )
-    assert main(["cut", path]) == 3
-    assert main(["verify", path, "--samples", "500"]) == 3
+    # the cone is built with the instance, so even canon refuses it
+    for argv in (["canon", path], ["cut", path], ["verify", path, "--samples", "500"]):
+        assert main(argv) == 3, argv
 
 
 # --- verify ------------------------------------------------------------------
@@ -572,6 +605,15 @@ def test_loop_unbounded_exit_6(tmp_path):
     ]
     path = write_instance(tmp_path, **fields)
     assert main(["loop", path]) == 6
+
+
+def test_loop_without_rows_exit_6(tmp_path, capsys):
+    fields = loop_fields()
+    fields["linear_constraints"] = []
+    path = write_instance(tmp_path, **fields)
+    assert main(["loop", path]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("UnboundedLPError: ") and "Traceback" not in err
 
 
 def test_loop_infeasible_start_exit_9(tmp_path, capsys):
