@@ -39,11 +39,21 @@ _SENSES = {"<=": (1.0,), "=": (1.0, -1.0), ">=": (-1.0,)}  # signs of the ≤ ro
 _PLOT_LAYERS = ("S", "freeset")
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list of them at any depth;
+    true and false are not numbers, nor is a string of digits."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return type(value) in (int, float)
+
+
 def _read(value, shape, what) -> np.ndarray:
     """``value`` as a finite float array of ``shape``, else a ParseError."""
+    if not _numbers(value):
+        raise ParseError(f"malformed {what}: only JSON numbers are accepted")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from exc
     if arr.shape != shape:
         raise ParseError(f"{what} has shape {arr.shape}, need {shape}")

@@ -11,6 +11,13 @@ Margins accept a single point or a batch of row points.  The families:
 * ``CPhiLambda``   — epigraph-style set φ(y) ≤ λᵀx.
 * ``CRPhiLambda``  — the hyperplane-relative enlargement of CPhiLambda.
 * ``Halfspace``    — a single linear inequality (convex cases).
+
+Each descriptor also splits its margin along rays w₀ + t·r into pieces
+√(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀): ‖y‖, a circle support or a branch of φ,
+minus λᵀx (``_pieces``).  A piece's zeros are roots of a quadratic
+(``_piece_roots``), so ``boundary_steps`` takes each ray's step in closed
+form, certifies it with one margin call for all rays (its margin must be
+in [−tol, 0]), and brackets only the rays whose certificate fails.
 """
 
 from __future__ import annotations
@@ -25,12 +32,17 @@ from .corefns import CaseData, _gauge_parts, phi_value
 from .errors import ApexNotInteriorError, EmptySError
 
 _T_CAP = 1e12
+_EPS = float(np.finfo(float).eps)
+# Each ray's closed-form step t is tried as t·_TOWARD_APEX, descending: a
+# root whose margin is > 0 by rounding is certified from a point just
+# inside it, the nearer the better.
+_TOWARD_APEX = 1.0 - np.array([[0.0, 4.0 * _EPS, 2.0**-44, 2.0**-38, 2.0**-32]])
 
 
 @dataclass(frozen=True)
 class FreeSetDescriptor:
     """Base for all free-set variants; concrete classes implement
-    ``_margin_rows`` over a batch of row points."""
+    ``_margin_rows`` over a batch of row points and ``_pieces`` along rays."""
 
     n: int
     m: int
@@ -46,8 +58,80 @@ class FreeSetDescriptor:
     def _margin_rows(self, W):
         raise NotImplementedError
 
+    def _pieces(self, W0, R):
+        """The margin along the rays W0 + t·R (one ray per row of R, and W0
+        the apex on every row) as a list of pieces (q, ℓ, branch).  A piece
+        is √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀), each coefficient a column over
+        the rays.  It is the margin everywhere when branch is None, else
+        where the test λᵀa‖y‖ + dᵀy ≤ 0 of ``_gauge_parts`` equals flat, for
+        branch = (λᵀa, ‖y‖² as (q₂, q₁, q₀), dᵀy as (ℓ₁, ℓ₀), flat) along the
+        ray.  Every zero of the margin is a zero of a piece where it holds,
+        and no piece exceeds the margin where it holds.  A set known only
+        by its margin has no pieces, and its rays are bracketed."""
+        return []
+
     def _split(self, w):
         return w[:, : self.n], w[:, self.n : self.n + self.m]
+
+
+def _rows(X):
+    """Sum along each row, as a column; a row's sum never depends on the
+    other rows."""
+    return np.add.reduce(X, axis=1, keepdims=True)
+
+
+def _dot(u, V0, V1):
+    """uᵀ(V0 + t·V1) as the column coefficients (ℓ₁, ℓ₀)."""
+    return _rows(V1 * u), _rows(V0 * u)
+
+
+def _sq_norm(V0, V1):
+    """‖V0 + t·V1‖² as the column coefficients (q₂, q₁, q₀)."""
+    return _rows(V1 * V1), 2.0 * _rows(V1 * V0), _rows(V0 * V0)
+
+
+def _sub(lin, D, scale):
+    """ℓ − scale·D for linear coefficients ℓ and D."""
+    return lin[0] - scale * D[0], lin[1] - scale * D[1]
+
+
+def _phi_pieces(cd, N, D, lin):
+    """The flat branch ‖y‖ and the curved branch √((1 − (λᵀa)²)(‖y‖² − (dᵀy)²))
+    − λᵀa·dᵀy of φ(y), minus ℓ₁t + ℓ₀, from ‖y‖² = N and dᵀy = D along the
+    ray.  The flat piece is ``CLambda``'s, so the two agree at λ = −a."""
+    (n2, n1, n0), (d1, d0) = N, D
+    lam_sq = max(1.0 - cd.lam_a**2, 0.0)
+    curved = (lam_sq * (n2 - d1 * d1), lam_sq * (n1 - 2.0 * d1 * d0), lam_sq * (n0 - d0 * d0))
+    return [
+        (N, lin, (cd.lam_a, N, D, True)),
+        (curved, _sub(lin, D, -cd.lam_a), (cd.lam_a, N, D, False)),
+    ]
+
+
+def _piece_roots(q2, q1, q0, l1, l0):
+    """The roots t of √(q₂t² + q₁t + q₀) = ℓ₁t + ℓ₀ that have ℓ₁t + ℓ₀ ≥ 0,
+    for coefficients of shape (rays, pieces): each piece's two roots, in
+    columns j and pieces + j, NaN where there is none.  q ≡ 0 gives a
+    linear piece ℓ₁t + ℓ₀ = 0.
+
+    Squared, the equation is At² + 2Bt + C = 0 with A = ℓ₁² − q₂,
+    B = ℓ₁ℓ₀ − q₁/2 and C = ℓ₀² − q₀.  Its roots are C/S and S/A with
+    S = −(B + sgn(B)·√(B² − AC)), in which nothing nearly equal is
+    subtracted.  B² − AC is expanded so that its ℓ₁²ℓ₀² terms cancel
+    exactly (a linear piece has a double root), and a value below 0 by
+    rounding counts as 0.  ℓ₁t + ℓ₀ ≥ 0 is tested to within 8 ulps of its
+    terms, as a linear piece's root needs.
+    """
+    h1 = 0.5 * q1
+    A = l1 * l1 - q2
+    B = l1 * l0 - h1
+    C = l0 * l0 - q0
+    disc = l1 * (l1 * q0 - 2.0 * l0 * h1) + l0 * l0 * q2 + h1 * h1 - q2 * q0
+    S = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
+    T = np.concatenate((C / S, S / A), axis=1)
+    slope_t, offset = np.concatenate((l1, l1), axis=1) * T, np.concatenate((l0, l0), axis=1)
+    T[~(slope_t + offset >= -8.0 * _EPS * (np.abs(slope_t) + np.abs(offset)))] = np.nan
+    return T
 
 
 @dataclass(frozen=True)
@@ -57,6 +141,10 @@ class CLambda(FreeSetDescriptor):
     def _margin_rows(self, W):
         x, y = self._split(W)
         return np.linalg.norm(y, axis=1) - (x * self.lam).sum(axis=1)
+
+    def _pieces(self, W0, R):
+        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+        return [(_sq_norm(y0, y1), _dot(self.lam, x0, x1), None)]
 
 
 @dataclass(frozen=True)
@@ -78,6 +166,26 @@ class CGLambda(FreeSetDescriptor):
         cd = self.cd
         return _cap_support(cd, y, relaxed=False) - (x * cd.lam).sum(axis=1)
 
+    def _pieces(self, W0, R):
+        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+        return _cap_pieces(self.cd, y0, y1, False, _dot(self.cd.lam, x0, x1))
+
+
+def _cap_slopes(cd: CaseData, relaxed: bool) -> list[float]:
+    """For m = 1, the slope of ``_cap_support`` along t for each unit
+    direction β = ±1 inside the cap."""
+    c, d1 = -cd.lam_a, float(cd.d[0])
+    slopes = []
+    for beta in (-1.0, 1.0):
+        if relaxed and d1 * beta >= c:
+            slopes.append(
+                beta * math.sqrt(max((1.0 - cd.lam_a**2) * (1.0 - d1 * d1), 0.0))
+                - cd.lam_a * d1
+            )
+        elif not relaxed and d1 * beta <= c:
+            slopes.append(beta)
+    return slopes
+
 
 def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     """Support value over a spherical cap of unit directions, per row of t.
@@ -89,23 +197,14 @@ def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     lies inside the cap.  In either case, when the maximizer falls outside
     the cap the optimum sits on the boundary circle {dᵀβ = c}, where both
     direction fields coincide with β itself, giving the circle support
-    ``_circle_support``.  An empty cap yields −inf.
+    ``_circle_support``.  An empty cap yields −inf.  ``_cap_pieces``
+    follows the same branches.
     """
     c = -cd.lam_a
     empty = np.full(t.shape[0], -np.inf)
     if cd.d.shape[0] == 1:
-        d1 = float(cd.d[0])
         out = empty
-        for beta in (-1.0, 1.0):
-            inside = d1 * beta >= c if relaxed else d1 * beta <= c
-            if not inside:
-                continue
-            if relaxed:
-                slope = beta * math.sqrt(
-                    max((1.0 - cd.lam_a**2) * (1.0 - d1 * d1), 0.0)
-                ) - cd.lam_a * d1
-            else:
-                slope = beta
+        for slope in _cap_slopes(cd, relaxed):
             out = np.maximum(out, slope * t[:, 0])
         return out
     nd = cd.d_norm
@@ -121,6 +220,32 @@ def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     if c < -nd:
         return empty
     return np.where(flat, nt, _circle_support(cd, nt, dt, c))
+
+
+def _cap_pieces(cd: CaseData, T0, T1, relaxed: bool, lin) -> list:
+    """``_cap_support(cd, T0 + t·T1, relaxed)`` − (ℓ₁t + ℓ₀) as pieces, branch
+    by branch as ``_cap_support`` takes them."""
+    c = -cd.lam_a
+    if cd.d.shape[0] == 1:
+        zero = (np.zeros_like(T1),) * 3
+        return [(zero, _sub(lin, (T1, T0), s), None) for s in _cap_slopes(cd, relaxed)]
+    nd = cd.d_norm
+    if (c > nd) if relaxed else (c < -nd):
+        return []  # an empty cap: the support is −inf and has no zero
+    N = _sq_norm(T0, T1)
+    if not relaxed and c >= nd:
+        return [(N, lin, None)]
+    D = _dot(cd.d, T0, T1)
+    if relaxed and (c < -nd or nd == 0.0):
+        return _phi_pieces(cd, N, D, lin)
+    # the circle support (c/‖d‖²)·dᵀt + h·√(‖t‖² − (dᵀt/‖d‖)²), h² = 1 − (c/‖d‖)²
+    (n2, n1, n0), (e1, e0) = N, (D[0] / nd, D[1] / nd)
+    h_sq = max(1.0 - (c / nd) ** 2, 0.0)
+    circle = (h_sq * (n2 - e1 * e1), h_sq * (n1 - 2.0 * e1 * e0), h_sq * (n0 - e0 * e0))
+    circle = (circle, _sub(lin, D, c / nd**2), (cd.lam_a, N, D, relaxed))
+    if relaxed:
+        return [circle, _phi_pieces(cd, N, D, lin)[1]]
+    return [(N, lin, (cd.lam_a, N, D, True)), circle]
 
 
 def _circle_support(
@@ -141,6 +266,11 @@ class CPhiLambda(FreeSetDescriptor):
     def _margin_rows(self, W):
         x, y = self._split(W)
         return phi_value(self.cd, y) - (x * self.cd.lam).sum(axis=1)
+
+    def _pieces(self, W0, R):
+        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+        cd = self.cd
+        return _phi_pieces(cd, _sq_norm(y0, y1), _dot(cd.d, y0, y1), _dot(cd.lam, x0, x1))
 
 
 @dataclass(frozen=True)
@@ -171,6 +301,16 @@ class CRPhiLambda(FreeSetDescriptor):
         relaxed = _cap_support(cd, y - y0, relaxed=True)
         return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
 
+    def _pieces(self, W0, R):
+        """The unrelaxed cap's pieces in y and the relaxed cap's in y − y₀."""
+        cd = self.cd
+        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+        lin = _dot(cd.lam, x0, x1)
+        shift = 1.0 / (1.0 - cd.d_norm**2)
+        return _cap_pieces(cd, y0, y1, False, lin) + _cap_pieces(
+            cd, y0 - cd.d * shift, y1, True, (lin[0], lin[1] + cd.lam_a * shift)
+        )
+
 
 @dataclass(frozen=True)
 class Halfspace(FreeSetDescriptor):
@@ -179,6 +319,10 @@ class Halfspace(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         return (W * self.coef).sum(axis=1) - self.rhs
+
+    def _pieces(self, W0, R):
+        l1, l0 = _dot(self.coef, W0, R)
+        return [((np.zeros_like(l1),) * 3, (-l1, self.rhs - l0), None)]
 
 
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
@@ -222,43 +366,117 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
 
 
+def _columns(rows):
+    """Tuples of coefficient columns, one tuple per piece, as one array
+    per coefficient with a column per piece."""
+    return tuple(np.concatenate(c, axis=1) for c in zip(*rows))
+
+
+def _step_candidates(fs, apex, rays) -> np.ndarray:
+    """Per ray, the least zero t in (0, 1e12) of the margin's pieces where
+    that piece holds, then t moved toward the apex by the relative
+    amounts in ``_TOWARD_APEX``: one row per ray, NaN where no zero."""
+    k = rays.shape[0]
+    pieces = fs._pieces(np.repeat(apex[None, :], k, axis=0), rays)
+    if not pieces:
+        return np.full((k, 1), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = _piece_roots(*_columns([q + lin for q, lin, _ in pieces]))
+        branched = [j for j, (_, _, branch) in enumerate(pieces) if branch is not None]
+        if branched:
+            # piece j's roots are columns j and len(pieces) + j
+            cols = branched + [len(pieces) + j for j in branched]
+            lam_a, N, D, flat = zip(*[pieces[j][2] for j in branched] * 2)
+            n2, n1, n0, d1, d0 = _columns([n + d for n, d in zip(N, D)])
+            Tb = T[:, cols]
+            ny = np.sqrt(np.maximum((n2 * Tb + n1) * Tb + n0, 0.0))
+            holds = (np.array(lam_a) * ny + (d1 * Tb + d0) <= 0.0) == np.array(flat)
+            T[:, cols] = np.where(holds, Tb, np.nan)
+        T[~((T > 0.0) & (T < _T_CAP))] = np.nan
+    return np.fmin.reduce(T, axis=1, keepdims=True) * _TOWARD_APEX
+
+
 def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """sup{t ≥ 0 : apex + t·r inside fs} for each row r of rays, for all
     rays together; returns the arrays (steps, residuals).
 
     Along a ray, f(t) = margin(apex + t·r) is convex (a support function
-    minus a linear term) with f(0) < 0.  The first call takes t = 1 and
-    1e12: f(1) = 0 is the step, and f(1e12) ≤ 0 makes f ≤ 0 on [0, 1e12],
-    a recession ray with step +inf; both have residual 0.  Each later
-    call takes three points per bracket [lo, hi]: the chord root, interior
-    by convexity; the root of the line through the last two interior
-    points, exterior if its slope is positive; and the midpoint (geometric
-    when hi > 4·lo > 0), which bounds the rounds as bisection does.  Each
-    point is classified by its own margin, so lo is interior even where
-    rounding breaks convexity.  A ray stops when its residual, the margin
-    at lo, is in [−tol, 0] or the bracket has closed to 1e-12 relative.
-    No step depends on the other rays.  The apex must be interior.
+    minus a linear term) with f(0) < 0, so {f ≤ 0} is [0, t*].  Each
+    family splits f into pieces √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀) (see
+    ``FreeSetDescriptor._pieces``); a piece's zeros are roots of the
+    quadratic (ℓ₁t + ℓ₀)² = q₂t² + q₁t + q₀, and t* is the least of them
+    where its piece holds, since no piece exceeds f.  Rounding can put
+    that root just outside, so it is also tried 4 ulps toward the apex,
+    and 2⁻⁴⁴, 2⁻³⁸ and 2⁻³² relative.
+
+    One margin call takes the apex, these candidates and t = 1e12.
+    f(1e12) ≤ 0 makes f ≤ 0 on [0, 1e12], a recession ray with step +inf
+    and residual 0.  Otherwise the step is the largest candidate whose
+    margin, the residual, is in [−tol, 0]: by convexity it lies in the
+    band of [0, t*] where f ≥ −tol.  A ray with no such candidate is
+    bracketed (``_bracket``) between its largest interior candidate, or
+    the apex, and its least exterior one, or 1e12.
+
+    No step depends on the other rays, since every coefficient and margin
+    is summed along its own row.  The apex must be interior.
     """
     apex = np.asarray(apex, dtype=float).reshape(-1)
     rays = np.asarray(rays, dtype=float)
-    if not np.all(np.linalg.norm(rays, axis=1) > 0.0):
+    if not np.all(np.abs(rays).max(axis=1, initial=0.0) > 0.0):
         raise ValueError("every ray must be nonzero")
-    m0 = fs.margin(apex)
+    T = _step_candidates(fs, apex, rays)
+    has = np.flatnonzero(~np.isnan(T[:, 0]))  # the rays with candidates
+    W = (apex + T[has, :, None] * rays[has, None, :]).reshape(-1, apex.size)
+    v = fs.margin(np.vstack([apex, W, apex + _T_CAP * rays]))
+    m0, v_cap = v[0], v[1 + len(W) :]
     if not m0 < -tol:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
+    V = np.full(T.shape, np.nan)
+    V[has] = v[1 : 1 + len(W)].reshape(has.size, T.shape[1])
 
-    v1, v_cap = np.split(fs.margin(np.vstack([apex + rays, apex + _T_CAP * rays])), 2)
-    inside = ~(v1 >= 0.0)
-    prev, v_prev = np.where(inside, 0.0, np.nan), np.full_like(v1, m0)
-    lo, v_lo = np.where(inside, 1.0, 0.0), np.where(inside, v1, m0)
-    hi = np.where(inside, np.where(v_cap <= 0.0, np.inf, _T_CAP), np.where(v1 > 0.0, 1.0, np.inf))
-    v_hi = np.where(inside, v_cap, v1)
+    r = np.arange(T.shape[0])
+    certified = np.where((V >= -tol) & (V <= 0.0), T, -np.inf)
+    best = np.argmax(certified, axis=1)
+    steps, residuals = certified[r, best], V[r, best]
+    recedes = v_cap <= 0.0
+    steps[recedes], residuals[recedes] = np.inf, 0.0
+    open_ = np.flatnonzero(steps == -np.inf)
+    if open_.size:
+        T, V, r = T[open_], V[open_], r[: open_.size]
+        outside = np.where(V > 0.0, T, np.inf)
+        j = np.argmin(outside, axis=1)
+        hi, v_hi = outside[r, j], V[r, j]
+        none = hi == np.inf
+        hi[none], v_hi[none] = _T_CAP, v_cap[open_][none]
+        inside = np.where((V <= 0.0) & (T < hi[:, None]), T, -np.inf)
+        i = np.argmax(inside, axis=1)
+        lo, v_lo = inside[r, i], V[r, i]
+        none = lo == -np.inf
+        lo[none], v_lo[none] = 0.0, m0
+        steps[open_], residuals[open_] = _bracket(fs, apex, rays[open_], m0, lo, v_lo, hi, v_hi, tol)
+    return steps, residuals
+
+
+def _bracket(fs, apex, rays, m0, lo, v_lo, hi, v_hi, tol):
+    """Shrink each bracket lo < t* < hi (margin v_lo ≤ 0 at lo, v_hi > 0 at
+    hi) until the margin at lo is in [−tol, 0] or the bracket has closed to
+    1e-12 relative; returns (lo, margin at lo).
+
+    Each call takes three points per bracket: the chord root, interior by
+    convexity; the root of the line through the last two interior points
+    (the apex, with margin m0, and lo at the start), exterior if its slope
+    is positive; and the midpoint (geometric when hi > 4·lo > 0), which
+    bounds the rounds as bisection does.  Each point is classified by its
+    own margin, so lo is interior even where rounding breaks convexity.
+    """
+    prev = np.where(lo > 0.0, 0.0, np.nan)
+    v_prev = np.full_like(lo, m0)
 
     def still_open(idx):
         wide = hi[idx] - lo[idx] > 1e-12 * np.maximum(hi[idx], 1.0)
         return idx[wide & ~(v_lo[idx] >= -tol)]
 
-    active = still_open(np.flatnonzero(hi < np.inf))
+    active = still_open(np.arange(lo.size))
     while active.size:
         a, lo_a, hi_a = active, lo[active], hi[active]
         chord = lo_a + (hi_a - lo_a) * (v_lo[a] / (v_lo[a] - v_hi[a]))
@@ -278,6 +496,4 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
             prev[a[inn]], v_prev[a[inn]] = lo[a[inn]], v_lo[a[inn]]
             lo[a[inn]], v_lo[a[inn]] = t[inn], v[inn]
         active = still_open(a)
-    bracketed = hi < np.inf
-    steps = np.where(bracketed, lo, np.where(v1 == 0.0, 1.0, np.inf))
-    return steps, np.where(bracketed, v_lo, 0.0)
+    return lo, v_lo

@@ -88,7 +88,13 @@ def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1, 1)
     if b.shape[0] != Q.shape[0]:
         raise ValueError("Q and b have inconsistent dimensions")
-    return np.block([[Q, b / 2.0], [b.T / 2.0, float(c)]])
+    p = Q.shape[0]
+    Qt = np.empty((p + 1, p + 1))
+    Qt[:p, :p] = Q
+    Qt[:p, p:] = b / 2.0
+    Qt[p:, :p] = b.T / 2.0
+    Qt[p, p] = float(c)
+    return Qt
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,25 @@ def test_malformed_field_exit_3(tmp_path, capsys, field, value):
     assert captured.err.startswith("ParseError: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", "-1"),
+        ("b", [0, True]),
+        ("Q", [[1, 0], [0, "-1"]]),
+        ("point", [False, 0]),
+        ("c", None),
+        ("b", [0, 10**400]),  # an integer no float can hold
+    ],
+)
+def test_non_numbers_exit_3(tmp_path, capsys, field, value):
+    path = write_instance(tmp_path, **wedge_fields(**{field: value}))
+    assert main(["canon", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ParseError: malformed {field}: ")
+
+
 # --- canon -------------------------------------------------------------------
 
 

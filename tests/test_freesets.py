@@ -12,7 +12,7 @@ from conftest import (
     random_unit,
     wedge_canonical,
 )
-from quadfree import cuts, spectral
+from quadfree import cuts, freesets, spectral
 from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient
 from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError, EmptySError
 from quadfree.freesets import (
@@ -20,6 +20,7 @@ from quadfree.freesets import (
     CLambda,
     CPhiLambda,
     CRPhiLambda,
+    FreeSetDescriptor,
     Halfspace,
     boundary_steps,
     build_free_set,
@@ -409,6 +410,135 @@ def test_boundary_steps_of_any_subset_match_the_batch(data):
     for step, residual, ray in zip(steps, residuals, rays):
         if math.isfinite(step):  # the residual is the margin at the step
             assert fs.margin(apex + step * ray) == residual <= 0.0
+
+
+def _bracketing_only(fs, apex, rays, tol):
+    """The steps by bracketing alone, each from [0, 1e12]: the oracle for
+    the closed-form steps."""
+    m0, v_cap = fs.margin(apex), fs.margin(apex + freesets._T_CAP * rays)
+    steps, residuals = np.full(len(rays), np.inf), np.zeros(len(rays))
+    f = v_cap > 0.0
+    steps[f], residuals[f] = freesets._bracket(
+        fs, apex, rays[f], m0, np.zeros(f.sum()), np.full(f.sum(), m0),
+        np.full(f.sum(), freesets._T_CAP), v_cap[f], tol,
+    )
+    return steps, residuals
+
+
+def _families(cf, apex):
+    """The pipeline's free set for cf and, on case-2 data, every family
+    that can be built on it (CGLambda forced, so m = 1 takes its linear
+    branch); only those with the apex inside."""
+    sets = [build_free_set(cf)]
+    if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
+        cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
+        sets += [CPhiLambda(cf.n, cf.m, cf.l, cd=cd), CGLambda(cf.n, cf.m, cf.l, cd=cd, forced=True)]
+        if cd.d_norm < 1.0:
+            sets.append(CRPhiLambda(cf.n, cf.m, cf.l, cd=cd))
+    return [fs for fs in sets if fs.margin(apex) < -1e-9]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_form_steps_match_bracketing(data):
+    p = data.draw(st.integers(1, 8), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    cf = spectral.canonicalize(qc)
+    if cf.case == spectral.CASE_EMPTY_S:
+        return
+    # 10⁻¹¹ and 10⁻¹² put steps near the 1e12 cap, on either side of it
+    scale = data.draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-11, 1e-12]), min_size=p, max_size=p))
+    apex = cf.map_point(qc.point)
+    rays = cf.map_direction(random_orthogonal(rng, p) * np.array(scale)[:, None])
+    for fs in _families(cf, apex):
+        steps, residuals = boundary_steps(fs, apex, rays)
+        # At tol = 1e-9 bracketing may stop anywhere in the band f ≥ −1e-9
+        # below t*, which can exceed 1e-9 relative of t* when f' is small;
+        # 1e-12 pins t* itself.
+        ref, _ = _bracketing_only(fs, apex, rays, tol=1e-12)
+        assert np.array_equal(np.isinf(steps), np.isinf(ref)), type(fs).__name__
+        finite = np.isfinite(steps)
+        assert np.all(np.abs(steps[finite] - ref[finite]) <= 1e-9 * ref[finite]), type(fs).__name__
+        assert np.all((residuals >= -1e-9) & (residuals <= 0.0))
+        for step, residual, ray in zip(steps[finite], residuals[finite], rays[finite]):
+            assert fs.margin(apex + step * ray) == residual
+
+
+def _count_calls(monkeypatch):
+    """Count the margin calls of every family and the rays' entries into
+    the bracketing."""
+    counts = {"margin": 0, "bracket": 0}
+    margin, bracket = FreeSetDescriptor.margin, freesets._bracket
+
+    def counted_margin(self, w):
+        counts["margin"] += 1
+        return margin(self, w)
+
+    def counted_bracket(*args):
+        counts["bracket"] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(FreeSetDescriptor, "margin", counted_margin)
+    monkeypatch.setattr(freesets, "_bracket", counted_bracket)
+    return counts
+
+
+def _budget_cases():
+    """(free set, apex, rays) in every family and every branch of the
+    spherical-cap support (λᵀa across [−1, 1] against ‖d‖, and m = 1),
+    with the apex at margin −3 or below."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for n, m in [(1, 1), (2, 1), (2, 2), (3, 3), (1, 4)]:
+        for _ in range(4):
+            cd, cd1 = random_casedata(rng, n, m), _case1_casedata(rng, n, m)
+            k = n + m + 1
+            for fs in [
+                CLambda(n, m, 1, lam=cd.lam),
+                CPhiLambda(n, m, 1, cd=cd),
+                CRPhiLambda(n, m, 1, cd=cd),
+                CGLambda(n, m, 1, cd=cd1, forced=m == 1),
+                Halfspace(n, m, 1, coef=np.concatenate([-cd.lam, rng.standard_normal(m + 1)]), rhs=0.0),
+            ]:
+                # the margin falls by s along (λ, 0, 0) in every family
+                lam = np.concatenate([getattr(fs, "cd", cd).lam, np.zeros(m + 1)])
+                apex = np.concatenate([np.zeros(n), rng.standard_normal(m + 1)])
+                apex += max(fs.margin(apex) + 3.0, 3.0) * lam
+                cases.append((fs, apex, rng.standard_normal((k, k))))
+    return cases
+
+
+def test_certified_cuts_take_one_margin_call(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    families = set()
+    for fs, apex, rays in _budget_cases():
+        counts.update(margin=0, bracket=0)
+        steps, _ = boundary_steps(fs, apex, rays)
+        assert counts["bracket"] == 0, type(fs).__name__  # every ray certified
+        assert counts["margin"] == 1  # the apex, the candidates and t = 1e12
+        if np.isfinite(steps).any():
+            families.add(type(fs).__name__)
+    assert families == {"CLambda", "CGLambda", "CPhiLambda", "CRPhiLambda", "Halfspace"}
+
+
+def test_rounding_past_the_boundary_falls_back_to_bracketing(monkeypatch):
+    # Apex 1e-7 relative inside ‖y‖ ≤ x and a ray almost along the cone's
+    # surface: the closed-form root and every point tried toward the apex
+    # have margin 4.4e-16 > 0, so the ray is bracketed from below them.
+    fs = CLambda(1, 2, 0, lam=np.array([1.0]))
+    apex = np.array([3.0, 3.0 * (1.0 - 1e-7), 0.0])
+    rays = np.array([[-5e-7, 0.0, 1e-6]])
+    T = freesets._step_candidates(fs, apex, rays)[0]
+    assert np.all(fs.margin(apex + T[:, None] * rays[0]) > 0.0)
+    counts = _count_calls(monkeypatch)
+    steps, residuals = boundary_steps(fs, apex, rays)
+    assert counts["bracket"] == 1 and counts["margin"] > 1
+    assert steps[0] < T[-1] and steps[0] == pytest.approx(0.6, rel=1e-6)
+    assert -1e-9 <= residuals[0] <= 0.0
+    assert fs.margin(apex + steps[0] * rays[0]) == residuals[0]
 
 
 def test_boundary_step_wedge_matches_closed_form(cd_wedge):

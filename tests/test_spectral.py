@@ -119,6 +119,18 @@ def test_lift_evaluates_quadratic():
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
+def test_lift_is_the_block_matrix_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for p in (1, 2, 6, 17):
+        Q = rng.standard_normal((p, p))
+        Q = Q + Q.T
+        b = rng.standard_normal(p) * 10.0 ** rng.integers(-8, 8, p)
+        c = float(rng.standard_normal())
+        col = b.reshape(-1, 1)
+        block = np.block([[Q, col / 2.0], [col.T / 2.0, c]])
+        assert np.array_equal(lift(Q, b, c), block)
+
+
 # --- canonicalize -----------------------------------------------------------
 
 
