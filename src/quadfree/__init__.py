@@ -37,8 +37,10 @@ from .oracle import (
 )
 from .spectral import (
     CanonicalForm,
+    Decomposition,
     QuadraticConstraint,
     canonicalize,
+    decompose,
     eigen,
     lift,
 )

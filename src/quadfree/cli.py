@@ -8,7 +8,6 @@ a failed verification report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -337,23 +336,19 @@ def cmd_plot(inst, args) -> int:
 def cmd_loop(inst, args) -> int:
     if "objective" not in inst or "linear_constraints" not in inst["raw"]:
         raise ParseError("loop command needs objective and linear_constraints")
-    p = inst["qc"].dim
-    A, rhs = inst["A"], inst["rhs"]
+    qc, form = inst["qc"], None  # the constraint is decomposed at the first cut
     sys.stdout.write(
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
     )
-    tableau = lp.optimal_tableau(inst["objective"], A, rhs)
+    tableau = lp.optimal_tableau(inst["objective"], inst["A"], inst["rhs"])
     for it in range(args.max_iters + 1):
         if it:  # re-optimise after the last cut; never solve from scratch
             try:
                 tableau.add_cut(cert.coef, cert.rhs)
             except InfeasibleLPError as exc:
                 raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
-            A = np.vstack([A, cert.coef])
-            rhs = np.append(rhs, cert.rhs)
         s_star, value = tableau.vertex()
-        qc = dataclasses.replace(inst["qc"], point=s_star)
         viol = qc(s_star)
         record = {
             "iter": it,
@@ -365,16 +360,14 @@ def cmd_loop(inst, args) -> int:
             record["converged"] = True
             sys.stdout.write(json.dumps(record) + "\n")
             return 0
-        tight = np.flatnonzero(np.abs(A @ s_star - rhs) <= 1e-7)
-        if len(tight) != p:
-            raise DegenerateVertexError(
-                f"{len(tight)} tight constraints at the vertex, need {p}"
-            )
-        try:  # np.linalg.LinAlgError is a ValueError too
-            cone = cuts.SimplicialCone(apex=s_star, R=-np.linalg.inv(A[tight]))
+        try:
+            cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
         except ValueError as exc:
-            raise DegenerateVertexError(f"tight constraints are rank deficient: {exc}") from exc
-        cert = cuts.separate(qc, cone, zero_tol=args.tol)
+            raise DegenerateVertexError(f"the vertex cone is unusable: {exc}") from exc
+        if form is None:
+            form = spectral.decompose(qc, zero_tol=args.tol)
+        cf = form.at(s_star)
+        cert = cuts.intersection_cut(cone, cf, freesets.build_free_set(cf))
         record["cut"] = {"coef": [float(v) for v in cert.coef], "rhs": cert.rhs}
         sys.stdout.write(json.dumps(record) + "\n")
     return 0

@@ -64,8 +64,8 @@ class UnboundedLPError(QuadfreeError):
 
 
 class DegenerateVertexError(QuadfreeError):
-    """More constraints are tight at the LP vertex than the dimension, so
-    a simplicial corner cone cannot be read off the basis."""
+    """The cone of the LP vertex, read off the basis, is singular or
+    ill-conditioned, so it is no simplicial cone to cut from."""
 
 
 class ParseError(QuadfreeError):

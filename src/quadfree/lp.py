@@ -7,6 +7,10 @@ dense tableau, and Bland's rule (first improving column, smallest basic
 index among tied rows) rules out cycling.  The tableau it returns stays
 dual feasible when a row is added, so ``Tableau.add_cut`` re-optimises
 after a cut by dual simplex pivots (Lemke 1954) instead of solving again.
+``Tableau.cone_rays`` reads the cone of the vertex from the basis: its
+tight rows are the p rows whose slacks are nonbasic, so an ``=`` row, or
+any row tight at the vertex but basic at zero, needs no tolerance and no
+count; a cone the basis cannot give is a ``DegenerateVertexError``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLPError, UnboundedLPError
+from .errors import DegenerateVertexError, InfeasibleLPError, UnboundedLPError
 
 _EPS = 1e-9
 
@@ -84,6 +88,36 @@ class Tableau:
         x_std[self.basis] = self.T[:, -1]
         s = x_std[: self.p] - x_std[self.p : 2 * self.p]
         return s, float(self.cost[: self.p] @ s)
+
+    def cone_rays(self):
+        """The ray columns of the vertex cone {s : A_N s ≤ b_N}, where the
+        rows N are those whose slack is nonbasic, in row order: ray j is the
+        s-part u − v of slack column j, negated, which is −A_N⁻¹.
+
+        When s*_i = 0 leaves u_i and v_i both nonbasic, one degenerate pivot
+        first brings one of them into the basis on a row whose basic slack
+        is 0, so the vertex stays; with no such row s*_i is not fixed by
+        the tight rows, a ``DegenerateVertexError``.
+        """
+        p, T, basis = self.p, self.T, self.basis
+        nonbasic = np.ones(T.shape[1] - 1, dtype=bool)
+        nonbasic[basis] = False
+        for i in np.flatnonzero(nonbasic[:p] & nonbasic[p : 2 * p]):
+            rows = np.flatnonzero((basis >= 2 * p) & (np.abs(T[:, -1]) <= _EPS))
+            row = rows[np.argmax(np.abs(T[rows, i]))] if rows.size else None
+            if row is None or abs(T[row, i]) <= _EPS:
+                raise DegenerateVertexError(
+                    f"s_{i} is not fixed by the tight rows: the vertex cone is singular"
+                )
+            col = i if T[row, i] > 0.0 else p + i
+            nonbasic[basis[row]], nonbasic[col] = True, False
+            _pivot(T, basis, row, col)
+        slacks = 2 * p + np.flatnonzero(nonbasic[2 * p :])
+        R = np.zeros((p, slacks.size))
+        u, v = basis < p, (basis >= p) & (basis < 2 * p)
+        R[basis[u]] = -T[u][:, slacks]
+        R[basis[v] - p] = T[v][:, slacks]
+        return R
 
     def add_cut(self, coef, rhs):
         """Add the row coefᵀs ≤ rhs and re-optimise by dual simplex.

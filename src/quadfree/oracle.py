@@ -415,8 +415,9 @@ def check_cut_validity(
     """No point of S = {q ≤ 0} may lie in the region the cut removes.
 
     That region is conv{apex, apex + t_j r_j}, where ray r_j meets the
-    cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < 0; a ray it
-    never meets gets a multiplier drawn from [0, 10].  It comes from the
+    cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < −16ε‖coef‖‖r_j‖;
+    a ray it never meets, a weight-0 ray whose slope is rounding noise of
+    either sign included, gets a multiplier drawn from [0, 10].  It comes from the
     cut and the cone alone, not from ``cert.steps``, and lies in the
     S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite
     vertex, at ``count // 2`` seeded points of the far face and at the
@@ -428,7 +429,8 @@ def check_cut_validity(
     if not excess > 0.0:
         return VerificationReport("cut_validity", 0, -np.inf, False, 1e-9, apex, seed)
     slope = cert.coef @ R
-    meets = slope < 0.0
+    noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * np.linalg.norm(R, axis=0)
+    meets = slope < -noise
     k = int(meets.sum())
     rng = np.random.default_rng(seed)
     face = rng.dirichlet(np.ones(k), count // 2)

@@ -4,7 +4,9 @@ A quadratic constraint q(s) = sᵀQs + bᵀs + c ≤ 0 is homogenized to the
 lifted matrix Q̃ = [[Q, b/2], [bᵀ/2, c]], diagonalized, and rewritten in
 coordinates w = M(s, 1) where it reads ‖x‖² ≤ ‖y‖² together with the
 affine slice aᵀx + dᵀy + hᵀz = -1.  The case tag records which free-set
-construction applies downstream.
+construction applies downstream.  Only w̄ = M(s̄, 1), λ and the λ = −a
+test depend on the point s̄: ``decompose`` does the rest once per
+constraint, and ``canonicalize`` is ``decompose(qc).at(qc.point)``.
 """
 
 from __future__ import annotations
@@ -129,16 +131,65 @@ class CanonicalForm:
         return np.asarray(r, dtype=float) @ self.M[:, :-1].T
 
 
-def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalForm:
-    """Diagonalize the lifted quadratic and dispatch the case tag.
-
-    Raises NotSeparable when q(point) is not strictly positive (nothing
-    to separate) or when the lifted form has no positive directions.
-    """
-    q_bar = qc(qc.point)
+def _require_violated(q_bar: float, zero_tol: float) -> None:
     if q_bar <= zero_tol:
         raise NotSeparableError(f"q(point) = {q_bar} is not positive")
 
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The point-free part of canonicalize for one constraint: the lifted
+    eigenvalues and signature, the rows M₀ of M before the case-2
+    rescaling, M and (a, d, h) after it, the case before the λ = −a test
+    and μ (None outside case 2).  ``at`` adds the per-point part, so many
+    points are separated from one constraint with one eigendecomposition."""
+
+    qc: QuadraticConstraint  # its Q, b and c; the point is not read
+    zero_tol: float
+    n: int
+    m: int
+    l: int
+    M0: np.ndarray
+    M: np.ndarray
+    a: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
+    eigenvalues: np.ndarray
+    case: str
+    mu: float | None
+
+    def at(self, point: np.ndarray) -> CanonicalForm:
+        """The canonical form at ``point``: q(point) > zero_tol, w̄ = M(point, 1),
+        λ = x̄/‖x̄‖ and, in case 2, the λ = −a test."""
+        point = np.asarray(point, dtype=float)
+        if point.shape != (self.qc.dim,) or not np.isfinite(point).all():
+            raise ValueError(f"point must be {self.qc.dim} finite numbers")
+        _require_violated(self.qc(point), self.zero_tol)
+        return self._form(point)
+
+    def _form(self, point: np.ndarray) -> CanonicalForm:
+        wbar = self.M0 @ np.concatenate([point, [1.0]])
+        xbar = wbar[: self.n]
+        lam = xbar / np.linalg.norm(xbar)
+        case, mu = self.case, self.mu
+        if mu is not None:
+            wbar = mu * wbar
+            if np.linalg.norm(lam + self.a) <= self.zero_tol:
+                case = CASE_CASE2_CR_LAMBDA_NEG_A
+        return CanonicalForm(
+            n=self.n, m=self.m, l=self.l, M=self.M, a=self.a, d=self.d, h=self.h,
+            mapped_point=wbar, lam=lam, case=case, eigenvalues=self.eigenvalues,
+            quad_scale=1.0 if mu is None else mu * mu, case2_rescale=mu,
+        )
+
+
+def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Decomposition:
+    """Diagonalize the lifted quadratic of ``qc`` and dispatch the case up
+    to the λ = −a test; ``qc.point`` is not read.
+
+    Raises DegenerateQuadraticError when every lifted eigenvalue vanishes
+    and NotSeparableError when none is positive.
+    """
     Qt = lift(qc.Q, qc.b, qc.c)
     eig, V = eigen(Qt)
     max_abs = float(np.max(np.abs(eig)))
@@ -156,16 +207,11 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
     # Rows of M: scaled eigenvector rows permuted to (x, y, z) order.
     sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
     perm = np.concatenate([pos, neg, zer])
-    M = (sigma[:, None] * V.T)[perm]
+    M0 = M = (sigma[:, None] * V.T)[perm]
 
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
     g = -(V[-1] / sigma)[perm]
-
-    wbar = M @ np.concatenate([qc.point, [1.0]])
     a, d, h = g[:n], g[n : n + m], g[n + m :]
-
-    xbar = wbar[:n]
-    lam = xbar / np.linalg.norm(xbar)
 
     mu = None  # the case-2 rescaling factor
     if m == 0:
@@ -177,10 +223,21 @@ def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalFo
     else:
         # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
         mu = np.linalg.norm(a)
-        M, wbar, a, d, h = mu * M, mu * wbar, a / mu, d / mu, h / mu
-        lam_neg_a = np.linalg.norm(lam + a) <= zero_tol
-        case = CASE_CASE2_CR_LAMBDA_NEG_A if lam_neg_a else CASE_CASE2_CR
-    return CanonicalForm(
-        n=n, m=m, l=l, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam, case=case,
-        eigenvalues=eig, quad_scale=1.0 if mu is None else mu * mu, case2_rescale=mu,
+        M, a, d, h = mu * M, a / mu, d / mu, h / mu
+        case = CASE_CASE2_CR
+    return Decomposition(
+        qc=qc, zero_tol=zero_tol, n=n, m=m, l=l, M0=M0, M=M, a=a, d=d, h=h,
+        eigenvalues=eig, case=case, mu=mu,
     )
+
+
+def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalForm:
+    """Diagonalize the lifted quadratic and dispatch the case tag at
+    ``qc.point``: ``decompose(qc, zero_tol).at(qc.point)``.
+
+    Raises NotSeparable when q(point) is not strictly positive (nothing
+    to separate; checked first) or when the lifted form has no positive
+    directions.
+    """
+    _require_violated(qc(qc.point), zero_tol)
+    return decompose(qc, zero_tol)._form(qc.point)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -595,13 +596,76 @@ def test_loop_zero_iterations_when_feasible(tmp_path, capsys):
     assert len(records) == 1 and records[0]["converged"] is True
 
 
-def test_loop_degenerate_vertex_exit_7(tmp_path):
+def _loop_records(capsys):
+    return [json.loads(ln) for ln in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_loop_cuts_from_the_basis_at_a_vertex_with_three_tight_rows(tmp_path, capsys):
+    # −s1 − s2 ≤ 4 is a third row tight at the first vertex (−3, −1): the
+    # basis holds two of the three slacks nonbasic, and their cone cuts
     fields = loop_fields()
     fields["linear_constraints"].append(
         {"coef": [-1.0, -1.0], "rhs": 4.0, "sense": "<="}
     )
     path = write_instance(tmp_path, **fields)
+    assert main(["loop", path]) == 0
+    first = _loop_records(capsys)[0]
+    inst = parse_instance(path)
+    A, rhs = inst["A"], inst["rhs"]
+    tableau = lp.optimal_tableau(inst["objective"], A, rhs)
+    s_star, _ = tableau.vertex()
+    assert first["vertex"] == s_star.tolist()
+    assert np.count_nonzero(A @ s_star == rhs) == 3
+    cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
+    nonbasic = np.setdiff1d(np.arange(len(A)), tableau.basis - 2 * tableau.p)
+    assert len(nonbasic) == 2
+    cert = cuts.separate(dataclasses.replace(inst["qc"], point=s_star), cone)
+    assert first["cut"] == {"coef": cert.coef.tolist(), "rhs": cert.rhs}
+    assert oracle.check_cut_validity(inst["qc"], cert).passed
+
+
+def test_loop_with_an_equality_row(tmp_path, capsys):
+    # s2 = −1 as one "=" row: both of its ≤ halves are tight at every
+    # vertex, and the cone takes the one whose slack is nonbasic
+    fields = loop_fields()
+    fields["linear_constraints"] = [
+        {"coef": [-1.0, 0.0], "rhs": 3.0, "sense": "<="},
+        {"coef": [0.0, 1.0], "rhs": -1.0, "sense": "="},
+        {"coef": [1.0, 0.0], "rhs": 10.0, "sense": "<="},
+    ]
+    path = write_instance(tmp_path, **fields)
+    assert main(["loop", path]) == 0
+    records = _loop_records(capsys)
+    assert "cut" in records[0] and records[-1]["converged"] is True
+    assert all(r["vertex"][1] == -1.0 for r in records)
+    assert records[-1]["vertex"] == pytest.approx([-1.0, -1.0], abs=1e-9)
+
+
+def test_loop_free_coordinate_exit_7(tmp_path, capsys):
+    # no row bounds s2, so s2 = 0 is fixed by no tight row: a singular cone
+    fields = loop_fields()
+    fields["objective"] = [1.0, 0.0]
+    fields["linear_constraints"] = [
+        {"coef": [-1.0, 0.0], "rhs": 3.0, "sense": "<="},
+        {"coef": [1.0, 0.0], "rhs": 10.0, "sense": "<="},
+    ]
+    path = write_instance(tmp_path, **fields)
     assert main(["loop", path]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("DegenerateVertexError: ") and "singular" in err
+
+
+def test_loop_022_runs_past_the_row_a_tight_scan_missed(capsys):
+    # the benchmark's loop/022 (p = 7): a 1e-7 tight-row scan lost a row after
+    # iteration 158 of 400; read from the basis, the loop goes on until
+    # its nearly parallel cuts make the cone ill-conditioned
+    path = str(Path(__file__).parent / "data" / "loop_022.json")
+    code = main(["loop", path, "--max-iters", "400"])
+    captured = capsys.readouterr()
+    records = [json.loads(ln) for ln in captured.out.splitlines()[1:]]
+    assert [r["iter"] for r in records] == list(range(len(records)))
+    assert records[-1]["iter"] >= 159
+    assert code == 0 or (code == 7 and "ill-conditioned" in captured.err), captured.err
 
 
 def test_loop_ill_conditioned_cone_exit_7(tmp_path, capsys, monkeypatch):

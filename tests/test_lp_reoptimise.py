@@ -1,4 +1,5 @@
-"""The rank-1 pivot and the dual-simplex re-optimisation after a cut."""
+"""The rank-1 pivot, the dual-simplex re-optimisation after a cut and the
+vertex cone read from the basis."""
 
 import numpy as np
 import pytest
@@ -40,25 +41,34 @@ def _close(warm, cold):
     assert abs(v_w - v_c) <= 1e-9 * max(1.0, abs(v_c))
 
 
+def _box_lp(rng, p):
+    """min cᵀs over a random box, as rows A s ≤ b."""
+    lo = rng.uniform(-5.0, 0.0, p)
+    hi = lo + rng.uniform(1.0, 6.0, p)
+    A = np.vstack([np.eye(p), -np.eye(p)])
+    return rng.standard_normal(p), A, np.concatenate([hi, -lo])
+
+
+def _next_cut(rng, tableau, A, b):
+    """A cut off the current vertex by a fraction u of the room below
+    coefᵀs on the rows so far; past that room (u > 1), about 15 % of the
+    time, no point is left."""
+    s, _ = tableau.vertex()
+    coef = rng.standard_normal(len(s))
+    room = coef @ s - solve_lp(coef, A, b)[1]
+    u = rng.uniform(0.02, 0.9) if rng.random() < 0.85 else rng.uniform(1.1, 1.3)
+    return coef, coef @ s - u * room
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
     rng = np.random.default_rng(seed)
-    lo = rng.uniform(-5.0, 0.0, p)
-    hi = lo + rng.uniform(1.0, 6.0, p)
-    A = np.vstack([np.eye(p), -np.eye(p)])
-    b = np.concatenate([hi, -lo])
-    c = rng.standard_normal(p)
+    c, A, b = _box_lp(rng, p)
     tableau = optimal_tableau(c, A, b)
     _close(tableau.vertex(), solve_lp(c, A, b))
     for _ in range(n_cuts):
-        s, _ = tableau.vertex()
-        coef = rng.standard_normal(p)
-        # cut s off by a fraction u of the room below coefᵀs on the rows so
-        # far; past that room (u > 1) no point is left
-        room = coef @ s - solve_lp(coef, A, b)[1]
-        u = rng.uniform(0.02, 0.9) if rng.random() < 0.85 else rng.uniform(1.1, 1.3)
-        rhs = coef @ s - u * room
+        coef, rhs = _next_cut(rng, tableau, A, b)
         A, b = np.vstack([A, coef]), np.append(b, rhs)
         try:
             cold = solve_lp(c, A, b)
@@ -69,3 +79,55 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
         tableau.add_cut(coef, rhs)
         _close(tableau.vertex(), cold)
         assert np.max(A @ tableau.vertex()[0] - b) <= 1e-9 * max(1.0, np.max(np.abs(b)))
+
+
+def _rays_invert_the_nonbasic_rows(tableau, A):
+    """cone_rays() against −inv(A_N), N the rows with a nonbasic slack."""
+    R = tableau.cone_rays()
+    rows = np.setdiff1d(np.arange(len(A)), tableau.basis - 2 * tableau.p)
+    assert len(rows) == tableau.p
+    ref = -np.linalg.inv(A[rows])
+    assert np.max(np.abs(R - ref)) <= 1e-9 * np.max(np.abs(ref))
+    return rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 10))
+def test_basis_rays_are_minus_the_inverse_of_the_nonbasic_rows(p, seed, n_cuts):
+    rng = np.random.default_rng(seed)
+    c, A, b = _box_lp(rng, p)
+    tableau = optimal_tableau(c, A, b)
+    _rays_invert_the_nonbasic_rows(tableau, A)
+    for _ in range(n_cuts):
+        coef, rhs = _next_cut(rng, tableau, A, b)
+        try:
+            tableau.add_cut(coef, rhs)
+        except InfeasibleLPError:
+            return
+        A, b = np.vstack([A, coef]), np.append(b, rhs)
+        _rays_invert_the_nonbasic_rows(tableau, A)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.data())
+def test_a_zero_coordinate_with_u_and_v_nonbasic_takes_a_degenerate_pivot(p, seed, data):
+    rng = np.random.default_rng(seed)
+    c, A, b = _box_lp(rng, p)
+    k = data.draw(st.integers(1, p), label="zero coordinates")
+    vertex = np.where(c > 0.0, -b[p:], b[:p])  # the minimising corner
+    shift = np.where(np.arange(p) < k, vertex, 0.0)
+    b = b - A @ shift  # s*_i = 0 for i < k
+    tableau = optimal_tableau(c, A, b)
+    s_star, value = tableau.vertex()
+    assert np.all(s_star[:k] == 0.0)
+    T, basis = tableau.T, tableau.basis
+    for i in range(k):  # swap u_i or v_i for a nonbasic slack at the same vertex
+        row = np.flatnonzero((basis == i) | (basis == p + i))
+        if row.size:
+            slacks = np.setdiff1d(np.arange(2 * p, T.shape[1] - 1), basis)
+            _pivot(T, basis, row[0], slacks[np.argmax(np.abs(T[row[0], slacks]))])
+    assert not np.isin(np.arange(k), basis).any() and not np.isin(p + np.arange(k), basis).any()
+
+    rows = _rays_invert_the_nonbasic_rows(tableau, A)
+    assert np.array_equal(rows, np.flatnonzero(np.abs(A @ s_star - b) <= 1e-9))
+    assert np.array_equal(tableau.vertex()[0], s_star) and tableau.vertex()[1] == value

@@ -149,6 +149,23 @@ def test_cut_validity_follows_rays_the_cut_never_meets():
     assert rep.witness[1] >= 3.0
 
 
+def test_cut_validity_ignores_the_sign_of_a_recession_slope():
+    # (s₁ + 3)² − s₂² + 8 > 0 for every s₁ ≥ 0, so ray e₁ from the origin
+    # never leaves the free set: weight 0, and coefᵀe₁ = coef₁ = −0.0
+    qc = spectral.QuadraticConstraint(
+        Q=np.diag([1.0, -1.0]), b=np.array([6.0, 0.0]), c=8.0, point=np.zeros(2)
+    )
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=np.eye(2)))
+    assert np.isinf(cert.steps[0]) and cert.coef[0] == 0.0
+    report = oracle.check_cut_validity(qc, cert).as_dict()
+    ulp = np.spacing(np.linalg.norm(cert.coef))
+    for slope in (ulp, -ulp):  # either side of 0, one ulp of ‖coef‖ away
+        coef = cert.coef.copy()
+        coef[0] = slope
+        nudged = SimpleNamespace(coef=coef, rhs=cert.rhs, cone=cert.cone)
+        assert oracle.check_cut_validity(qc, nudged).as_dict() == report
+
+
 def test_cut_validity_fails_a_cut_that_keeps_its_apex():
     qc = spectral.QuadraticConstraint(
         Q=np.eye(2), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0])

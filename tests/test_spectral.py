@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_instance,
@@ -24,6 +27,7 @@ from quadfree.spectral import (
     CASE_HOMOG_H_NONZERO,
     QuadraticConstraint,
     canonicalize,
+    decompose,
     eigen,
     lift,
 )
@@ -254,3 +258,46 @@ def test_signature_stable_under_tiny_perturbation():
     )
     cf2 = canonicalize(qc2)
     assert (cf.n, cf.m, cf.l) == (cf2.n, cf2.m, cf2.l)
+
+
+def _bits(cf):
+    return [
+        v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in (getattr(cf, f.name) for f in dataclasses.fields(cf))
+    ]
+
+
+# every lifted signature (n, m, l) with n ≥ 1 at p = 1…8
+_SIGNATURES = [
+    (n, m, k - n - m) for k in range(2, 10) for n in range(1, k + 1) for m in range(k + 1 - n)
+]
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_reused_decomposition_matches_canonicalize_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for n, m, l in _SIGNATURES:
+        qc = random_instance(rng, n, m, l)
+        p = qc.dim
+        form = decompose(qc)
+        points = [qc.point] + [
+            qc.point * rng.uniform(0.5, 2.0) + rng.normal(0.0, 0.1, p) for _ in range(4)
+        ]
+        if form.mu is not None:  # w = (−a, 0, 0) is on the slice, with λ = −a
+            w = np.concatenate([-form.a, np.zeros(m + l)])
+            points.append(np.linalg.solve(form.M, w)[:-1])
+            assert form.at(points[-1]).case == CASE_CASE2_CR_LAMBDA_NEG_A
+        for point in points:
+            if qc(point) <= 1e-9:
+                with pytest.raises(NotSeparableError):
+                    form.at(point)
+                continue
+            fresh = canonicalize(dataclasses.replace(qc, point=point))
+            assert _bits(form.at(point)) == _bits(fresh)
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 1.0], [1.0, 2.0, 3.0]])
+def test_decomposition_rejects_a_bad_point(point):
+    with pytest.raises(ValueError):
+        decompose(wedge_constraint()).at(point)
