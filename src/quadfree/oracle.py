@@ -57,45 +57,56 @@ def _unit_rows(rng, count, dim):
     if dim == 0:
         return np.zeros((count, 0))
     g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1)
+    # the sum np.linalg.norm takes, bit for bit, without its dispatch
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]
 
 
-def _rejection_sample(draw, count: int, seed: int) -> np.ndarray:
-    """``count`` rows from ``draw(rng, batch)``, which returns the accepted
-    rows among ``batch`` attempts; raises once ``_MAX_ATTEMPTS`` are spent."""
+def _rejection_sample(
+    draw, count: int, seed: int, attempts_per_row: int = 4
+) -> np.ndarray:
+    """``count`` rows from ``draw(rng, batch, need)``, which returns the
+    first ``need`` accepted rows among ``batch`` attempts (fewer if fewer
+    are accepted).  A batch is ``attempts_per_row`` attempts for each row
+    still missing, the inverse of the acceptance rate the sampler expects,
+    plus 64; raises once ``_MAX_ATTEMPTS`` are spent."""
     rng = np.random.default_rng(seed)
     rows, have, attempts = [], 0, 0
     while have < count and attempts < _MAX_ATTEMPTS:
-        batch = min(4 * (count - have) + 64, _MAX_ATTEMPTS - attempts)
+        batch = min(attempts_per_row * (count - have) + 64, _MAX_ATTEMPTS - attempts)
         attempts += batch
-        rows.append(draw(rng, batch))
+        rows.append(draw(rng, batch, count - have))
         have += rows[-1].shape[0]
     if have < count:
         raise SamplingExhaustedError(f"only {have} of {count} points found")
-    return np.vstack(rows)[:count]
+    return np.vstack(rows)
 
 
 def sample_S(cf: spectral.CanonicalForm, count: int, seed: int) -> np.ndarray:
     """Points of {‖x‖ ≤ ‖y‖} on the slice aᵀx + dᵀy + hᵀz = −1.
 
-    Draws (ρu, v, ẑ) with unit u, v and scales by −1/(linear form) when
-    the form is safely negative; rejection continues until ``count``
-    points are found or the attempt budget runs out.
+    Draws w = (ρu, v, ẑ) with unit u, v and keeps it, scaled by −1/form,
+    when the linear form is safely away from 0 on either side,
+    |form| > 1e-6.  Keeping both signs does not change the law of the
+    samples: w and −w have the same law, ‖x‖ ≤ ‖y‖ holds for both, and
+    a draw with form > 0 scaled by −1/form is exactly the point its
+    negation −w (form < 0) gives.  So almost every draw is kept;
+    rejection continues until ``count`` points are found or the attempt
+    budget runs out.
     """
     if cf.m < 1:
         raise SamplingExhaustedError("no y block: the feasible slice is degenerate")
 
-    def draw(rng, batch):
+    def draw(rng, batch, need):
         x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows(rng, batch, cf.n)
         y = _unit_rows(rng, batch, cf.m)
         z = rng.uniform(-10.0, 10.0, (batch, cf.l))
         form = x @ cf.a + y @ cf.d + z @ cf.h
-        keep = form < -1e-6
+        keep = np.flatnonzero(np.abs(form) > 1e-6)[:need]
         return np.hstack([x[keep], y[keep], z[keep]]) * (-1.0 / form[keep])[:, None]
 
-    return _rejection_sample(draw, count, seed)
+    return _rejection_sample(draw, count, seed, attempts_per_row=1)
 
 
 def sample_S_homogeneous(
@@ -105,11 +116,11 @@ def sample_S_homogeneous(
     a = np.asarray(a, dtype=float).reshape(-1)
     d = np.asarray(d, dtype=float).reshape(-1)
 
-    def draw(rng, batch):
+    def draw(rng, batch, need):
         x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows(rng, batch, len(a))
         y = _unit_rows(rng, batch, len(d))
-        keep = (x @ a + y @ d) <= 0.0
-        return np.hstack([x[keep], y[keep], np.zeros((int(keep.sum()), l))])
+        keep = np.flatnonzero((x @ a + y @ d) <= 0.0)[:need]
+        return np.hstack([x[keep], y[keep], np.zeros((len(keep), l))])
 
     return _rejection_sample(draw, count, seed)
 
@@ -399,9 +410,9 @@ def sample_quadratic_region(
 ) -> np.ndarray:
     """Rejection samples of {q ≤ 0} in the box [−box, box]ᵖ."""
 
-    def draw(rng, batch):
+    def draw(rng, batch, need):
         s = rng.uniform(-box, box, (batch, qc.dim))
-        return s[qc(s) <= 0.0]
+        return s[np.flatnonzero(qc(s) <= 0.0)[:need]]
 
     return _rejection_sample(draw, count, seed)
 

@@ -49,6 +49,152 @@ def test_sample_S_exhausts_on_empty_region():
         oracle.sample_S(cf, 10, seed=0)
 
 
+def _unit_rows_loop(rng, count, dim):
+    """The one-sign sampler's unit rows, with norms from ``np.linalg.norm``."""
+    if dim == 0:
+        return np.zeros((count, 0))
+    g = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    return g / norms[:, None]
+
+
+def _rejection_loop(draw, count, seed):
+    """Reference rejection loop: batches of 4·(missing) + 64 attempts, every
+    accepted row stacked, the first ``count`` returned."""
+    rng = np.random.default_rng(seed)
+    rows, have, attempts = [], 0, 0
+    while have < count and attempts < oracle._MAX_ATTEMPTS:
+        batch = min(4 * (count - have) + 64, oracle._MAX_ATTEMPTS - attempts)
+        attempts += batch
+        rows.append(draw(rng, batch))
+        have += rows[-1].shape[0]
+    if have < count:
+        raise SamplingExhaustedError(f"only {have} of {count} points found")
+    return np.vstack(rows)[:count]
+
+
+def _one_sign_sample_S(cf, count, seed):
+    """Reference slice sampler that keeps a draw only when its form is < −1e-6."""
+
+    def draw(rng, batch):
+        x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows_loop(rng, batch, cf.n)
+        y = _unit_rows_loop(rng, batch, cf.m)
+        z = rng.uniform(-10.0, 10.0, (batch, cf.l))
+        form = x @ cf.a + y @ cf.d + z @ cf.h
+        keep = form < -1e-6
+        return np.hstack([x[keep], y[keep], z[keep]]) * (-1.0 / form[keep])[:, None]
+
+    return _rejection_loop(draw, count, seed)
+
+
+def _ks_distance(u, v):
+    """Two-sample Kolmogorov–Smirnov statistic sup_t |F_u(t) − F_v(t)|."""
+    u, v = np.sort(u), np.sort(v)
+    t = np.concatenate([u, v])
+    Fu = np.searchsorted(u, t, side="right") / len(u)
+    Fv = np.searchsorted(v, t, side="right") / len(v)
+    return float(np.max(np.abs(Fu - Fv)))
+
+
+# (n, m, l, seed) of ``random_instance`` for one canonical form of each case
+_LAW_FORMS = {
+    "CASE1_CGLAMBDA": (2, 2, 0, 0),
+    "HOMOG_H_NONZERO": (2, 2, 1, 0),
+    "CASE2_CR": (2, 2, 0, 2),
+}
+
+
+def _law_form(case):
+    n, m, l, seed = _LAW_FORMS[case]
+    cf = spectral.canonicalize(random_instance(np.random.default_rng(seed), n, m, l))
+    assert cf.case == case and cf.l == l
+    return cf
+
+
+@pytest.mark.parametrize("case", sorted(_LAW_FORMS))
+def test_sample_S_keeps_the_law_of_the_one_sign_sampler(case):
+    # 1.95·√(2/N) is the two-sample KS critical value at level ~0.001; the
+    # seeds differ so that the two sample sets are independent.
+    cf = _law_form(case)
+    fs = build_free_set(cf)
+    count = 20_000
+    bound = 1.95 * math.sqrt(2.0 / count)
+    new = oracle.sample_S(cf, count, seed=7)
+    ref = _one_sign_sample_S(cf, count, seed=8)
+    assert new.shape == ref.shape == (count, cf.n + cf.m + cf.l)
+    for stat in (
+        lambda W: np.linalg.norm(W, axis=1),
+        lambda W: W[:, 0],
+        lambda W: np.atleast_1d(fs.margin(W)),
+    ):
+        assert _ks_distance(stat(new), stat(ref)) < bound
+
+
+@pytest.mark.parametrize("case", sorted(_LAW_FORMS))
+def test_sample_S_draws_count_plus_64_rows_in_one_batch(case, monkeypatch):
+    batches = []
+    rejection_sample = oracle._rejection_sample
+
+    def counting(draw, *args, **kwargs):
+        def counted(rng, batch, need):
+            batches.append(batch)
+            return draw(rng, batch, need)
+
+        return rejection_sample(counted, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_rejection_sample", counting)
+    W = oracle.sample_S(_law_form(case), 10_000, seed=0)
+    assert batches == [10_064] and W.shape[0] == 10_000
+
+
+def test_homogeneous_and_box_samplers_match_the_rejection_loop(cd_wedge, cd_scaled):
+    def homogeneous(a, d, l):
+        def draw(rng, batch):
+            x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows_loop(rng, batch, len(a))
+            y = _unit_rows_loop(rng, batch, len(d))
+            keep = (x @ a + y @ d) <= 0.0
+            return np.hstack([x[keep], y[keep], np.zeros((int(keep.sum()), l))])
+
+        return draw
+
+    def box(qc):
+        def draw(rng, batch):
+            s = rng.uniform(-10.0, 10.0, (batch, qc.dim))
+            return s[qc(s) <= 0.0]
+
+        return draw
+
+    # about half of each homogeneous batch is kept, more rows than are
+    # needed; the hyperbola's box keeps about half too, and the unit disk's
+    # about 1/127, so that sampler runs many batches
+    for cd, l, count, seed in ((cd_wedge, 0, 3000, 6), (cd_scaled, 2, 2000, 5)):
+        got = oracle.sample_S_homogeneous(cd.a, cd.d, count, seed=seed, l=l)
+        ref = _rejection_loop(homogeneous(cd.a, cd.d, l), count, seed)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    disk = spectral.QuadraticConstraint(
+        Q=np.eye(2), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0])
+    )
+    hyperbola = spectral.QuadraticConstraint(
+        Q=np.diag([1.0, -1.0]), b=np.zeros(2), c=0.0, point=np.array([3.0, 0.0])
+    )
+    for qc, count, seed in ((disk, 700, 1), (hyperbola, 2000, 3)):
+        got = oracle.sample_quadratic_region(qc, count, seed=seed)
+        ref = _rejection_loop(box(qc), count, seed)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_sample_S_fills_a_count_near_the_attempt_budget():
+    # 600,000 points need one batch of 600,064 draws, inside the 10⁶ budget;
+    # a sampler that keeps one sign of the form finds about half of them
+    cf = wedge_canonical()
+    assert cf.case == "CASE2_CR"
+    W = oracle.sample_S(cf, 600_000, seed=0)
+    assert W.shape == (600_000, cf.n + cf.m + cf.l)
+    with pytest.raises(SamplingExhaustedError):
+        _one_sign_sample_S(cf, 600_000, seed=0)
+
+
 def test_sample_S_homogeneous_inequality():
     rng = np.random.default_rng(1)
     a = random_unit(rng, 2)
