@@ -55,15 +55,12 @@ class CutCertificate:
 
 
 def intersection_cut(
-    cone: SimplicialCone,
-    cf: spectral.CanonicalForm,
-    fs: freesets.FreeSetDescriptor,
+    cone: SimplicialCone, cf: spectral.CanonicalForm, fs: freesets.FreeSetDescriptor
 ) -> CutCertificate:
     """Assemble the intersection cut for one cone and free set."""
-    steps, residuals = freesets.boundary_steps(
-        fs, cf.map_point(cone.apex), cf.map_direction(cone.R.T)
-    )
-    if np.all(np.isinf(steps)):
+    apex, rays = cf.map_point(cone.apex), cf.map_direction(cone.R.T)
+    steps, residuals = freesets.boundary_steps(fs, apex, rays)
+    if np.isinf(steps).all():
         raise AllRaysRecessionError("free set contains the whole cone")
 
     weights = 1.0 / steps
@@ -73,22 +70,13 @@ def intersection_cut(
     rhs = -(1.0 + gamma @ cone.apex)
     violation = float(coef @ cone.apex - rhs)
     return CutCertificate(
-        steps=steps,
-        residuals=residuals,
-        coef=coef,
-        rhs=float(rhs),
-        apex_violation=violation,
-        weights=weights,
-        cone=cone,
-        canonical_form=cf,
-        free_set=fs,
+        steps=steps, residuals=residuals, coef=coef, rhs=float(rhs), apex_violation=violation,
+        weights=weights, cone=cone, canonical_form=cf, free_set=fs,
     )
 
 
 def separate(
-    qc: spectral.QuadraticConstraint,
-    cone: SimplicialCone,
-    zero_tol: float = 1e-9,
+    qc: spectral.QuadraticConstraint, cone: SimplicialCone, zero_tol: float = 1e-9
 ) -> CutCertificate:
     """End to end: canonicalize, build the free set, cut."""
     cf = spectral.canonicalize(qc, zero_tol=zero_tol)

@@ -12,12 +12,14 @@ Margins accept a single point or a batch of row points.  The families:
 * ``CRPhiLambda``  — the hyperplane-relative enlargement of CPhiLambda.
 * ``Halfspace``    — a single linear inequality (convex cases).
 
-Each descriptor also splits its margin along rays w₀ + t·r into pieces
-√(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀): ‖y‖, a circle support or a branch of φ,
-minus λᵀx (``_pieces``).  A piece's zeros are roots of a quadratic
-(``_piece_roots``), so ``boundary_steps`` takes each ray's step in closed
-form, certifies it with one margin call for all rays (its margin must be
-in [−tol, 0]), and brackets only the rays whose certificate fails.
+Each descriptor also splits its margin along rays w₀ + t·r, with the apex
+w₀ passed as one row, into pieces √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀): ‖y‖, a
+circle support or a branch of φ, minus λᵀx (``_pieces``), read into one
+coefficient table over pieces and rays.  A piece's zeros are roots of a
+quadratic (``_piece_roots``), so ``boundary_steps`` takes each ray's step
+in closed form and certifies it (its margin must be in [−tol, 0]) with one
+margin call for all rays at three points each; a ray none certifies tries
+two more in a second call, and only then is it bracketed.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ _T_CAP = 1e12
 _EPS = float(np.finfo(float).eps)
 # Each ray's closed-form step t is tried as t·_TOWARD_APEX, descending: a
 # root whose margin is > 0 by rounding is certified from a point just
-# inside it, the nearer the better.
-_TOWARD_APEX = 1.0 - np.array([[0.0, 4.0 * _EPS, 2.0**-44, 2.0**-38, 2.0**-32]])
+# inside it, the nearer the better.  The first call tries the first _FIRST.
+_TOWARD_APEX = 1.0 - np.array([0.0, 4.0 * _EPS, 2.0**-44, 2.0**-38, 2.0**-32])
+_FIRST = 3
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,16 @@ class FreeSetDescriptor:
     def _margin_rows(self, W):
         raise NotImplementedError
 
-    def _pieces(self, W0, R):
-        """The margin along the rays W0 + t·R (one ray per row of R, and W0
-        the apex on every row) as a list of pieces (q, ℓ, branch).  A piece
-        is √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀), each coefficient a column over
-        the rays.  It is the margin everywhere when branch is None, else
-        where the test λᵀa‖y‖ + dᵀy ≤ 0 of ``_gauge_parts`` equals flat, for
-        branch = (λᵀa, ‖y‖² as (q₂, q₁, q₀), dᵀy as (ℓ₁, ℓ₀), flat) along the
-        ray.  Every zero of the margin is a zero of a piece where it holds,
-        and no piece exceeds the margin where it holds.  A set known only
-        by its margin has no pieces, and its rays are bracketed."""
+    def _pieces(self, w0, R):
+        """The margin along the rays w0 + t·R (a ray per row of R, w0 the
+        apex as one row) as a list of pieces (coefficients, branch).  A piece
+        is √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀), coefficients (q₂, q₁, q₀, ℓ₁, ℓ₀)
+        over the rays, q₀ and ℓ₀ one value.  It is the margin everywhere
+        when branch is None, else where the test λᵀa‖y‖ + dᵀy ≤ 0 of
+        ``_gauge_parts`` equals flat, for branch = (λᵀa, ‖y‖² and dᵀy as
+        (q₂, q₁, q₀, ℓ₁, ℓ₀), flat) along the ray.  Every zero of the margin
+        is a zero of a piece where it holds, and no piece exceeds the margin
+        where it holds.  A set known only by its margin has no pieces."""
         return []
 
     def _split(self, w):
@@ -75,19 +78,18 @@ class FreeSetDescriptor:
 
 
 def _rows(X):
-    """Sum along each row, as a column; a row's sum never depends on the
-    other rows."""
-    return np.add.reduce(X, axis=1, keepdims=True)
+    """Sum along each row; a row's sum never depends on the other rows."""
+    return np.add.reduce(X, 1)
 
 
-def _dot(u, V0, V1):
-    """uᵀ(V0 + t·V1) as the column coefficients (ℓ₁, ℓ₀)."""
-    return _rows(V1 * u), _rows(V0 * u)
+def _dot(u, v0, V1):
+    """uᵀ(v0 + t·V1) as (ℓ₁, ℓ₀), for v0 one row (the apex): ℓ₀ is one value."""
+    return _rows(V1 * u), _rows(v0 * u)[0]
 
 
-def _sq_norm(V0, V1):
-    """‖V0 + t·V1‖² as the column coefficients (q₂, q₁, q₀)."""
-    return _rows(V1 * V1), 2.0 * _rows(V1 * V0), _rows(V0 * V0)
+def _sq_norm(v0, V1):
+    """‖v0 + t·V1‖² as (q₂, q₁, q₀), for v0 one row (the apex): q₀ is one value."""
+    return _rows(V1 * V1), 2.0 * _rows(V1 * v0), _rows(v0 * v0)[0]
 
 
 def _sub(lin, D, scale):
@@ -103,16 +105,16 @@ def _phi_pieces(cd, N, D, lin):
     lam_sq = max(1.0 - cd.lam_a**2, 0.0)
     curved = (lam_sq * (n2 - d1 * d1), lam_sq * (n1 - 2.0 * d1 * d0), lam_sq * (n0 - d0 * d0))
     return [
-        (N, lin, (cd.lam_a, N, D, True)),
-        (curved, _sub(lin, D, -cd.lam_a), (cd.lam_a, N, D, False)),
+        (N + lin, (cd.lam_a, N + D, True)),
+        (curved + _sub(lin, D, -cd.lam_a), (cd.lam_a, N + D, False)),
     ]
 
 
 def _piece_roots(q2, q1, q0, l1, l0):
-    """The roots t of √(q₂t² + q₁t + q₀) = ℓ₁t + ℓ₀ that have ℓ₁t + ℓ₀ ≥ 0,
-    for coefficients of shape (rays, pieces): each piece's two roots, in
-    columns j and pieces + j, NaN where there is none.  q ≡ 0 gives a
-    linear piece ℓ₁t + ℓ₀ = 0.
+    """(T, valid): the roots t of √(q₂t² + q₁t + q₀) = ℓ₁t + ℓ₀ for
+    coefficients of shape (pieces, rays), each piece's two as T[0] and T[1]
+    (NaN or ±inf where there is none), and where ℓ₁t + ℓ₀ ≥ 0 at them.
+    q ≡ 0 gives a linear piece ℓ₁t + ℓ₀ = 0.
 
     Squared, the equation is At² + 2Bt + C = 0 with A = ℓ₁² − q₂,
     B = ℓ₁ℓ₀ − q₁/2 and C = ℓ₀² − q₀.  Its roots are C/S and S/A with
@@ -128,10 +130,11 @@ def _piece_roots(q2, q1, q0, l1, l0):
     C = l0 * l0 - q0
     disc = l1 * (l1 * q0 - 2.0 * l0 * h1) + l0 * l0 * q2 + h1 * h1 - q2 * q0
     S = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
-    T = np.concatenate((C / S, S / A), axis=1)
-    slope_t, offset = np.concatenate((l1, l1), axis=1) * T, np.concatenate((l0, l0), axis=1)
-    T[~(slope_t + offset >= -8.0 * _EPS * (np.abs(slope_t) + np.abs(offset)))] = np.nan
-    return T
+    T = np.empty((2,) + S.shape)
+    np.divide(C, S, out=T[0])
+    np.divide(S, A, out=T[1])
+    slope_t = l1 * T
+    return T, slope_t + l0 >= -8.0 * _EPS * (np.abs(slope_t) + np.abs(l0))
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,11 @@ class CLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return np.linalg.norm(y, axis=1) - (x * self.lam).sum(axis=1)
+        return np.sqrt(_rows(y * y)) - _rows(x * self.lam)
 
-    def _pieces(self, W0, R):
-        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
-        return [(_sq_norm(y0, y1), _dot(self.lam, x0, x1), None)]
+    def _pieces(self, w0, R):
+        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
+        return [(_sq_norm(y0, y1) + _dot(self.lam, x0, x1), None)]
 
 
 @dataclass(frozen=True)
@@ -153,21 +156,17 @@ class CGLambda(FreeSetDescriptor):
     forced: bool = False
 
     def __post_init__(self):
-        if not self.forced:
-            norm_a = np.linalg.norm(self.cd.a)
-            if norm_a > self.cd.d_norm + 1e-12 or self.m <= 1:
-                raise ValueError(
-                    "CGLambda needs ‖a‖ ≤ ‖d‖ and m > 1 (pass forced=True to bypass)"
-                )
+        if not self.forced and (np.linalg.norm(self.cd.a) > self.cd.d_norm + 1e-12 or self.m <= 1):
+            raise ValueError("CGLambda needs ‖a‖ ≤ ‖d‖ and m > 1 (pass forced=True to bypass)")
 
     def _margin_rows(self, W):
         """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
         x, y = self._split(W)
         cd = self.cd
-        return _cap_support(cd, y, relaxed=False) - (x * cd.lam).sum(axis=1)
+        return _cap_support(cd, y, relaxed=False) - _rows(x * cd.lam)
 
-    def _pieces(self, W0, R):
-        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+    def _pieces(self, w0, R):
+        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
         return _cap_pieces(self.cd, y0, y1, False, _dot(self.cd.lam, x0, x1))
 
 
@@ -175,16 +174,10 @@ def _cap_slopes(cd: CaseData, relaxed: bool) -> list[float]:
     """For m = 1, the slope of ``_cap_support`` along t for each unit
     direction β = ±1 inside the cap."""
     c, d1 = -cd.lam_a, float(cd.d[0])
-    slopes = []
-    for beta in (-1.0, 1.0):
-        if relaxed and d1 * beta >= c:
-            slopes.append(
-                beta * math.sqrt(max((1.0 - cd.lam_a**2) * (1.0 - d1 * d1), 0.0))
-                - cd.lam_a * d1
-            )
-        elif not relaxed and d1 * beta <= c:
-            slopes.append(beta)
-    return slopes
+    if relaxed:
+        curved = math.sqrt(max((1.0 - cd.lam_a**2) * (1.0 - d1 * d1), 0.0))
+        return [beta * curved - cd.lam_a * d1 for beta in (-1.0, 1.0) if d1 * beta >= c]
+    return [beta for beta in (-1.0, 1.0) if d1 * beta <= c]
 
 
 def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
@@ -200,62 +193,56 @@ def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     ``_circle_support``.  An empty cap yields −inf.  ``_cap_pieces``
     follows the same branches.
     """
-    c = -cd.lam_a
-    empty = np.full(t.shape[0], -np.inf)
+    c, nd = -cd.lam_a, cd.d_norm
     if cd.d.shape[0] == 1:
-        out = empty
+        out = np.full(t.shape[0], -np.inf)
         for slope in _cap_slopes(cd, relaxed):
             out = np.maximum(out, slope * t[:, 0])
         return out
-    nd = cd.d_norm
+    if (c > nd) if relaxed else (c < -nd):
+        return np.full(t.shape[0], -np.inf)  # an empty cap
+    if relaxed and (c < -nd or nd == 0.0):
+        return phi_value(cd, t)
     nt, dt, flat = _gauge_parts(cd, t)[:3]
     if relaxed:
-        if c > nd:
-            return empty
-        if c < -nd or nd == 0.0:
-            return phi_value(cd, t)
         return np.where(flat, _circle_support(cd, nt, dt, c), phi_value(cd, t))
     if c >= nd:
         return nt
-    if c < -nd:
-        return empty
     return np.where(flat, nt, _circle_support(cd, nt, dt, c))
 
 
-def _cap_pieces(cd: CaseData, T0, T1, relaxed: bool, lin) -> list:
-    """``_cap_support(cd, T0 + t·T1, relaxed)`` − (ℓ₁t + ℓ₀) as pieces, branch
-    by branch as ``_cap_support`` takes them."""
+def _cap_pieces(cd: CaseData, t0, T1, relaxed: bool, lin) -> list:
+    """``_cap_support(cd, t0 + t·T1, relaxed)`` − (ℓ₁t + ℓ₀) as pieces, branch
+    by branch as ``_cap_support`` takes them, for t0 the apex part as one row."""
     c = -cd.lam_a
     if cd.d.shape[0] == 1:
-        zero = (np.zeros_like(T1),) * 3
-        return [(zero, _sub(lin, (T1, T0), s), None) for s in _cap_slopes(cd, relaxed)]
+        line = (T1[:, 0], t0[0, 0])
+        return [((0.0,) * 3 + _sub(lin, line, s), None) for s in _cap_slopes(cd, relaxed)]
     nd = cd.d_norm
     if (c > nd) if relaxed else (c < -nd):
         return []  # an empty cap: the support is −inf and has no zero
-    N = _sq_norm(T0, T1)
+    N = _sq_norm(t0, T1)
     if not relaxed and c >= nd:
-        return [(N, lin, None)]
-    D = _dot(cd.d, T0, T1)
+        return [(N + lin, None)]
+    D = _dot(cd.d, t0, T1)
     if relaxed and (c < -nd or nd == 0.0):
         return _phi_pieces(cd, N, D, lin)
     # the circle support (c/‖d‖²)·dᵀt + h·√(‖t‖² − (dᵀt/‖d‖)²), h² = 1 − (c/‖d‖)²
     (n2, n1, n0), (e1, e0) = N, (D[0] / nd, D[1] / nd)
     h_sq = max(1.0 - (c / nd) ** 2, 0.0)
     circle = (h_sq * (n2 - e1 * e1), h_sq * (n1 - 2.0 * e1 * e0), h_sq * (n0 - e0 * e0))
-    circle = (circle, _sub(lin, D, c / nd**2), (cd.lam_a, N, D, relaxed))
+    circle = (circle + _sub(lin, D, c / nd**2), (cd.lam_a, N + D, relaxed))
     if relaxed:
         return [circle, _phi_pieces(cd, N, D, lin)[1]]
-    return [(N, lin, (cd.lam_a, N, D, True)), circle]
+    return [(N + lin, (cd.lam_a, N + D, True)), circle]
 
 
-def _circle_support(
-    cd: CaseData, nt: np.ndarray, dt: np.ndarray, c: float
-) -> np.ndarray:
+def _circle_support(cd: CaseData, nt: np.ndarray, dt: np.ndarray, c: float) -> np.ndarray:
     """Support of ⟨β, t⟩ over the circle {‖β‖ = 1, dᵀβ = c}, per row of t,
     from the row norms nt = ‖t‖ and the products dt = dᵀt."""
     nd = cd.d_norm
     height = math.sqrt(max(1.0 - (c / nd) ** 2, 0.0))
-    tang = np.sqrt(np.clip(nt * nt - (dt / nd) ** 2, 0.0, None))
+    tang = np.sqrt(np.maximum(nt * nt - (dt / nd) ** 2, 0.0))
     return (c / nd**2) * dt + height * tang
 
 
@@ -265,10 +252,10 @@ class CPhiLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return phi_value(self.cd, y) - (x * self.cd.lam).sum(axis=1)
+        return phi_value(self.cd, y) - _rows(x * self.cd.lam)
 
-    def _pieces(self, W0, R):
-        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
+    def _pieces(self, w0, R):
+        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
         cd = self.cd
         return _phi_pieces(cd, _sq_norm(y0, y1), _dot(cd.d, y0, y1), _dot(cd.lam, x0, x1))
 
@@ -294,19 +281,17 @@ class CRPhiLambda(FreeSetDescriptor):
         """
         cd = self.cd
         x, y = self._split(W)
-        lam_x = (x * cd.lam).sum(axis=1)
+        lam_x = _rows(x * cd.lam)
         shift = 1.0 / (1.0 - cd.d_norm**2)
-        y0 = cd.d * shift
         unrelaxed = _cap_support(cd, y, relaxed=False)
-        relaxed = _cap_support(cd, y - y0, relaxed=True)
+        relaxed = _cap_support(cd, y - cd.d * shift, relaxed=True)
         return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
 
-    def _pieces(self, W0, R):
+    def _pieces(self, w0, R):
         """The unrelaxed cap's pieces in y and the relaxed cap's in y − y₀."""
         cd = self.cd
-        (x0, y0), (x1, y1) = self._split(W0), self._split(R)
-        lin = _dot(cd.lam, x0, x1)
-        shift = 1.0 / (1.0 - cd.d_norm**2)
+        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
+        lin, shift = _dot(cd.lam, x0, x1), 1.0 / (1.0 - cd.d_norm**2)
         return _cap_pieces(cd, y0, y1, False, lin) + _cap_pieces(
             cd, y0 - cd.d * shift, y1, True, (lin[0], lin[1] + cd.lam_a * shift)
         )
@@ -318,18 +303,17 @@ class Halfspace(FreeSetDescriptor):
     rhs: float = 0.0
 
     def _margin_rows(self, W):
-        return (W * self.coef).sum(axis=1) - self.rhs
+        return _rows(W * self.coef) - self.rhs
 
-    def _pieces(self, W0, R):
-        l1, l0 = _dot(self.coef, W0, R)
-        return [((np.zeros_like(l1),) * 3, (-l1, self.rhs - l0), None)]
+    def _pieces(self, w0, R):
+        l1, l0 = _dot(self.coef, w0, R)
+        return [((0.0,) * 3 + (-l1, self.rhs - l0), None)]
 
 
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
     """Pick the maximal free set matching the canonical case tag; an empty
     feasible region raises ``EmptySError``."""
-    n, m, l = cf.n, cf.m, cf.l
-    case = cf.case
+    n, m, l, case = cf.n, cf.m, cf.l, cf.case
     if case == spectral.CASE_EMPTY_S:
         raise EmptySError("the feasible region is empty; there is nothing to cut")
     if case == spectral.CASE_HOMOG_H_NONZERO:
@@ -366,10 +350,13 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
 
 
-def _columns(rows):
-    """Tuples of coefficient columns, one tuple per piece, as one array
-    per coefficient with a column per piece."""
-    return tuple(np.concatenate(c, axis=1) for c in zip(*rows))
+def _table(k, rows):
+    """Rows of coefficients over k rays (arrays, or one value) as one array."""
+    out = np.empty((len(rows[0]), len(rows), k))
+    for j, row in enumerate(rows):
+        for i, value in enumerate(row):
+            out[i, j] = value
+    return out
 
 
 def _step_candidates(fs, apex, rays) -> np.ndarray:
@@ -377,23 +364,26 @@ def _step_candidates(fs, apex, rays) -> np.ndarray:
     that piece holds, then t moved toward the apex by the relative
     amounts in ``_TOWARD_APEX``: one row per ray, NaN where no zero."""
     k = rays.shape[0]
-    pieces = fs._pieces(np.repeat(apex[None, :], k, axis=0), rays)
+    pieces = fs._pieces(apex[None, :], rays)
     if not pieces:
-        return np.full((k, 1), np.nan)
+        return np.full((k, _TOWARD_APEX.size), np.nan)
+    coefs, branches = zip(*pieces)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = _piece_roots(*_columns([q + lin for q, lin, _ in pieces]))
-        branched = [j for j, (_, _, branch) in enumerate(pieces) if branch is not None]
-        if branched:
-            # piece j's roots are columns j and len(pieces) + j
-            cols = branched + [len(pieces) + j for j in branched]
-            lam_a, N, D, flat = zip(*[pieces[j][2] for j in branched] * 2)
-            n2, n1, n0, d1, d0 = _columns([n + d for n, d in zip(N, D)])
-            Tb = T[:, cols]
-            ny = np.sqrt(np.maximum((n2 * Tb + n1) * Tb + n0, 0.0))
-            holds = (np.array(lam_a) * ny + (d1 * Tb + d0) <= 0.0) == np.array(flat)
-            T[:, cols] = np.where(holds, Tb, np.nan)
-        T[~((T > 0.0) & (T < _T_CAP))] = np.nan
-    return np.fmin.reduce(T, axis=1, keepdims=True) * _TOWARD_APEX
+        T, valid = _piece_roots(*_table(k, coefs))
+        if any(branches):
+            # an unbranched piece's test holds at every finite root
+            lam_a, nd, flat = zip(*[b or (0.0, (0.0,) * 5, True) for b in branches])
+            n2, n1, n0, d1, d0 = _table(k, nd)
+            ny = np.sqrt(np.maximum((n2 * T + n1) * T + n0, 0.0))
+            lam_a, flat = np.array(lam_a)[:, None], np.array(flat)[:, None]
+            valid &= (lam_a * ny + (d1 * T + d0) <= 0.0) == flat
+        t = np.fmin.reduce(T, axis=(0, 1), where=valid & (T > 0.0) & (T < _T_CAP), initial=np.nan)
+    return t[:, None] * _TOWARD_APEX
+
+
+def _points(apex, rays, T):
+    """apex + t·r for each candidate t in row r of T, as rows."""
+    return (apex + T[:, :, None] * rays[:, None, :]).reshape(-1, apex.size)
 
 
 def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -401,46 +391,61 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
     rays together; returns the arrays (steps, residuals).
 
     Along a ray, f(t) = margin(apex + t·r) is convex (a support function
-    minus a linear term) with f(0) < 0, so {f ≤ 0} is [0, t*].  Each
-    family splits f into pieces √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀) (see
-    ``FreeSetDescriptor._pieces``); a piece's zeros are roots of the
-    quadratic (ℓ₁t + ℓ₀)² = q₂t² + q₁t + q₀, and t* is the least of them
-    where its piece holds, since no piece exceeds f.  Rounding can put
-    that root just outside, so it is also tried 4 ulps toward the apex,
-    and 2⁻⁴⁴, 2⁻³⁸ and 2⁻³² relative.
+    minus a linear term) with f(0) < 0, so {f ≤ 0} is [0, t*].  t* is the
+    least zero of a piece of f where that piece holds (see
+    ``FreeSetDescriptor._pieces``), since no piece exceeds f.  Rounding can
+    put it just outside, so it is also tried 4 ulps toward the apex, and
+    2⁻⁴⁴, 2⁻³⁸ and 2⁻³² relative.
 
-    One margin call takes the apex, these candidates and t = 1e12.
-    f(1e12) ≤ 0 makes f ≤ 0 on [0, 1e12], a recession ray with step +inf
-    and residual 0.  Otherwise the step is the largest candidate whose
-    margin, the residual, is in [−tol, 0]: by convexity it lies in the
-    band of [0, t*] where f ≥ −tol.  A ray with no such candidate is
-    bracketed (``_bracket``) between its largest interior candidate, or
-    the apex, and its least exterior one, or 1e12.
+    One margin call takes the apex, the first three of these candidates
+    and t = 1e12.  f(1e12) ≤ 0 makes f ≤ 0 on [0, 1e12], a recession ray
+    with step +inf and residual 0.  Otherwise the step is the largest
+    candidate whose margin, the residual, is in [−tol, 0]: by convexity it
+    lies in the band of [0, t*] where f ≥ −tol.  A ray none of the first
+    three certifies gets the last two in a second call, and one none
+    certifies is bracketed (``_bracket``) between its largest interior
+    candidate, or the apex, and its least exterior one, or 1e12.
 
     No step depends on the other rays, since every coefficient and margin
     is summed along its own row.  The apex must be interior.
     """
-    apex = np.asarray(apex, dtype=float).reshape(-1)
-    rays = np.asarray(rays, dtype=float)
-    if not np.all(np.abs(rays).max(axis=1, initial=0.0) > 0.0):
+    apex, rays = np.asarray(apex, dtype=float).reshape(-1), np.asarray(rays, dtype=float)
+    if not (np.abs(rays).max(1) > 0.0).all():
         raise ValueError("every ray must be nonzero")
+    k = rays.shape[0]
     T = _step_candidates(fs, apex, rays)
-    has = np.flatnonzero(~np.isnan(T[:, 0]))  # the rays with candidates
-    W = (apex + T[has, :, None] * rays[has, None, :]).reshape(-1, apex.size)
-    v = fs.margin(np.vstack([apex, W, apex + _T_CAP * rays]))
-    m0, v_cap = v[0], v[1 + len(W) :]
+    W = _points(apex, rays, T[:, :_FIRST])
+    v = fs.margin(np.concatenate((apex[None, :], W, apex + _T_CAP * rays)))
+    m0, v_cap = v[0], v[1 + _FIRST * k :]
     if not m0 < -tol:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
-    V = np.full(T.shape, np.nan)
-    V[has] = v[1 : 1 + len(W)].reshape(has.size, T.shape[1])
-
-    r = np.arange(T.shape[0])
-    certified = np.where((V >= -tol) & (V <= 0.0), T, -np.inf)
-    best = np.argmax(certified, axis=1)
-    steps, residuals = certified[r, best], V[r, best]
-    recedes = v_cap <= 0.0
+    V = v[1 : 1 + _FIRST * k].reshape(k, _FIRST)
+    ok = (V >= -tol) & (V <= 0.0) & (T[:, :_FIRST] > 0.0)  # T is NaN with no candidate
+    r, best = np.arange(k), ok.argmax(axis=1)  # the first certified is the largest
+    steps, residuals, recedes = T[r, best], V[r, best], v_cap <= 0.0
     steps[recedes], residuals[recedes] = np.inf, 0.0
-    open_ = np.flatnonzero(steps == -np.inf)
+    open_ = (~(ok[r, best] | recedes)).nonzero()[0]
+    if open_.size:
+        steps[open_], residuals[open_] = _settle(
+            fs, apex, rays[open_], T[open_], V[open_], m0, v_cap[open_], tol
+        )
+    return steps, residuals
+
+
+def _settle(fs, apex, rays, T, V_first, m0, v_cap, tol):
+    """(steps, residuals) for rays that neither recede nor are certified by
+    their first candidates: the margins of the rest of the candidates in a
+    second call, then ``_bracket`` for the rays none of them certifies."""
+    has = T[:, 0] > 0.0  # the rays with candidates; the others' margins are not read
+    V = np.full(T.shape, np.nan)
+    V[has, :_FIRST] = V_first[has]
+    if has.any():
+        W = _points(apex, rays[has], T[has, _FIRST:])
+        V[has, _FIRST:] = fs.margin(W).reshape(-1, T.shape[1] - _FIRST)
+    r, certified = np.arange(len(T)), np.where((V >= -tol) & (V <= 0.0), T, -np.inf)
+    best = certified.argmax(axis=1)
+    steps, residuals = certified[r, best], V[r, best]
+    open_ = (steps == -np.inf).nonzero()[0]
     if open_.size:
         T, V, r = T[open_], V[open_], r[: open_.size]
         outside = np.where(V > 0.0, T, np.inf)

@@ -70,11 +70,12 @@ def _rejection_sample(
     first ``need`` accepted rows among ``batch`` attempts (fewer if fewer
     are accepted).  A batch is ``attempts_per_row`` attempts for each row
     still missing, the inverse of the acceptance rate the sampler expects,
-    plus 64; raises once ``_MAX_ATTEMPTS`` are spent."""
+    plus 64; raises after max(``_MAX_ATTEMPTS``, 2·attempts_per_row·count)."""
+    budget = max(_MAX_ATTEMPTS, 2 * attempts_per_row * count)
     rng = np.random.default_rng(seed)
     rows, have, attempts = [], 0, 0
-    while have < count and attempts < _MAX_ATTEMPTS:
-        batch = min(attempts_per_row * (count - have) + 64, _MAX_ATTEMPTS - attempts)
+    while have < count and attempts < budget:
+        batch = min(attempts_per_row * (count - have) + 64, budget - attempts)
         attempts += batch
         rows.append(draw(rng, batch, count - have))
         have += rows[-1].shape[0]

@@ -69,32 +69,33 @@ class QuadraticConstraint:
     def __call__(self, s: np.ndarray):
         """q at a point (a float) or at each row of s (an array)."""
         s = np.asarray(s, dtype=float)
-        vals = np.sum((s @ self.Q) * s, axis=-1) + s @ self.b + self.c
+        vals = ((s @ self.Q) * s).sum(axis=-1) + s @ self.b + self.c
         return float(vals) if s.ndim == 1 else vals
+
+
+def _descending(eig: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh``'s pairs descending, each vector signed so its largest-magnitude entry is positive."""
+    eig, V = eig[::-1], V[:, ::-1]
+    return eig, V * np.sign(V[np.abs(V).argmax(0), np.arange(V.shape[1])])
 
 
 def eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a symmetric matrix in descending order and the
     matching orthonormal eigenvector columns, each signed so that its
     largest-magnitude entry is positive."""
-    eig, V = np.linalg.eigh(_as_symmetric(A))
-    eig, V = eig[::-1], V[:, ::-1]
-    cols = np.arange(V.shape[1])
-    V = V * np.sign(V[np.argmax(np.abs(V), axis=0), cols])
-    return eig, V
+    return _descending(*np.linalg.eigh(_as_symmetric(A)))
 
 
 def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
     """Homogenize (Q, b, c) so (s,1)ᵀ Q̃ (s,1) = q(s)."""
     Q = np.asarray(Q, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1, 1)
-    if b.shape[0] != Q.shape[0]:
+    half_b = np.asarray(b, dtype=float).reshape(-1, 1) / 2.0
+    if half_b.shape[0] != Q.shape[0]:
         raise ValueError("Q and b have inconsistent dimensions")
     p = Q.shape[0]
     Qt = np.empty((p + 1, p + 1))
     Qt[:p, :p] = Q
-    Qt[:p, p:] = b / 2.0
-    Qt[p:, :p] = b.T / 2.0
+    Qt[:p, p:], Qt[p:, :p] = half_b, half_b.T
     Qt[p, p] = float(c)
     return Qt
 
@@ -129,6 +130,11 @@ class CanonicalForm:
         """Image of an s-space direction, or of each row of r, under the
         linear part of M."""
         return np.asarray(r, dtype=float) @ self.M[:, :-1].T
+
+
+def _norm(v: np.ndarray) -> float:
+    """‖v‖ as ``np.linalg.norm`` computes it, without its dispatch."""
+    return np.sqrt(v.dot(v))
 
 
 def _require_violated(q_bar: float, zero_tol: float) -> None:
@@ -170,11 +176,11 @@ class Decomposition:
     def _form(self, point: np.ndarray) -> CanonicalForm:
         wbar = self.M0 @ np.concatenate([point, [1.0]])
         xbar = wbar[: self.n]
-        lam = xbar / np.linalg.norm(xbar)
+        lam = xbar / _norm(xbar)
         case, mu = self.case, self.mu
         if mu is not None:
             wbar = mu * wbar
-            if np.linalg.norm(lam + self.a) <= self.zero_tol:
+            if _norm(lam + self.a) <= self.zero_tol:
                 case = CASE_CASE2_CR_LAMBDA_NEG_A
         return CanonicalForm(
             n=self.n, m=self.m, l=self.l, M=self.M, a=self.a, d=self.d, h=self.h,
@@ -190,23 +196,22 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Decomposition:
     Raises DegenerateQuadraticError when every lifted eigenvalue vanishes
     and NotSeparableError when none is positive.
     """
-    Qt = lift(qc.Q, qc.b, qc.c)
-    eig, V = eigen(Qt)
-    max_abs = float(np.max(np.abs(eig)))
+    # Q̃ is symmetric as built: qc.Q is symmetrised by QuadraticConstraint.
+    eig, V = _descending(*np.linalg.eigh(lift(qc.Q, qc.b, qc.c)))
+    max_abs = float(max(eig[0], -eig[-1]))
     if max_abs <= zero_tol:
         raise DegenerateQuadraticError("all lifted eigenvalues vanish")
 
-    thresh = zero_tol * max_abs
-    pos = np.flatnonzero(eig > thresh)
-    neg = np.flatnonzero(eig < -thresh)
-    zer = np.flatnonzero(np.abs(eig) <= thresh)
-    n, m, l = len(pos), len(neg), len(zer)
+    # eig descends: n positive values lead, m negative trail, l zero between
+    k, thresh = eig.size, zero_tol * max_abs
+    n, m = int(np.count_nonzero(eig > thresh)), int(np.count_nonzero(eig < -thresh))
     if n == 0:
         raise NotSeparableError("quadratic has no positive directions; q ≤ 0 cannot be violated")
 
     # Rows of M: scaled eigenvector rows permuted to (x, y, z) order.
-    sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
-    perm = np.concatenate([pos, neg, zer])
+    sigma = np.sqrt(np.abs(eig))
+    sigma[n : k - m] = 1.0
+    perm = np.array([*range(n), *range(k - m, k), *range(n, k - m)])
     M0 = M = (sigma[:, None] * V.T)[perm]
 
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
@@ -216,17 +221,17 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Decomposition:
     mu = None  # the case-2 rescaling factor
     if m == 0:
         case = CASE_EMPTY_S
-    elif np.linalg.norm(h) > zero_tol * (1.0 + float(np.linalg.norm(g))):
+    elif _norm(h) > zero_tol * (1.0 + _norm(g)):
         case = CASE_HOMOG_H_NONZERO
-    elif np.linalg.norm(a) <= np.linalg.norm(d):
+    elif _norm(a) <= _norm(d):
         case = CASE_CASE1_CGLAMBDA if m > 1 else CASE_CONVEX_M1
     else:
         # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
-        mu = np.linalg.norm(a)
+        mu = _norm(a)
         M, a, d, h = mu * M, a / mu, d / mu, h / mu
         case = CASE_CASE2_CR
     return Decomposition(
-        qc=qc, zero_tol=zero_tol, n=n, m=m, l=l, M0=M0, M=M, a=a, d=d, h=h,
+        qc=qc, zero_tol=zero_tol, n=n, m=m, l=k - n - m, M0=M0, M=M, a=a, d=d, h=h,
         eigenvalues=eig, case=case, mu=mu,
     )
 

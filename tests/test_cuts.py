@@ -3,9 +3,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance, random_orthogonal, wedge_canonical, wedge_constraint
-from quadfree import oracle, spectral
+from quadfree import freesets, oracle, spectral
 from quadfree.corefns import CaseData
 from quadfree.cuts import CutCertificate, SimplicialCone, intersection_cut, separate
 from quadfree.errors import AllRaysRecessionError, EmptySError
@@ -203,6 +205,56 @@ def test_scale_equivariance_of_cut():
     # the s-space cut is the same inequality
     assert np.allclose(scaled.coef, base.coef, atol=1e-10)
     assert scaled.rhs == pytest.approx(base.rhs, abs=1e-10)
+
+
+def _draw_cut(data):
+    """A random instance, an orthogonal cone at its point and the cut, or
+    None when there is no cut."""
+    p = data.draw(st.integers(1, 8), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    R = random_orthogonal(rng, p)
+    try:
+        return qc, R, separate(qc, SimplicialCone(apex=qc.point, R=R))
+    except (EmptySError, AllRaysRecessionError):
+        return None
+
+
+def _normalised(cert):
+    cut = np.append(cert.coef, cert.rhs)
+    return cut / np.linalg.norm(cut)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_permuting_rays_permutes_the_steps(data):
+    drawn = _draw_cut(data)
+    if drawn is None:
+        return
+    qc, R, base = drawn
+    perm = data.draw(st.permutations(range(R.shape[1])), label="perm")
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=R[:, perm]))
+    assert cert.steps.tobytes() == base.steps[perm].tobytes()
+    assert cert.residuals.tobytes() == base.residuals[perm].tobytes()
+    assert np.max(np.abs(_normalised(cert) - _normalised(base))) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_scaling_a_ray_by_a_power_of_two_divides_its_step(data):
+    drawn = _draw_cut(data)
+    if drawn is None:
+        return
+    qc, R, base = drawn
+    k = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=R.shape[1], max_size=R.shape[1])))
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=R * 2.0**k))
+    # Steps from 2⁻⁸·1e12 up may move across the 1e12 recession test.
+    near_cap = np.fmin(base.steps, cert.steps * 2.0**k) >= freesets._T_CAP / 2.0**8
+    assert np.array_equal(cert.steps[~near_cap], base.steps[~near_cap] / 2.0 ** k[~near_cap])
+    assert np.array_equal(cert.residuals[~near_cap], base.residuals[~near_cap])
+    assert np.max(np.abs(_normalised(cert) - _normalised(base))) <= 1e-12
 
 
 def test_step_monotonicity_under_set_enlargement():

@@ -541,6 +541,82 @@ def test_rounding_past_the_boundary_falls_back_to_bracketing(monkeypatch):
     assert fs.margin(apex + steps[0] * rays[0]) == residuals[0]
 
 
+def _all_candidates(fs, apex, rays, tol=1e-9):
+    """The steps from one margin call over every candidate of every ray:
+    the largest certified candidate, else bracketing from the tightest
+    interior and exterior candidates.  The reference for the certificate
+    that tries the first candidates alone first."""
+    T = freesets._step_candidates(fs, apex, rays)
+    V = np.full(T.shape, np.nan)
+    has = ~np.isnan(T[:, 0])
+    W = (apex + T[has, :, None] * rays[has, None, :]).reshape(-1, apex.size)
+    v = fs.margin(np.vstack([apex, W, apex + freesets._T_CAP * rays]))
+    m0, v_cap = v[0], v[1 + len(W) :]
+    V[has] = v[1 : 1 + len(W)].reshape(-1, T.shape[1])
+    r = np.arange(len(rays))
+    certified = np.where((V >= -tol) & (V <= 0.0), T, -np.inf)
+    best = np.argmax(certified, axis=1)
+    steps, residuals = certified[r, best], V[r, best]
+    recedes = v_cap <= 0.0
+    steps[recedes], residuals[recedes] = np.inf, 0.0
+    for j in np.flatnonzero(steps == -np.inf):
+        outside, inside = V[j] > 0.0, V[j] <= 0.0
+        hi = T[j][outside].min() if outside.any() else freesets._T_CAP
+        v_hi = V[j][T[j] == hi][0] if outside.any() else v_cap[j]
+        inside &= T[j] < hi
+        lo = T[j][inside].max() if inside.any() else 0.0
+        v_lo = V[j][T[j] == lo][0] if inside.any() else m0
+        (steps[j],), (residuals[j],) = freesets._bracket(
+            fs, apex, rays[j : j + 1], m0, np.array([lo]), np.array([v_lo]),
+            np.array([hi]), np.array([v_hi]), tol,
+        )
+    return steps, residuals
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_first_candidates_certify_as_all_candidates_do(data):
+    p = data.draw(st.integers(1, 8), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    cf = spectral.canonicalize(qc)
+    if cf.case == spectral.CASE_EMPTY_S:
+        return
+    scale = data.draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-11, 1e-12]), min_size=p, max_size=p))
+    apex = cf.map_point(qc.point)
+    rays = cf.map_direction(random_orthogonal(rng, p) * np.array(scale)[:, None])
+    for fs in _families(cf, apex):
+        steps, residuals = boundary_steps(fs, apex, rays)
+        ref_steps, ref_residuals = _all_candidates(fs, apex, rays)
+        assert steps.tobytes() == ref_steps.tobytes(), type(fs).__name__
+        assert residuals.tobytes() == ref_residuals.tobytes(), type(fs).__name__
+
+
+def test_rays_certified_late_take_a_second_margin_call(monkeypatch):
+    # Apexes just inside ‖y‖ ≤ x and rays almost along the cone's surface,
+    # where the first three candidates have margin 4.4e-16 > 0 by rounding:
+    # one ray is certified 2⁻³⁸ toward the apex and one 2⁻³², each found by
+    # a search over such rays.  A third ray is certified at its root.
+    fs = CLambda(1, 2, 0, lam=np.array([1.0]))
+    cases = [
+        (5.01731372068164e-06, [-1.2313579663636926e-06, 7.798711114410413e-08, 4.413139492972284e-06], 3),
+        (4.856772790399065e-07, [-5.011242852588721e-06, 8.514291544288374e-08, 3.136873509025925e-06], 4),
+        (0.5, [-1.0, 0.0, 1.0], 0),
+    ]
+    for delta, ray, index in cases:
+        apex, rays = np.array([3.0, 3.0 * (1.0 - delta), 0.0]), np.array([ray])
+        T = freesets._step_candidates(fs, apex, rays)[0]
+        V = fs.margin(apex + T[:, None] * rays[0])
+        assert np.argmax((V >= -1e-9) & (V <= 0.0)) == index and np.all(V[:index] > 0.0)
+        counts = _count_calls(monkeypatch)
+        steps, residuals = boundary_steps(fs, apex, rays)
+        assert counts == {"margin": 1 if index < 3 else 2, "bracket": 0}
+        assert steps[0] == T[index] and residuals[0] == V[index]
+        monkeypatch.undo()
+
+
 def test_boundary_step_wedge_matches_closed_form(cd_wedge):
     # On each branch the margin is linear in t up to a square root of a
     # quadratic, so the step can be verified by evaluating the margin

@@ -195,6 +195,14 @@ def test_sample_S_fills_a_count_near_the_attempt_budget():
         _one_sign_sample_S(cf, 600_000, seed=0)
 
 
+def test_sample_S_fills_a_count_past_the_attempt_floor():
+    # 1,100,000 points take one batch of 1,100,064 draws: more than 10⁶,
+    # within the budget of twice the expected draws
+    cf = wedge_canonical()
+    W = oracle.sample_S(cf, 1_100_000, seed=0)
+    assert W.shape == (1_100_000, cf.n + cf.m + cf.l)
+
+
 def test_sample_S_homogeneous_inequality():
     rng = np.random.default_rng(1)
     a = random_unit(rng, 2)

@@ -135,6 +135,59 @@ def test_lift_is_the_block_matrix_bit_for_bit():
         assert np.array_equal(lift(Q, b, c), block)
 
 
+# --- decompose --------------------------------------------------------------
+
+
+def _decompose_by_eigen(qc, zero_tol=1e-9):
+    """The point-free part of the canonical form by the route ``decompose``
+    replaced: ``eigen`` (with its symmetry check) on lift(Q, b, c), index
+    lists per sign and ``np.linalg.norm``; the reference for ``decompose``."""
+    eig, V = eigen(lift(qc.Q, qc.b, qc.c))
+    thresh = zero_tol * float(np.max(np.abs(eig)))
+    pos, neg = np.flatnonzero(eig > thresh), np.flatnonzero(eig < -thresh)
+    zer = np.flatnonzero(np.abs(eig) <= thresh)
+    n, m = len(pos), len(neg)
+    sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
+    perm = np.concatenate([pos, neg, zer])
+    M = (sigma[:, None] * V.T)[perm]
+    g = -(V[-1] / sigma)[perm]
+    a, d, h = g[:n], g[n : n + m], g[n + m :]
+    mu = None
+    if m == 0:
+        case = CASE_EMPTY_S
+    elif np.linalg.norm(h) > zero_tol * (1.0 + float(np.linalg.norm(g))):
+        case = CASE_HOMOG_H_NONZERO
+    elif np.linalg.norm(a) <= np.linalg.norm(d):
+        case = CASE_CASE1_CGLAMBDA if m > 1 else CASE_CONVEX_M1
+    else:
+        mu = np.linalg.norm(a)
+        M, a, d, h = mu * M, a / mu, d / mu, h / mu
+        case = CASE_CASE2_CR
+    return (n, m, len(zer)), eig, M, (a, d, h), case, mu
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_decompose_matches_eigen_of_the_lift_bit_for_bit(k):
+    # every signature (n ≥ 1, m, l) of the lifted matrix at p = k − 1 ≤ 8
+    rng = np.random.default_rng(k)
+    cases = set()
+    for n in range(1, k + 1):
+        for m in range(k + 1 - n):
+            for _ in range(3):
+                qc = random_instance(rng, n, m, k - n - m)
+                form = decompose(qc)
+                sig, eig, M, adh, case, mu = _decompose_by_eigen(qc)
+                assert (form.n, form.m, form.l) == sig == (n, m, k - n - m)
+                assert form.eigenvalues.tobytes() == eig.tobytes()
+                assert form.M.tobytes() == M.tobytes()
+                for got, ref in zip((form.a, form.d, form.h), adh):
+                    assert got.tobytes() == ref.tobytes()
+                assert form.case == case and form.mu == mu
+                cases.add(case)
+    if k >= 4:  # room for a zero eigenvalue beside both signs
+        assert {CASE_EMPTY_S, CASE_HOMOG_H_NONZERO, CASE_CASE2_CR} <= cases
+
+
 # --- canonicalize -----------------------------------------------------------
 
 
