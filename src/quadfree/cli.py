@@ -27,7 +27,6 @@ from .errors import (
     NotSeparableError,
     ParseError,
     PreconditionViolatedError,
-    QuadfreeError,
     SamplingExhaustedError,
     UnboundedLPError,
 )
@@ -199,35 +198,6 @@ def cmd_cut(inst, args) -> int:
     return 0
 
 
-def _case2_reports(cf, fs, seed):
-    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
-    rng = np.random.default_rng(seed + 1)
-    reports = []
-    for _ in range(50):
-        y = rng.standard_normal(cf.m)
-        if np.linalg.norm(y) < 1e-9:
-            continue
-        reports.append(oracle.check_duality(cd, y))
-        try:
-            reports.append(oracle.check_gradient(cd, y))
-        except QuadfreeError:
-            pass
-    pairs = [
-        (rng.standard_normal(cf.m), rng.standard_normal(cf.m)) for _ in range(100)
-    ]
-    reports.append(oracle.check_convexity(cd, pairs))
-
-    betas = oracle._unit_rows(rng, 200, cf.m)
-    val = cd.lam_a + betas @ cd.d
-    strict, loose = betas[val < -1e-6][:25], betas[val >= 0.0][:10]
-    for beta in strict:
-        reports.append(oracle.exposing_witness(cd, beta, fs)[1])
-    if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
-        for beta in loose:
-            reports.append(oracle.asymptote_sequence(cd, beta, 1000)[2])
-    return reports
-
-
 def cmd_verify(inst, args) -> int:
     cf = spectral.canonicalize(inst["qc"], zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
@@ -238,7 +208,7 @@ def cmd_verify(inst, args) -> int:
     samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
-        reports.extend(_case2_reports(cf, fs, args.seed))
+        reports.extend(oracle.case2_battery(cf, fs, args.seed))
     if "cone" in inst:
         cert = cuts.intersection_cut(inst["cone"], cf, fs)
         reports.append(oracle.check_cut_validity(inst["qc"], cert, seed=args.seed))

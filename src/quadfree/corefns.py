@@ -8,8 +8,10 @@ x-space, the hyperplane data (a, d), and the sublinear gauge
 together with its gradient, the dual multiplier θ, the maximizer x(β)
 and the asymptotic relaxation amount r(β), which is θ(β) on the unit
 sphere and vanishes on the index set G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
-All of them read one decomposition of y (``_gauge_parts``); ``phi_value``
-takes a vector or a batch of rows, the others one vector.
+All of them read one decomposition of y (``_gauge_parts``).  ``phi_value``,
+``phi_gradient``, ``theta_dual`` and ``r_coefficient`` take a vector or a
+batch of rows, and a row gives the same bits alone or in a batch;
+``x_beta`` takes one vector.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class CaseData:
 
 
 def _check_unit(beta: np.ndarray) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(beta) - 1.0) > _UNIT_TOL:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(np.abs(np.sqrt(np.vecdot(beta, beta)) - 1.0) > _UNIT_TOL):
         raise NotUnitError("β must be a unit vector")
     return beta
 
@@ -77,46 +79,62 @@ def _gauge_parts(cd: CaseData, y: np.ndarray):
     return ny, dy, flat, np.maximum(ny * ny - dy * dy, 0.0), max(1.0 - cd.lam_a**2, 0.0)
 
 
+def _phi(cd: CaseData, parts):
+    """φ from the ``_gauge_parts`` of y."""
+    ny, dy, flat, wsq, lam_sq = parts
+    return np.where(flat, ny, np.sqrt(wsq * lam_sq) - dy * cd.lam_a)
+
+
 def phi_value(cd: CaseData, y: np.ndarray):
     """Evaluate the gauge φ at a vector (a float) or at each row of y;
     positively homogeneous and total on Rᵐ."""
     y = np.asarray(y, dtype=float)
-    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
-    vals = np.where(flat, ny, np.sqrt(wsq * lam_sq) - dy * cd.lam_a)
+    vals = _phi(cd, _gauge_parts(cd, y))
     return float(vals) if y.ndim == 1 else vals
 
 
 def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
-    """Gradient of φ where defined; raises at 0 and on the excluded ray."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
-    if ny == 0.0:
+    """Gradient of φ at a vector, or at each row of y.  It is undefined at
+    0 and on the excluded ray through d: a vector there raises, a row there
+    is NaN."""
+    y = np.asarray(y, dtype=float)
+    rows = np.atleast_2d(y)
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, rows)
+    unit, curved = flat & (ny > 0.0), ~flat & (wsq > 0.0)
+    grad = np.full(rows.shape, np.nan)
+    grad[unit] = rows[unit] / ny[unit, None]
+    grad[curved] = (np.sqrt(lam_sq) / np.sqrt(wsq[curved]))[:, None] * (
+        rows[curved] - cd.d * dy[curved, None]
+    ) - cd.lam_a * cd.d
+    if y.ndim > 1:
+        return grad
+    if ny[0] == 0.0:
         raise UndefinedGradientError("φ is not differentiable at y = 0")
-    if flat:
-        return y / ny
-    if wsq == 0.0:
+    if not (unit[0] or curved[0]):
         raise UndefinedGradientError("φ is not differentiable along the ray through d")
-    return np.sqrt(lam_sq) / np.sqrt(wsq) * (y - cd.d * dy) - cd.lam_a * cd.d
+    return grad[0]
 
 
-def theta_dual(cd: CaseData, y: np.ndarray) -> float:
-    """Optimal dual multiplier for φ(y); +inf on the degenerate ray."""
-    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.asarray(y, dtype=float).reshape(-1))
-    if flat:
-        return 0.0
-    if wsq == 0.0:
-        return np.inf
-    return float(cd.lam_a + dy * np.sqrt(lam_sq) / np.sqrt(wsq))
+def theta_dual(cd: CaseData, y: np.ndarray):
+    """Optimal dual multiplier for φ at a vector (a float) or at each row
+    of y; 0 on the flat branch, +inf on the degenerate ray."""
+    y = np.asarray(y, dtype=float)
+    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.atleast_2d(y))
+    curved = ~flat & (wsq > 0.0)
+    theta = np.where(flat, 0.0, np.inf)
+    theta[curved] = cd.lam_a + dy[curved] * np.sqrt(lam_sq) / np.sqrt(wsq[curved])
+    return float(theta[0]) if y.ndim == 1 else theta
 
 
-def r_coefficient(cd: CaseData, beta: np.ndarray) -> float:
-    """Asymptotic relaxation amount r(β) for a unit index β; on the unit
-    sphere it is the dual multiplier θ(β), and 0 on G(λ)."""
+def r_coefficient(cd: CaseData, beta: np.ndarray):
+    """Asymptotic relaxation amount r(β) for a unit index β, or for each
+    unit row of beta; on the unit sphere it is the dual multiplier θ(β),
+    and 0 on G(λ)."""
     return theta_dual(cd, _check_unit(beta))
 
 
 def x_beta(cd: CaseData, y: np.ndarray) -> np.ndarray:
-    """Maximizer of λᵀx over {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0}."""
+    """Maximizer of λᵀx over {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0}, for one vector."""
     ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.asarray(y, dtype=float).reshape(-1))
     if flat:
         return cd.lam * ny

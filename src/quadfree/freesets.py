@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .corefns import CaseData, _gauge_parts, phi_value
+from .corefns import CaseData, _gauge_parts, _phi, phi_value
 from .errors import ApexNotInteriorError, EmptySError
 
 _T_CAP = 1e12
@@ -203,9 +203,10 @@ def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
         return np.full(t.shape[0], -np.inf)  # an empty cap
     if relaxed and (c < -nd or nd == 0.0):
         return phi_value(cd, t)
-    nt, dt, flat = _gauge_parts(cd, t)[:3]
+    parts = _gauge_parts(cd, t)
+    nt, dt, flat = parts[:3]
     if relaxed:
-        return np.where(flat, _circle_support(cd, nt, dt, c), phi_value(cd, t))
+        return np.where(flat, _circle_support(cd, nt, dt, c), _phi(cd, parts))
     if c >= nd:
         return nt
     return np.where(flat, nt, _circle_support(cd, nt, dt, c))

@@ -6,10 +6,19 @@ samplers parametrize the sets directly, the brute-force gauge evaluates
 the defining maximum, witnesses are checked against their defining
 identities, and a cut is checked by evaluating q on the region it
 removes, rebuilt from the cut and its cone alone.
+
+The per-point checks (duality, gradient, exposing witness) take one
+vector or a batch of rows, and ``case2_battery`` runs each of them once
+over its rows.  Each row gets the bits the one-vector call gives it: the
+row code takes its norms and dot products with ``np.vecdot`` over
+C-ordered rows, which matches the 1-D ``np.linalg.norm`` and ``@`` bit
+for bit, where a matrix-vector ``@`` would not.  ``sample_S`` draws each
+batch into one array and scales the kept rows in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +62,22 @@ class VerificationReport:
         return out
 
 
-def _unit_rows(rng, count, dim):
+def _unit_rows(rng, count, dim, out=None):
+    """``count`` uniformly distributed unit rows of R^dim, written into
+    ``out`` if given."""
     if dim == 0:
-        return np.zeros((count, 0))
+        return np.zeros((count, 0)) if out is None else out
     g = rng.standard_normal((count, dim))
     # the sum np.linalg.norm takes, bit for bit, without its dispatch
     norms = np.sqrt(np.add.reduce(g * g, axis=1))
     norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
+    return np.divide(g, norms[:, None], out=out)
+
+
+def _rows_of(v: np.ndarray) -> np.ndarray:
+    """A vector as one row, or rows, in C order: ``np.vecdot`` over C-ordered
+    rows gives each row the bits of the 1-D ``@`` and ``np.linalg.norm``."""
+    return np.ascontiguousarray(np.atleast_2d(v))
 
 
 def _rejection_sample(
@@ -81,7 +98,7 @@ def _rejection_sample(
         have += rows[-1].shape[0]
     if have < count:
         raise SamplingExhaustedError(f"only {have} of {count} points found")
-    return np.vstack(rows)
+    return rows[0] if len(rows) == 1 else np.vstack(rows)
 
 
 def sample_S(cf: spectral.CanonicalForm, count: int, seed: int) -> np.ndarray:
@@ -94,18 +111,30 @@ def sample_S(cf: spectral.CanonicalForm, count: int, seed: int) -> np.ndarray:
     a draw with form > 0 scaled by −1/form is exactly the point its
     negation −w (form < 0) gives.  So almost every draw is kept;
     rejection continues until ``count`` points are found or the attempt
-    budget runs out.
+    budget runs out.  A batch is drawn into one (batch, n + m + l) array,
+    whose kept rows are moved to its front (only if a draw before them was
+    dropped) and scaled in place.
     """
     if cf.m < 1:
         raise SamplingExhaustedError("no y block: the feasible slice is degenerate")
+    n, m = cf.n, cf.m
 
     def draw(rng, batch, need):
-        x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows(rng, batch, cf.n)
-        y = _unit_rows(rng, batch, cf.m)
-        z = rng.uniform(-10.0, 10.0, (batch, cf.l))
+        W = np.empty((batch, n + m + cf.l))
+        x, y, z = W[:, :n], W[:, n : n + m], W[:, n + m :]
+        radius = rng.uniform(0.0, 1.0, batch)
+        _unit_rows(rng, batch, n, out=x)
+        x *= radius[:, None]
+        _unit_rows(rng, batch, m, out=y)
+        z[...] = rng.uniform(-10.0, 10.0, (batch, cf.l))
         form = x @ cf.a + y @ cf.d + z @ cf.h
         keep = np.flatnonzero(np.abs(form) > 1e-6)[:need]
-        return np.hstack([x[keep], y[keep], z[keep]]) * (-1.0 / form[keep])[:, None]
+        k = len(keep)
+        if k and keep[-1] != k - 1:
+            W[:k] = W[keep]
+        W = W[:k]
+        W *= (-1.0 / form[keep])[:, None]
+        return W
 
     return _rejection_sample(draw, count, seed, attempts_per_row=1)
 
@@ -215,39 +244,53 @@ def exposing_witness(
     cd: CaseData,
     beta: np.ndarray,
     fs: freesets.FreeSetDescriptor | None = None,
-) -> tuple[np.ndarray, VerificationReport]:
-    """Boundary point −(λ, β)/(aᵀλ + dᵀβ) exposing the inequality at β."""
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    denom = float(cd.a @ cd.lam + cd.d @ beta)
-    if not denom < -1e-9:
+):
+    """Boundary point −(λ, β)/(aᵀλ + dᵀβ) exposing the inequality at β.
+
+    For a vector β, the point and its report; for each row of beta, the
+    points as rows and a list of reports, with ``fs.margin`` taken once
+    over all of them.
+    """
+    beta = np.asarray(beta, dtype=float)
+    B = _rows_of(beta)
+    n = len(cd.lam)
+    denom = float(cd.a @ cd.lam) + np.vecdot(B, cd.d)
+    if not np.all(denom < -1e-9):
         raise NotInStrictRegionError("aᵀλ + dᵀβ must be strictly negative")
-    z = -np.concatenate([cd.lam, beta]) / denom
-    x, y = z[: len(cd.lam)], z[len(cd.lam) :]
-    residuals = {
-        "membership_cone": max(np.linalg.norm(x) - np.linalg.norm(y), 0.0),
-        "membership_slice": abs(float(cd.a @ x + cd.d @ y) + 1.0),
-        "tightness": abs(float(-cd.lam @ x + beta @ y) - r_coefficient(cd, beta)),
+    Z = np.empty((len(B), n + B.shape[1]))
+    X, Y = Z[:, :n], Z[:, n:]
+    X[...] = cd.lam
+    Y[...] = B
+    Z /= -denom[:, None]
+    columns = {
+        "membership_cone": np.maximum(np.sqrt(np.vecdot(X, X)) - np.sqrt(np.vecdot(Y, Y)), 0.0),
+        "membership_slice": np.abs(np.vecdot(X, cd.a) + np.vecdot(Y, cd.d) + 1.0),
+        "tightness": np.abs(np.vecdot(X, -cd.lam) + np.vecdot(Y, B) - r_coefficient(cd, B)),
     }
     if fs is not None:
-        residuals["margin"] = abs(fs.margin(z))
-    worst = max(residuals.values())
+        columns["margin"] = np.abs(fs.margin(Z))
     tol = 1e-7 if fs is not None else 1e-9
-    passed = (
-        residuals["membership_cone"] <= 1e-9
-        and residuals["membership_slice"] <= 1e-9
-        and residuals["tightness"] <= 1e-9
-        and residuals.get("margin", 0.0) <= 1e-7
-    )
-    report = VerificationReport(
-        name="exposing_witness",
-        samples=1,
-        worst_residual=float(worst),
-        passed=passed,
-        tolerance=tol,
-        witness=None if passed else z,
-        extra={"residuals": residuals},
-    )
-    return z, report
+    reports = []
+    for i, values in enumerate(zip(*(col.tolist() for col in columns.values()))):
+        residuals = dict(zip(columns, values))
+        passed = (
+            residuals["membership_cone"] <= 1e-9
+            and residuals["membership_slice"] <= 1e-9
+            and residuals["tightness"] <= 1e-9
+            and residuals.get("margin", 0.0) <= 1e-7
+        )
+        reports.append(
+            VerificationReport(
+                name="exposing_witness",
+                samples=1,
+                worst_residual=float(max(residuals.values())),
+                passed=passed,
+                tolerance=tol,
+                witness=None if passed else Z[i],
+                extra={"residuals": residuals},
+            )
+        )
+    return (Z, reports) if beta.ndim > 1 else (Z[0], reports[0])
 
 
 def asymptote_sequence(
@@ -357,21 +400,29 @@ def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
     return best
 
 
-def check_duality(cd: CaseData, y: np.ndarray) -> VerificationReport:
-    """Strong duality: the dual objective at θ(y) equals φ(y)."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    th = theta_dual(cd, y)
-    if np.isinf(th):
-        return VerificationReport(
+def check_duality(cd: CaseData, y: np.ndarray):
+    """Strong duality: the dual objective at θ(y) equals φ(y).  One report
+    for a vector y, a list of them for the rows of y."""
+    y = np.asarray(y, dtype=float)
+    Y = _rows_of(y)
+    theta = theta_dual(cd, Y)
+    th = np.where(np.isinf(theta), 0.0, theta)  # the degenerate ray has no dual
+    V = cd.lam - th[:, None] * cd.a
+    dual = np.sqrt(np.vecdot(V, V)) * np.sqrt(np.vecdot(Y, Y)) - th * np.vecdot(Y, cd.d)
+    residual = np.abs(dual - phi_value(cd, Y))
+    reports = [
+        VerificationReport(
             name="duality", samples=1, worst_residual=0.0, passed=True,
             tolerance=1e-9, extra={"theta": "inf"},
         )
-    dual = np.linalg.norm(cd.lam - th * cd.a) * np.linalg.norm(y) - th * float(cd.d @ y)
-    residual = abs(float(dual) - phi_value(cd, y))
-    return VerificationReport(
-        name="duality", samples=1, worst_residual=residual,
-        passed=residual <= 1e-9, tolerance=1e-9, extra={"theta": th},
-    )
+        if math.isinf(t)
+        else VerificationReport(
+            name="duality", samples=1, worst_residual=r,
+            passed=r <= 1e-9, tolerance=1e-9, extra={"theta": t},
+        )
+        for t, r in zip(theta.tolist(), residual.tolist())
+    ]
+    return reports if y.ndim > 1 else reports[0]
 
 
 def check_convexity(cd: CaseData, pairs) -> VerificationReport:
@@ -389,21 +440,66 @@ def check_convexity(cd: CaseData, pairs) -> VerificationReport:
     )
 
 
-def check_gradient(cd: CaseData, y: np.ndarray, step: float = 1e-6) -> VerificationReport:
+def check_gradient(cd: CaseData, y: np.ndarray, step: float = 1e-6):
     """Central finite differences and the Euler identity for ∇φ, with φ
-    evaluated once on y ± step·I and y."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    grad = phi_gradient(cd, y)
-    E = step * np.eye(len(y))
-    vals = phi_value(cd, np.vstack([y + E, y - E, y]))
-    fd = (vals[: len(y)] - vals[len(y) : -1]) / (2.0 * step)
-    fd_res = float(np.max(np.abs(fd - grad)))
-    euler_res = abs(float(grad @ y) - float(vals[-1]))
-    return VerificationReport(
-        name="gradient", samples=1, worst_residual=fd_res,
-        passed=fd_res <= 1e-5 and euler_res <= 1e-10, tolerance=1e-5,
-        extra={"euler_residual": euler_res},
-    )
+    evaluated once on y ± step·I and y for every row.  One report for a
+    vector y (raising where ∇φ is undefined), a list for the rows of y
+    with None where it is undefined."""
+    y = np.asarray(y, dtype=float)
+    grad = np.atleast_2d(phi_gradient(cd, y))
+    Y = _rows_of(y)
+    k, m = Y.shape
+    E, Y1 = step * np.eye(m), Y[:, None]
+    P = np.concatenate([Y1 + E, Y1 - E, Y1], axis=1)
+    vals = phi_value(cd, P.reshape(-1, m)).reshape(k, 2 * m + 1)
+    fd = (vals[:, :m] - vals[:, m : 2 * m]) / (2.0 * step)
+    fd_res = np.max(np.abs(fd - grad), axis=1)
+    euler_res = np.abs(np.vecdot(grad, Y) - vals[:, -1])
+    reports = [
+        None
+        if math.isnan(g)
+        else VerificationReport(
+            name="gradient", samples=1, worst_residual=f,
+            passed=f <= 1e-5 and e <= 1e-10, tolerance=1e-5,
+            extra={"euler_residual": e},
+        )
+        for g, f, e in zip(grad[:, 0].tolist(), fd_res.tolist(), euler_res.tolist())
+    ]
+    return reports if y.ndim > 1 else reports[0]
+
+
+def case2_battery(
+    cf: spectral.CanonicalForm, fs: freesets.FreeSetDescriptor, seed: int
+) -> list[VerificationReport]:
+    """The φ identities and maximality witnesses of a case-2 set, each
+    check run once over its rows.
+
+    From ``seed + 1``: 50 normal y (a duality report and, where ∇φ is
+    defined, a gradient report for each, in turn; y with ‖y‖ < 1e-9 is
+    skipped), one convexity report on 100 normal pairs, then 200 unit β.
+    The first 25 with λᵀa + dᵀβ < −1e-6 get an exposing witness and,
+    unless λ = −a, the first 10 with λᵀa + dᵀβ ≥ 0 an asymptote sequence.
+    """
+    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
+    rng = np.random.default_rng(seed + 1)
+    Y = rng.standard_normal((50, cf.m))
+    Y = Y[~(np.sqrt(np.vecdot(Y, Y)) < 1e-9)]
+    reports = []
+    for duality, gradient in zip(check_duality(cd, Y), check_gradient(cd, Y)):
+        reports.append(duality)
+        if gradient is not None:
+            reports.append(gradient)
+    reports.append(check_convexity(cd, rng.standard_normal((100, 2, cf.m))))
+
+    betas = _unit_rows(rng, 200, cf.m)
+    val = cd.lam_a + betas @ cd.d
+    strict, loose = betas[val < -1e-6][:25], betas[val >= 0.0][:10]
+    if len(strict):
+        reports.extend(exposing_witness(cd, strict, fs)[1])
+    if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
+        for beta in loose:
+            reports.append(asymptote_sequence(cd, beta, 1000)[2])
+    return reports
 
 
 def sample_quadratic_region(

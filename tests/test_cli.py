@@ -377,10 +377,12 @@ _CANNOT_REACH_MAIN = {
     NonSymmetricError,
     # λ, a and β are normalized before CaseData or a unit check sees them
     NotUnitError,
-    # _case2_reports catches it around check_gradient; asymptote_sequence
-    # takes φ's gradient only off the excluded ray, where ‖d‖ < 1 holds
+    # oracle.case2_battery checks the gradient on rows, where an undefined
+    # ∇φ gives no report; asymptote_sequence takes φ's gradient only off
+    # the excluded ray, where ‖d‖ < 1 holds
     UndefinedGradientError,
-    # _case2_reports passes exposing_witness only β with aᵀλ + dᵀβ < −1e-6
+    # oracle.case2_battery passes exposing_witness only β with
+    # aᵀλ + dᵀβ < −1e-6
     NotInStrictRegionError,
 }
 

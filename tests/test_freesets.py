@@ -156,6 +156,37 @@ def test_crphilambda_requires_unit_a(cd_scaled):
         CRPhiLambda(2, 1, 0, cd=cd_scaled)
 
 
+def _crphi_two_pass(fs, W):
+    """CRPhiLambda's margin with the relaxed cap's curved branch from a
+    second ``_gauge_parts`` pass inside ``phi_value``."""
+    cd, n, m = fs.cd, fs.n, fs.m
+    x, y = W[:, :n], W[:, n : n + m]
+    lam_x = np.add.reduce(x * cd.lam, 1)
+    shift = 1.0 / (1.0 - cd.d_norm**2)
+    t, c = y - cd.d * shift, -cd.lam_a
+    if abs(c) > cd.d_norm or cd.d_norm == 0.0:  # the branches with one pass
+        relaxed = freesets._cap_support(cd, t, relaxed=True)
+    else:
+        nt, dt, flat = freesets._gauge_parts(cd, t)[:3]
+        relaxed = np.where(flat, freesets._circle_support(cd, nt, dt, c), phi_value(cd, t))
+    unrelaxed = freesets._cap_support(cd, y, relaxed=False)
+    return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_crphilambda_margin_matches_the_two_pass_composition(n, m, seed):
+    # with m ≥ 2 and |λᵀa| ≤ ‖d‖ the relaxed cap takes its circle-or-φ
+    # branch, which reads one decomposition of y − y₀ for both
+    rng = np.random.default_rng(seed)
+    cd = random_casedata(rng, n, m)
+    fs = CRPhiLambda(n, m, 0, cd=cd)
+    W = rng.standard_normal((200, n + m)) * rng.uniform(0.1, 10.0)
+    expected = _crphi_two_pass(fs, W)
+    assert fs.margin(W).tobytes() == expected.tobytes()
+    assert [fs.margin(w) for w in W] == expected.tolist()
+
+
 def test_relaxation_consistency_unrelaxed_directions():
     # On rays y = μβ with λᵀa + dᵀβ ≤ 0 (r(β) = 0) and the x kept in the
     # unrelaxed regime, the relaxed and unrelaxed sets agree.

@@ -14,15 +14,23 @@ from conftest import (
     wedge_canonical,
 )
 from quadfree import oracle, spectral
-from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient, x_beta
+from quadfree.corefns import (
+    CaseData,
+    _gauge_parts,
+    phi_gradient,
+    phi_value,
+    r_coefficient,
+    x_beta,
+)
 from quadfree.cuts import SimplicialCone, separate
 from quadfree.errors import (
     AllRaysRecessionError,
     NotInStrictRegionError,
     PreconditionViolatedError,
     SamplingExhaustedError,
+    UndefinedGradientError,
 )
-from quadfree.freesets import CGLambda, CPhiLambda, build_free_set
+from quadfree.freesets import CGLambda, CLambda, CPhiLambda, CRPhiLambda, build_free_set
 
 S2 = math.sqrt(2.0)
 
@@ -146,6 +154,43 @@ def test_sample_S_draws_count_plus_64_rows_in_one_batch(case, monkeypatch):
     monkeypatch.setattr(oracle, "_rejection_sample", counting)
     W = oracle.sample_S(_law_form(case), 10_000, seed=0)
     assert batches == [10_064] and W.shape[0] == 10_000
+
+
+def _hstack_sample_S(cf, count, seed):
+    """Reference slice sampler: x, y and z drawn as separate arrays, the kept
+    rows of each copied out and stacked, then scaled."""
+
+    def draw(rng, batch, need):
+        x = rng.uniform(0.0, 1.0, batch)[:, None] * _unit_rows_loop(rng, batch, cf.n)
+        y = _unit_rows_loop(rng, batch, cf.m)
+        z = rng.uniform(-10.0, 10.0, (batch, cf.l))
+        form = x @ cf.a + y @ cf.d + z @ cf.h
+        keep = np.flatnonzero(np.abs(form) > 1e-6)[:need]
+        return np.hstack([x[keep], y[keep], z[keep]]) * (-1.0 / form[keep])[:, None]
+
+    return oracle._rejection_sample(draw, count, seed, attempts_per_row=1)
+
+
+def _half_kept_form():
+    """n = m = 1, l = 0 with |form| = 1e-6·|x + y|: about half the draws
+    have |form| ≤ 1e-6, so kept rows move forward and a second batch runs."""
+    return SimpleNamespace(
+        n=1, m=1, l=0, a=np.array([1e-6]), d=np.array([1e-6]), h=np.zeros(0)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_LAW_FORMS) + ["n1_l0", "half_kept"])
+def test_sample_S_matches_the_hstack_sampler_bit_for_bit(case):
+    if case == "n1_l0":
+        cf = spectral.canonicalize(random_instance(np.random.default_rng(3), 1, 2, 0))
+        assert (cf.n, cf.l) == (1, 0)
+    else:
+        cf = _half_kept_form() if case == "half_kept" else _law_form(case)
+    for count, seed in ((1, 0), (700, 1), (10_000, 2)):
+        new = oracle.sample_S(cf, count, seed)
+        ref = _hstack_sample_S(cf, count, seed)
+        assert new.shape == ref.shape == (count, cf.n + cf.m + cf.l)
+        assert new.tobytes() == ref.tobytes()
 
 
 def test_homogeneous_and_box_samplers_match_the_rejection_loop(cd_wedge, cd_scaled):
@@ -589,9 +634,43 @@ def _convexity_loop(cd, pairs):
     )
 
 
+def _theta_one(cd, y):
+    """One-vector reference for θ(y): 0 on the flat branch, inf on the ray."""
+    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
+    if flat:
+        return 0.0
+    if wsq == 0.0:
+        return math.inf
+    return float(cd.lam_a + dy * np.sqrt(lam_sq) / np.sqrt(wsq))
+
+
+def _duality_one(cd, y):
+    """One-vector reference for ``oracle.check_duality``."""
+    th = _theta_one(cd, y)
+    if math.isinf(th):
+        return oracle.VerificationReport(
+            name="duality", samples=1, worst_residual=0.0, passed=True,
+            tolerance=1e-9, extra={"theta": "inf"},
+        )
+    dual = np.linalg.norm(cd.lam - th * cd.a) * np.linalg.norm(y) - th * float(cd.d @ y)
+    residual = abs(float(dual) - phi_value(cd, y))
+    return oracle.VerificationReport(
+        name="duality", samples=1, worst_residual=residual,
+        passed=residual <= 1e-9, tolerance=1e-9, extra={"theta": th},
+    )
+
+
 def _gradient_loop(cd, y, step=1e-6):
-    """Coordinate-by-coordinate reference for ``oracle.check_gradient``."""
-    grad = phi_gradient(cd, y)
+    """Coordinate-by-coordinate reference for ``oracle.check_gradient``: None
+    where ∇φ is undefined, else ∇φ from its formula against the differences
+    and the Euler identity of ``oracle.phi_value``."""
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, y)
+    if ny == 0.0 or not (flat or wsq > 0.0):
+        return None
+    if flat:
+        grad = y / ny
+    else:
+        grad = np.sqrt(lam_sq) / np.sqrt(wsq) * (y - cd.d * dy) - cd.lam_a * cd.d
     fd = np.empty_like(grad)
     for i in range(len(y)):
         e = np.zeros_like(y)
@@ -604,6 +683,79 @@ def _gradient_loop(cd, y, step=1e-6):
         passed=fd_res <= 1e-5 and euler_res <= 1e-10, tolerance=1e-5,
         extra={"euler_residual": euler_res},
     )
+
+
+def _witness_one(cd, beta, fs):
+    """One-β reference for ``oracle.exposing_witness``."""
+    denom = float(cd.a @ cd.lam + cd.d @ beta)
+    assert denom < -1e-9
+    z = -np.concatenate([cd.lam, beta]) / denom
+    x, y = z[: len(cd.lam)], z[len(cd.lam) :]
+    residuals = {
+        "membership_cone": max(np.linalg.norm(x) - np.linalg.norm(y), 0.0),
+        "membership_slice": abs(float(cd.a @ x + cd.d @ y) + 1.0),
+        "tightness": abs(float(-cd.lam @ x + beta @ y) - _theta_one(cd, beta)),
+        "margin": abs(fs.margin(z)),
+    }
+    passed = (
+        residuals["membership_cone"] <= 1e-9
+        and residuals["membership_slice"] <= 1e-9
+        and residuals["tightness"] <= 1e-9
+        and residuals["margin"] <= 1e-7
+    )
+    return oracle.VerificationReport(
+        name="exposing_witness", samples=1, worst_residual=float(max(residuals.values())),
+        passed=passed, tolerance=1e-7, witness=None if passed else z,
+        extra={"residuals": residuals},
+    )
+
+
+def _case2_loop(cf, fs, seed):
+    """One-y-at-a-time reference for ``oracle.case2_battery``."""
+    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
+    rng = np.random.default_rng(seed + 1)
+    reports = []
+    for _ in range(50):
+        y = rng.standard_normal(cf.m)
+        if np.linalg.norm(y) < 1e-9:
+            continue
+        reports.append(_duality_one(cd, y))
+        gradient = _gradient_loop(cd, y)
+        if gradient is not None:
+            reports.append(gradient)
+    pairs = [(rng.standard_normal(cf.m), rng.standard_normal(cf.m)) for _ in range(100)]
+    reports.append(_convexity_loop(cd, pairs))
+    betas = _unit_rows_loop(rng, 200, cf.m)
+    val = cd.lam_a + betas @ cd.d
+    strict, loose = betas[val < -1e-6][:25], betas[val >= 0.0][:10]
+    for beta in strict:
+        reports.append(_witness_one(cd, beta, fs))
+    if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
+        for beta in loose:
+            reports.append(oracle.asymptote_sequence(cd, beta, 1000)[2])
+    return reports
+
+
+def _bits(obj):
+    """A report's dict with each float as its hex string, so that == compares
+    floats bit for bit."""
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return float.hex(obj) if isinstance(obj, float) else obj
+
+
+def _case2_form(cd, neg_a):
+    """A case-2 canonical form (λ, a, d, its case and free set) for cd."""
+    n, m = len(cd.lam), len(cd.d)
+    if neg_a:
+        cd = CaseData(-cd.a, cd.a, cd.d, unit_a=True)
+        fs = CLambda(n, m, 0, lam=cd.lam)
+        case = spectral.CASE_CASE2_CR_LAMBDA_NEG_A
+    else:
+        fs, case = CRPhiLambda(n, m, 0, cd=cd), spectral.CASE_CASE2_CR
+    return SimpleNamespace(n=n, m=m, lam=cd.lam, a=cd.a, d=cd.d, case=case), fs
 
 
 @pytest.mark.parametrize("convex", [True, False])
@@ -629,6 +781,54 @@ def test_batched_phi_checks_match_loops(convex, monkeypatch):
         assert failed["convexity"] == 0
     else:  # the failing-witness path is compared too
         assert min(failed.values()) > 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 6),
+    neg_a=st.booleans(),
+    d_scale=st.sampled_from([0.0, 0.5, 0.95]),
+    seed=st.integers(0, 2**16),
+)
+def test_case2_battery_matches_the_one_y_loop(n, m, neg_a, d_scale, seed):
+    # n = 1 has only λ = −a; every report, floats bit for bit, and in order
+    cd = random_casedata(np.random.default_rng(seed), n, m, d_scale=d_scale)
+    cf, fs = _case2_form(cd, neg_a or n == 1)
+    rows = [_bits(r.as_dict()) for r in oracle.case2_battery(cf, fs, seed)]
+    assert rows == [_bits(r.as_dict()) for r in _case2_loop(cf, fs, seed)]
+
+
+@pytest.mark.parametrize("point", [(-2.0, -2.0), (1.6 * S2, -1.6 * S2)])
+def test_case2_battery_on_the_wedges(point):
+    # the wedge is CASE2_CR and gets 10 asymptote sequences; its point moved
+    # to (1.6√2, −1.6√2) gives λ = −a and the 126 reports without them
+    qc = spectral.QuadraticConstraint(
+        Q=np.array([[0.0, 1.0], [1.0, 0.0]]), b=np.array([2.0 * S2, -2.0 * S2]),
+        c=-2.0, point=np.array(point),
+    )
+    cf = spectral.canonicalize(qc)
+    fs = build_free_set(cf)
+    reports = oracle.case2_battery(cf, fs, 0)
+    tail = [] if cf.case == spectral.CASE_CASE2_CR_LAMBDA_NEG_A else ["asymptote_sequence"] * 10
+    names = ["duality", "gradient"] * 50 + ["convexity"] + ["exposing_witness"] * 25 + tail
+    assert [r.name for r in reports] == names
+    assert all(r.passed for r in reports)
+    assert [_bits(r.as_dict()) for r in reports] == [
+        _bits(r.as_dict()) for r in _case2_loop(cf, fs, 0)
+    ]
+
+
+def test_row_checks_skip_or_raise_where_the_gradient_is_undefined():
+    # ∇φ is undefined at 0 and, for ‖d‖ = 1 off the flat branch, on the ray
+    # through d: a row there gets no gradient report, a vector there raises
+    cd = CaseData(lam=np.array([1.0, 0.0]), a=np.array([0.0, 1.0]), d=np.array([1.0, 0.0]))
+    Y = np.array([[0.0, 0.0], [2.0, 0.0], [-1.0, 0.5]])
+    assert [r is None for r in oracle.check_gradient(cd, Y)] == [True, True, False]
+    for y in Y[:2]:
+        with pytest.raises(UndefinedGradientError):
+            oracle.check_gradient(cd, y)
+    assert [r.extra["theta"] for r in oracle.check_duality(cd, Y)] == [0.0, "inf", 0.0]
 
 
 def test_report_serialization():
