@@ -29,6 +29,7 @@ from .errors import (
     PreconditionViolatedError,
     SamplingExhaustedError,
     UnboundedLPError,
+    UncertifiedStepError,
 )
 
 _TOP_KEYS = {"dim", "Q", "b", "c", "point", "cone", "objective", "linear_constraints"}
@@ -409,6 +410,7 @@ _EXIT_CODES = (
     (DegenerateQuadraticError, 10),
     (ApexNotInteriorError, 11),
     (PreconditionViolatedError, 12),
+    (UncertifiedStepError, 13),
 )
 
 

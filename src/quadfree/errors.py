@@ -37,6 +37,10 @@ class AllRaysRecessionError(QuadfreeError):
     intersection cut degenerates."""
 
 
+class UncertifiedStepError(QuadfreeError):
+    """No candidate step along a ray has its margin in [−tol, 0]."""
+
+
 class EmptySError(QuadfreeError):
     """The constraint is infeasible everywhere (the canonical form has no
     y block), so separation is vacuous."""

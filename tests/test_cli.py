@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadfree import cuts, lp, oracle, spectral
+from quadfree import cuts, freesets, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
@@ -668,6 +668,46 @@ def test_loop_022_runs_past_the_row_a_tight_scan_missed(capsys):
     assert [r["iter"] for r in records] == list(range(len(records)))
     assert records[-1]["iter"] >= 159
     assert code == 0 or (code == 7 and "ill-conditioned" in captured.err), captured.err
+
+
+def test_loop_025_certifies_a_step_by_its_slope_in_two_margin_calls(capsys, monkeypatch):
+    # the benchmark's loop/025 (p = 7): one cut has a CLambda ray whose root
+    # t* = 1.88e-4 and the four points 4 ulps to 2⁻³² relative below it have
+    # margin 4.4e-16 > 0 by rounding; the point its slope places is certified
+    calls, margin, steps = [], freesets.FreeSetDescriptor.margin, freesets.boundary_steps
+
+    def counted_margin(self, w):
+        calls[-1] += 1
+        return margin(self, w)
+
+    def counted_steps(*args, **kwargs):
+        calls.append(0)
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(freesets.FreeSetDescriptor, "margin", counted_margin)
+    monkeypatch.setattr(freesets, "boundary_steps", counted_steps)
+    path = str(Path(__file__).parent / "data" / "loop_025.json")
+    assert main(["loop", path]) == 0
+    records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [r["iter"] for r in records] == list(range(5)) and records[-1]["converged"]
+    assert records[-1]["objective"] == pytest.approx(6.446126051979341, rel=1e-8)
+    assert len(calls) == 4 and max(calls) == 2
+
+
+def test_uncertified_step_exit_13(tmp_path, capsys, monkeypatch):
+    # a norm cone whose pieces miss the root leaves its rays uncertified
+    class _NoRoots(freesets.CLambda):
+        def _pieces(self, w0, R):
+            return []
+
+    monkeypatch.setattr(freesets, "CLambda", _NoRoots)
+    path = write_instance(
+        tmp_path, dim=2, Q=[[1.0, 0.0], [0.0, -1.0]], b=[0.0, 0.0], c=0.0,
+        point=[3.0, 0.0], cone={"rays": [[-1.0, 1.0], [-1.0, -1.0]]},
+    )
+    assert main(["cut", path]) == 13
+    err = capsys.readouterr().err
+    assert "UncertifiedStepError" in err and "Traceback" not in err
 
 
 def test_loop_ill_conditioned_cone_exit_7(tmp_path, capsys, monkeypatch):

@@ -21,13 +21,22 @@ from quadfree.freesets import (
 S2 = math.sqrt(2.0)
 
 
+def _linear_pieces(w0, R, coords):
+    """The margin's pieces ±w_i − 1 along the rays w0 + t·R, for i in coords."""
+    return [((0.0,) * 3 + (-s * R[:, i], 1.0 - s * w0[0, i]), None) for i in coords for s in (1.0, -1.0)]
+
+
 @dataclass(frozen=True)
 class _BoxSet(FreeSetDescriptor):
-    """Unit box on the first two coordinates; free coordinates ignored."""
+    """Unit box on the first two coordinates; free coordinates ignored.
+    Its margin is the largest of ±w_i − 1, one linear piece each."""
 
     def margin(self, w):
         w = np.asarray(w, dtype=float)
         return np.max(np.abs(w[..., :2]), axis=-1) - 1.0
+
+    def _pieces(self, w0, R):
+        return _linear_pieces(w0, R, (0, 1))
 
 
 def _identity_cf(p):
@@ -78,6 +87,9 @@ def test_infinite_step_zeroes_coefficient():
             w = np.asarray(w, dtype=float)
             return np.abs(w[..., 0]) - 1.0
 
+        def _pieces(self, w0, R):
+            return _linear_pieces(w0, R, (0,))
+
     slab = _Slab(3, 0, 0)
     cert = intersection_cut(cone, cf, slab)
     assert cert.steps[0] == pytest.approx(1.0, abs=1e-8)
@@ -94,10 +106,30 @@ def test_all_rays_recession_raises():
             w = np.asarray(w, dtype=float)
             return np.full(w.shape[:-1], -1.0)
 
+        def _pieces(self, w0, R):
+            return []  # the margin has no zero
+
     with pytest.raises(AllRaysRecessionError):
         intersection_cut(
             SimplicialCone(apex=np.zeros(2), R=np.eye(2)), cf, _Everything(3, 0, 0)
         )
+
+
+def _probe_cut(alpha):
+    # S = {s₁² − s₂² ≤ 1} for every α > 0; the apex (3, 0.5) violates it
+    qc = spectral.QuadraticConstraint(
+        Q=np.diag([alpha, -alpha]), b=np.zeros(2), c=-alpha, point=np.array([3.0, 0.5])
+    )
+    return separate(qc, SimplicialCone(apex=qc.point, R=np.array([[-1.0, -0.3], [0.2, -1.0]])))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e6, 1e12])
+def test_scaling_q_keeps_the_cut_and_its_steps_certified(alpha):
+    cert, ref = _probe_cut(alpha), _probe_cut(1.0)
+    assert np.all((cert.residuals >= -1e-9) & (cert.residuals <= 0.0)), cert.residuals
+    scale, ref_scale = np.linalg.norm(cert.coef), np.linalg.norm(ref.coef)
+    assert np.allclose(cert.coef / scale, ref.coef / ref_scale, rtol=0.0, atol=1e-12)
+    assert cert.rhs / scale == pytest.approx(ref.rhs / ref_scale, rel=1e-12, abs=0.0)
 
 
 def test_homogeneous_two_variable_instance():

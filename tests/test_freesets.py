@@ -14,7 +14,12 @@ from conftest import (
 )
 from quadfree import cuts, freesets, spectral
 from quadfree.corefns import CaseData, phi_gradient, phi_value, r_coefficient
-from quadfree.errors import AllRaysRecessionError, ApexNotInteriorError, EmptySError
+from quadfree.errors import (
+    AllRaysRecessionError,
+    ApexNotInteriorError,
+    EmptySError,
+    UncertifiedStepError,
+)
 from quadfree.freesets import (
     CGLambda,
     CLambda,
@@ -443,13 +448,55 @@ def test_boundary_steps_of_any_subset_match_the_batch(data):
             assert fs.margin(apex + step * ray) == residual <= 0.0
 
 
+def _bracket(fs, apex, rays, m0, lo, v_lo, hi, v_hi, tol):
+    """Shrink each bracket lo < t* < hi (margin v_lo ≤ 0 at lo, v_hi > 0 at
+    hi) until the margin at lo is in [−tol, 0] or the bracket has closed to
+    1e-12 relative; returns (lo, margin at lo).
+
+    Each round takes three points per bracket: the chord root, interior by
+    convexity; the root of the line through the last two interior points
+    (the apex, with margin m0, and lo at the start), exterior if its slope
+    is positive; and the midpoint (geometric when hi > 4·lo > 0), which
+    bounds the rounds as bisection does.  Each point is classified by its
+    own margin, so lo is interior even where rounding breaks convexity.
+    """
+    prev = np.where(lo > 0.0, 0.0, np.nan)
+    v_prev = np.full_like(lo, m0)
+
+    def still_open(idx):
+        wide = hi[idx] - lo[idx] > 1e-12 * np.maximum(hi[idx], 1.0)
+        return idx[wide & ~(v_lo[idx] >= -tol)]
+
+    active = still_open(np.arange(lo.size))
+    while active.size:
+        a, lo_a, hi_a = active, lo[active], hi[active]
+        chord = lo_a + (hi_a - lo_a) * (v_lo[a] / (v_lo[a] - v_hi[a]))
+        slope = (v_lo[a] - v_prev[a]) / (lo_a - prev[a])
+        line = lo_a - np.divide(v_lo[a], slope, out=np.full(a.size, np.nan), where=slope > 0.0)
+        geometric = (hi_a > 4.0 * lo_a) & (lo_a > 0.0)
+        mid = np.where(geometric, np.sqrt(lo_a * hi_a), 0.5 * (lo_a + hi_a))
+        T = np.sort(np.column_stack([chord, line, mid]), axis=1)
+        ok = (T > lo_a[:, None]) & (T < hi_a[:, None])
+        V = np.full(T.shape, np.nan)
+        V[ok] = fs.margin(apex + T[ok][:, None] * rays[a[np.nonzero(ok)[0]]])
+        # ascending, so lo and prev end as the top two interior points below hi
+        for t, v in zip(T.T, V.T):
+            new = (lo[a] < t) & (t < hi[a])
+            out, inn = new & (v > 0.0), new & ~(v > 0.0)
+            hi[a[out]], v_hi[a[out]] = t[out], v[out]
+            prev[a[inn]], v_prev[a[inn]] = lo[a[inn]], v_lo[a[inn]]
+            lo[a[inn]], v_lo[a[inn]] = t[inn], v[inn]
+        active = still_open(a)
+    return lo, v_lo
+
+
 def _bracketing_only(fs, apex, rays, tol):
     """The steps by bracketing alone, each from [0, 1e12]: the oracle for
     the closed-form steps."""
     m0, v_cap = fs.margin(apex), fs.margin(apex + freesets._T_CAP * rays)
     steps, residuals = np.full(len(rays), np.inf), np.zeros(len(rays))
     f = v_cap > 0.0
-    steps[f], residuals[f] = freesets._bracket(
+    steps[f], residuals[f] = _bracket(
         fs, apex, rays[f], m0, np.zeros(f.sum()), np.full(f.sum(), m0),
         np.full(f.sum(), freesets._T_CAP), v_cap[f], tol,
     )
@@ -499,22 +546,25 @@ def test_closed_form_steps_match_bracketing(data):
 
 
 def _count_calls(monkeypatch):
-    """Count the margin calls of every family and the rays' entries into
-    the bracketing."""
-    counts = {"margin": 0, "bracket": 0}
-    margin, bracket = FreeSetDescriptor.margin, freesets._bracket
+    """Count the margin calls of every family."""
+    counts = {"margin": 0}
+    margin = FreeSetDescriptor.margin
 
     def counted_margin(self, w):
         counts["margin"] += 1
         return margin(self, w)
 
-    def counted_bracket(*args):
-        counts["bracket"] += 1
-        return bracket(*args)
-
     monkeypatch.setattr(FreeSetDescriptor, "margin", counted_margin)
-    monkeypatch.setattr(freesets, "_bracket", counted_bracket)
     return counts
+
+
+def _candidates(fs, apex, rays, tol=1e-9):
+    """Every candidate step of every ray as one row per ray: its root t*,
+    t* moved toward the apex by the relative amounts of both calls, and
+    the point its slope places."""
+    t, below = freesets._roots(fs, apex, rays)
+    towards = np.concatenate((freesets._TOWARD_APEX, freesets._SECOND))
+    return np.column_stack((t[:, None] * towards, below(np.arange(len(rays)), tol)))
 
 
 def _budget_cases():
@@ -546,61 +596,75 @@ def test_certified_cuts_take_one_margin_call(monkeypatch):
     counts = _count_calls(monkeypatch)
     families = set()
     for fs, apex, rays in _budget_cases():
-        counts.update(margin=0, bracket=0)
+        counts.update(margin=0)
         steps, _ = boundary_steps(fs, apex, rays)
-        assert counts["bracket"] == 0, type(fs).__name__  # every ray certified
-        assert counts["margin"] == 1  # the apex, the candidates and t = 1e12
+        assert counts["margin"] == 1, type(fs).__name__  # the apex, the candidates and t = 1e12
         if np.isfinite(steps).any():
             families.add(type(fs).__name__)
     assert families == {"CLambda", "CGLambda", "CPhiLambda", "CRPhiLambda", "Halfspace"}
 
 
-def test_rounding_past_the_boundary_falls_back_to_bracketing(monkeypatch):
+def test_rounding_past_the_boundary_is_certified_by_the_slope(monkeypatch):
     # Apex 1e-7 relative inside ‖y‖ ≤ x and a ray almost along the cone's
-    # surface: the closed-form root and every point tried toward the apex
-    # have margin 4.4e-16 > 0, so the ray is bracketed from below them.
+    # surface: the closed-form root t* = 0.5999999 and the four points
+    # tried toward the apex by relative amounts have margin 4.4e-16 > 0.
+    # The slope there is 5e-7, so t* − tol/(2f′) lies 1e-3 below t*, where
+    # the margin is about −tol/2.
     fs = CLambda(1, 2, 0, lam=np.array([1.0]))
     apex = np.array([3.0, 3.0 * (1.0 - 1e-7), 0.0])
     rays = np.array([[-5e-7, 0.0, 1e-6]])
-    T = freesets._step_candidates(fs, apex, rays)[0]
-    assert np.all(fs.margin(apex + T[:, None] * rays[0]) > 0.0)
+    T = _candidates(fs, apex, rays)[0]
+    assert T[0] == pytest.approx(0.5999999, rel=1e-7)
+    assert np.all(fs.margin(apex + T[:-1, None] * rays[0]) > 0.0)
     counts = _count_calls(monkeypatch)
     steps, residuals = boundary_steps(fs, apex, rays)
-    assert counts["bracket"] == 1 and counts["margin"] > 1
-    assert steps[0] < T[-1] and steps[0] == pytest.approx(0.6, rel=1e-6)
-    assert -1e-9 <= residuals[0] <= 0.0
+    assert counts["margin"] == 2
+    assert steps[0] == T[-1] and steps[0] == pytest.approx(0.5989999, rel=1e-7)
+    assert residuals[0] == pytest.approx(-5e-10, rel=1e-3)
     assert fs.margin(apex + steps[0] * rays[0]) == residuals[0]
+
+
+class _NoRoots(CLambda):
+    """‖y‖ ≤ λᵀx whose pieces miss every root."""
+
+    def _pieces(self, w0, R):
+        return []
+
+
+class _FarRoots(CLambda):
+    """‖y‖ ≤ λᵀx whose pieces are those of ‖y‖ ≤ 2λᵀx, with later roots."""
+
+    def _pieces(self, w0, R):
+        return CLambda(self.n, self.m, self.l, lam=2.0 * self.lam)._pieces(w0, R)
+
+
+def test_a_ray_with_no_certified_step_raises(monkeypatch):
+    # from (1, 0) the ray (0, 1) leaves ‖y‖ ≤ x at t = 1, and (1, 0) recedes
+    apex, rays = np.array([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    counts = _count_calls(monkeypatch)
+    for fs in [_NoRoots(1, 1, 0, lam=np.array([1.0])), _FarRoots(1, 1, 0, lam=np.array([1.0]))]:
+        counts.update(margin=0)
+        with pytest.raises(UncertifiedStepError, match=r"rays \[0\]"):
+            boundary_steps(fs, apex, rays)
+        assert counts["margin"] <= 2
+        steps, residuals = boundary_steps(fs, apex, rays[1:])
+        assert steps.tolist() == [math.inf] and residuals.tolist() == [0.0]
 
 
 def _all_candidates(fs, apex, rays, tol=1e-9):
     """The steps from one margin call over every candidate of every ray:
-    the largest certified candidate, else bracketing from the tightest
-    interior and exterior candidates.  The reference for the certificate
-    that tries the first candidates alone first."""
-    T = freesets._step_candidates(fs, apex, rays)
-    V = np.full(T.shape, np.nan)
-    has = ~np.isnan(T[:, 0])
-    W = (apex + T[has, :, None] * rays[has, None, :]).reshape(-1, apex.size)
+    the first certified, in the order of ``_candidates``.  The reference
+    for the certificate that tries the first three alone first."""
+    T = _candidates(fs, apex, rays, tol)
+    W = (apex + T[:, :, None] * rays[:, None, :]).reshape(-1, apex.size)
     v = fs.margin(np.vstack([apex, W, apex + freesets._T_CAP * rays]))
-    m0, v_cap = v[0], v[1 + len(W) :]
-    V[has] = v[1 : 1 + len(W)].reshape(-1, T.shape[1])
-    r = np.arange(len(rays))
-    certified = np.where((V >= -tol) & (V <= 0.0), T, -np.inf)
-    best = np.argmax(certified, axis=1)
-    steps, residuals = certified[r, best], V[r, best]
+    V, v_cap = v[1 : 1 + T.size].reshape(T.shape), v[1 + T.size :]
+    ok = (V >= -tol) & (V <= 0.0)
     recedes = v_cap <= 0.0
+    assert np.all(ok.any(axis=1) | recedes)  # every ray gets a step
+    r, best = np.arange(len(rays)), ok.argmax(axis=1)
+    steps, residuals = T[r, best], V[r, best]
     steps[recedes], residuals[recedes] = np.inf, 0.0
-    for j in np.flatnonzero(steps == -np.inf):
-        outside, inside = V[j] > 0.0, V[j] <= 0.0
-        hi = T[j][outside].min() if outside.any() else freesets._T_CAP
-        v_hi = V[j][T[j] == hi][0] if outside.any() else v_cap[j]
-        inside &= T[j] < hi
-        lo = T[j][inside].max() if inside.any() else 0.0
-        v_lo = V[j][T[j] == lo][0] if inside.any() else m0
-        (steps[j],), (residuals[j],) = freesets._bracket(
-            fs, apex, rays[j : j + 1], m0, np.array([lo]), np.array([v_lo]),
-            np.array([hi]), np.array([v_hi]), tol,
-        )
     return steps, residuals
 
 
@@ -638,12 +702,12 @@ def test_rays_certified_late_take_a_second_margin_call(monkeypatch):
     ]
     for delta, ray, index in cases:
         apex, rays = np.array([3.0, 3.0 * (1.0 - delta), 0.0]), np.array([ray])
-        T = freesets._step_candidates(fs, apex, rays)[0]
+        T = _candidates(fs, apex, rays)[0]
         V = fs.margin(apex + T[:, None] * rays[0])
         assert np.argmax((V >= -1e-9) & (V <= 0.0)) == index and np.all(V[:index] > 0.0)
         counts = _count_calls(monkeypatch)
         steps, residuals = boundary_steps(fs, apex, rays)
-        assert counts == {"margin": 1 if index < 3 else 2, "bracket": 0}
+        assert counts == {"margin": 1 if index < 3 else 2}
         assert steps[0] == T[index] and residuals[0] == V[index]
         monkeypatch.undo()
 
