@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .spectral import (
     CanonicalForm,
-    Decomposition,
     QuadraticConstraint,
     canonicalize,
     decompose,

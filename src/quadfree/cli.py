@@ -307,7 +307,7 @@ def cmd_plot(inst, args) -> int:
 def cmd_loop(inst, args) -> int:
     if "objective" not in inst or "linear_constraints" not in inst["raw"]:
         raise ParseError("loop command needs objective and linear_constraints")
-    qc, form = inst["qc"], None  # the constraint is decomposed at the first cut
+    qc, at = inst["qc"], None  # the constraint is decomposed at the first cut
     sys.stdout.write(
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
@@ -327,7 +327,7 @@ def cmd_loop(inst, args) -> int:
             "violation": viol,
             "vertex": [float(v) for v in s_star],
         }
-        if viol <= 1e-6:
+        if viol <= max(1e-6, args.tol):  # at q ≤ tol there is nothing to separate
             record["converged"] = True
             sys.stdout.write(json.dumps(record) + "\n")
             return 0
@@ -335,9 +335,9 @@ def cmd_loop(inst, args) -> int:
             cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
         except ValueError as exc:
             raise DegenerateVertexError(f"the vertex cone is unusable: {exc}") from exc
-        if form is None:
-            form = spectral.decompose(qc, zero_tol=args.tol)
-        cf = form.at(s_star)
+        if at is None:
+            at = spectral.decompose(qc, zero_tol=args.tol)
+        cf = at(s_star)
         cert = cuts.intersection_cut(cone, cf, freesets.build_free_set(cf))
         record["cut"] = {"coef": [float(v) for v in cert.coef], "rhs": cert.rhs}
         sys.stdout.write(json.dumps(record) + "\n")

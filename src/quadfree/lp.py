@@ -32,18 +32,19 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _reduced_costs(T, basis, cost):
-    return cost[:-1] - cost[basis] @ T[:, :-1]
+def _with_costs(T, basis, cost):
+    """T with the reduced-cost row cost − cost_B·T appended, which ``_pivot`` keeps current."""
+    return np.vstack([T, cost - cost[basis] @ T])
 
 
-def _bland_loop(T, basis, cost):
+def _bland_loop(T, basis):
     """Optimize the canonical tableau in place; Bland's rule throughout."""
     while True:
-        improving = np.flatnonzero(_reduced_costs(T, basis, cost) < -_EPS)
+        improving = np.flatnonzero(T[-1, :-1] < -_EPS)
         if improving.size == 0:
             return
         entering = improving[0]
-        rows = np.flatnonzero(T[:, entering] > _EPS)
+        rows = np.flatnonzero(T[:-1, entering] > _EPS)
         if rows.size == 0:
             raise UnboundedLPError("no blocking row for the entering column")
         ratios = T[rows, -1] / T[rows, entering]
@@ -52,7 +53,7 @@ def _bland_loop(T, basis, cost):
         _pivot(T, basis, ties[np.argmin(basis[ties])], entering)
 
 
-def _dual_loop(T, basis, cost):
+def _dual_loop(T, basis):
     """Restore primal feasibility of a dual-feasible tableau in place.
 
     The leaving row is the infeasible one with the smallest basic index;
@@ -60,34 +61,34 @@ def _dual_loop(T, basis, cost):
     over T[row, j] < 0, ties going to the smallest j.
     """
     while True:
-        infeasible = np.flatnonzero(T[:, -1] < -_EPS)
+        infeasible = np.flatnonzero(T[:-1, -1] < -_EPS)
         if infeasible.size == 0:
             return
         row = infeasible[np.argmin(basis[infeasible])]
         cols = np.flatnonzero(T[row, :-1] < -_EPS)
         if cols.size == 0:
             raise InfeasibleLPError("a cut left the LP without a feasible point")
-        ratios = _reduced_costs(T, basis, cost)[cols] / -T[row, cols]
+        ratios = T[-1, cols] / -T[row, cols]
         _pivot(T, basis, row, cols[np.argmin(ratios)])
 
 
 @dataclass
 class Tableau:
     """An optimal phase-2 tableau: rows B⁻¹[A_std | b] over the columns
-    (u, v, slacks), the basic column of each row and each column's cost
-    (with a trailing 0 for the right-hand side)."""
+    (u, v, slacks), then the reduced costs (ending in −cᵀs*), the basic
+    column of each row but the last, and the objective c."""
 
     T: np.ndarray
     basis: np.ndarray
-    cost: np.ndarray
+    c: np.ndarray
     p: int
 
     def vertex(self):
         """The basic solution (s*, cᵀs*)."""
         x_std = np.zeros(self.T.shape[1] - 1)
-        x_std[self.basis] = self.T[:, -1]
+        x_std[self.basis] = self.T[:-1, -1]
         s = x_std[: self.p] - x_std[self.p : 2 * self.p]
-        return s, float(self.cost[: self.p] @ s)
+        return s, float(self.c @ s)
 
     def cone_rays(self):
         """The ray columns of the vertex cone {s : A_N s ≤ b_N}, where the
@@ -99,7 +100,7 @@ class Tableau:
         is 0, so the vertex stays; with no such row s*_i is not fixed by
         the tight rows, a ``DegenerateVertexError``.
         """
-        p, T, basis = self.p, self.T, self.basis
+        p, T, basis = self.p, self.T[:-1], self.basis
         nonbasic = np.ones(T.shape[1] - 1, dtype=bool)
         nonbasic[basis] = False
         for i in np.flatnonzero(nonbasic[:p] & nonbasic[p : 2 * p]):
@@ -111,7 +112,7 @@ class Tableau:
                 )
             col = i if T[row, i] > 0.0 else p + i
             nonbasic[basis[row]], nonbasic[col] = True, False
-            _pivot(T, basis, row, col)
+            _pivot(self.T, basis, row, col)  # the view T follows
         slacks = 2 * p + np.flatnonzero(nonbasic[2 * p :])
         R = np.zeros((p, slacks.size))
         u, v = basis < p, (basis >= p) & (basis < 2 * p)
@@ -130,12 +131,12 @@ class Tableau:
         k, width = self.T.shape
         T = np.zeros((k + 1, width + 1))
         T[:k, :-2], T[:k, -1] = self.T[:, :-1], self.T[:, -1]
+        T[k] = T[k - 1]  # the reduced-cost row stays last
         row = np.concatenate([coef, -coef, np.zeros(width - 1 - 2 * self.p), [1.0, rhs]])
-        T[k] = row - row[self.basis] @ T[:k]
+        T[k - 1] = row - row[self.basis] @ T[: k - 1]
         self.T = T
         self.basis = np.append(self.basis, width - 1)
-        self.cost = np.append(self.cost, 0.0)
-        _dual_loop(self.T, self.basis, self.cost)
+        _dual_loop(self.T, self.basis)
 
 
 def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
@@ -158,9 +159,9 @@ def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
     # Phase 1 with an all-artificial basis.
     T = np.hstack([A_std, np.eye(n_rows), b_std[:, None]])
     basis = np.arange(n_std, n_std + n_rows)
-    cost1 = np.concatenate([np.zeros(n_std), np.ones(n_rows), [0.0]])
-    _bland_loop(T, basis, cost1)
-    if cost1[basis] @ T[:, -1] > 1e-7:
+    T = _with_costs(T, basis, np.concatenate([np.zeros(n_std), np.ones(n_rows), [0.0]]))
+    _bland_loop(T, basis)
+    if -T[-1, -1] > 1e-7:
         raise InfeasibleLPError("phase 1 ended with positive artificial mass")
 
     # Drive residual artificials out of the basis (or drop dead rows).
@@ -175,9 +176,9 @@ def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
     T = T[keep_rows][:, list(range(n_std)) + [-1]]
     basis = basis[keep_rows]
 
-    cost2 = np.concatenate([c, -c, np.zeros(n_rows), [0.0]])
-    _bland_loop(T, basis, cost2)
-    return Tableau(T=T, basis=basis, cost=cost2, p=p)
+    T = _with_costs(T, basis, np.concatenate([c, -c, np.zeros(n_rows), [0.0]]))
+    _bland_loop(T, basis)
+    return Tableau(T=T, basis=basis, c=c, p=p)
 
 
 def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray):

@@ -6,11 +6,13 @@ coordinates w = M(s, 1) where it reads ‖x‖² ≤ ‖y‖² together with the
 affine slice aᵀx + dᵀy + hᵀz = -1.  The case tag records which free-set
 construction applies downstream.  Only w̄ = M(s̄, 1), λ and the λ = −a
 test depend on the point s̄: ``decompose`` does the rest once per
-constraint, and ``canonicalize`` is ``decompose(qc).at(qc.point)``.
+constraint and returns the map from a point to its canonical form, and
+``canonicalize`` is that map at ``qc.point``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,61 +139,11 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(v.dot(v))
 
 
-def _require_violated(q_bar: float, zero_tol: float) -> None:
-    if q_bar <= zero_tol:
-        raise NotSeparableError(f"q(point) = {q_bar} is not positive")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """The point-free part of canonicalize for one constraint: the lifted
-    eigenvalues and signature, the rows M₀ of M before the case-2
-    rescaling, M and (a, d, h) after it, the case before the λ = −a test
-    and μ (None outside case 2).  ``at`` adds the per-point part, so many
-    points are separated from one constraint with one eigendecomposition."""
-
-    qc: QuadraticConstraint  # its Q, b and c; the point is not read
-    zero_tol: float
-    n: int
-    m: int
-    l: int
-    M0: np.ndarray
-    M: np.ndarray
-    a: np.ndarray
-    d: np.ndarray
-    h: np.ndarray
-    eigenvalues: np.ndarray
-    case: str
-    mu: float | None
-
-    def at(self, point: np.ndarray) -> CanonicalForm:
-        """The canonical form at ``point``: q(point) > zero_tol, w̄ = M(point, 1),
-        λ = x̄/‖x̄‖ and, in case 2, the λ = −a test."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.qc.dim,) or not np.isfinite(point).all():
-            raise ValueError(f"point must be {self.qc.dim} finite numbers")
-        _require_violated(self.qc(point), self.zero_tol)
-        return self._form(point)
-
-    def _form(self, point: np.ndarray) -> CanonicalForm:
-        wbar = self.M0 @ np.concatenate([point, [1.0]])
-        xbar = wbar[: self.n]
-        lam = xbar / _norm(xbar)
-        case, mu = self.case, self.mu
-        if mu is not None:
-            wbar = mu * wbar
-            if _norm(lam + self.a) <= self.zero_tol:
-                case = CASE_CASE2_CR_LAMBDA_NEG_A
-        return CanonicalForm(
-            n=self.n, m=self.m, l=self.l, M=self.M, a=self.a, d=self.d, h=self.h,
-            mapped_point=wbar, lam=lam, case=case, eigenvalues=self.eigenvalues,
-            quad_scale=1.0 if mu is None else mu * mu, case2_rescale=mu,
-        )
-
-
-def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Decomposition:
+def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.ndarray], CanonicalForm]:
     """Diagonalize the lifted quadratic of ``qc`` and dispatch the case up
-    to the λ = −a test; ``qc.point`` is not read.
+    to the λ = −a test; ``qc.point`` is not read.  Returns ``at``, which
+    maps a point to its canonical form, so many points are separated from
+    one constraint with one eigendecomposition.
 
     Raises DegenerateQuadraticError when every lifted eigenvalue vanishes
     and NotSeparableError when none is positive.
@@ -230,19 +182,34 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Decomposition:
         mu = _norm(a)
         M, a, d, h = mu * M, a / mu, d / mu, h / mu
         case = CASE_CASE2_CR
-    return Decomposition(
-        qc=qc, zero_tol=zero_tol, n=n, m=m, l=k - n - m, M0=M0, M=M, a=a, d=d, h=h,
-        eigenvalues=eig, case=case, mu=mu,
-    )
+
+    def at(point: np.ndarray) -> CanonicalForm:
+        """The canonical form at ``point``: q(point) > zero_tol, w̄ = M(point, 1),
+        λ = x̄/‖x̄‖ and, in case 2, the λ = −a test."""
+        point = np.asarray(point, dtype=float)
+        if point.shape != (qc.dim,) or not np.isfinite(point).all():
+            raise ValueError(f"point must be {qc.dim} finite numbers")
+        q_bar = qc(point)
+        if q_bar <= zero_tol:
+            raise NotSeparableError(f"q(point) = {q_bar} is not positive")
+        wbar = M0 @ np.concatenate([point, [1.0]])
+        lam = wbar[:n] / _norm(wbar[:n])
+        case_at = case
+        if mu is not None:
+            wbar = mu * wbar
+            if _norm(lam + a) <= zero_tol:
+                case_at = CASE_CASE2_CR_LAMBDA_NEG_A
+        return CanonicalForm(
+            n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam,
+            case=case_at, eigenvalues=eig, quad_scale=1.0 if mu is None else mu * mu,
+            case2_rescale=mu,
+        )
+
+    return at
 
 
 def canonicalize(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> CanonicalForm:
-    """Diagonalize the lifted quadratic and dispatch the case tag at
-    ``qc.point``: ``decompose(qc, zero_tol).at(qc.point)``.
-
-    Raises NotSeparable when q(point) is not strictly positive (nothing
-    to separate; checked first) or when the lifted form has no positive
-    directions.
-    """
-    _require_violated(qc(qc.point), zero_tol)
-    return decompose(qc, zero_tol)._form(qc.point)
+    """The canonical form at ``qc.point``, ``decompose(qc, zero_tol)(qc.point)``:
+    the eigenvalue checks of ``decompose`` come before q(point) > zero_tol
+    is checked, so a vanishing quadratic raises DegenerateQuadraticError."""
+    return decompose(qc, zero_tol)(qc.point)

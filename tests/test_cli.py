@@ -195,6 +195,31 @@ def test_non_numbers_exit_3(tmp_path, capsys, field, value):
     assert captured.err.startswith(f"ParseError: malformed {field}: ")
 
 
+def _without_sense(fields):
+    del fields["linear_constraints"][0]["sense"]
+    return fields
+
+
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        ("canon", [wedge_fields()], "instance must be a JSON object"),
+        ("canon", wedge_fields(b=[0.0, 0.0, 0.0]), "b has shape (3,), need (2,)"),
+        ("cut", wedge_fields(cone={"rays": [[1, 0], [0, 1]], "apex": [0, 0]}), "cone must be"),
+        ("loop", {**loop_fields(), "linear_constraints": {}}, "linear_constraints must be a list"),
+        ("loop", _without_sense(loop_fields()), "each constraint needs exactly coef/rhs/sense"),
+        ("cut", wedge_fields(), "this command needs a cone"),
+    ],
+)
+def test_malformed_instance_exit_3(tmp_path, capsys, command, fields, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ParseError: {message}") and captured.err.count("\n") == 1
+
+
 # --- canon -------------------------------------------------------------------
 
 
@@ -340,6 +365,16 @@ def test_degenerate_quadratic_exit_10(tmp_path, capsys):
     for command in ("canon", "cut", "verify"):
         assert main([command, path]) == 10
         assert "DegenerateQuadraticError" in capsys.readouterr().err
+
+
+def test_zero_quadratic_exit_10_before_the_point_is_read(tmp_path, capsys):
+    # q = 0: every lifted eigenvalue vanishes, which decides before q(point) = 0 does
+    path = write_instance(
+        tmp_path, dim=1, Q=[[0.0]], b=[0.0], c=0.0, point=[1.0], cone={"rays": [[1.0]]}
+    )
+    for command in ("canon", "cut"):
+        assert main([command, path]) == 10
+        assert capsys.readouterr().err.startswith("DegenerateQuadraticError: ")
 
 
 def test_apex_not_interior_exit_11(tmp_path, capsys):
@@ -692,6 +727,15 @@ def test_loop_025_certifies_a_step_by_its_slope_in_two_margin_calls(capsys, monk
     assert [r["iter"] for r in records] == list(range(5)) and records[-1]["converged"]
     assert records[-1]["objective"] == pytest.approx(6.446126051979341, rel=1e-8)
     assert len(calls) == 4 and max(calls) == 2
+
+
+def test_loop_converges_at_a_tolerance_above_its_floor(capsys):
+    # with --tol 1e-5 the vertex at q = 2.68e-6 is converged: there is
+    # nothing to separate at q ≤ tol, so the loop stops at q ≤ max(1e-6, tol)
+    path = str(Path(__file__).parent / "data" / "loop_025.json")
+    assert main(["loop", path, "--tol", "1e-5"]) == 0
+    records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert records[-1]["converged"] and records[-1]["violation"] <= 1e-5
 
 
 def test_uncertified_step_exit_13(tmp_path, capsys, monkeypatch):

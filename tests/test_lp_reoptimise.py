@@ -60,6 +60,15 @@ def _next_cut(rng, tableau, A, b):
     return coef, coef @ s - u * room
 
 
+def _carried_costs_match(tableau):
+    """The reduced-cost row the tableau carries against cost − cost_B·T
+    recomputed from the rows above it."""
+    T, p = tableau.T, tableau.p
+    cost = np.concatenate([tableau.c, -tableau.c, np.zeros(T.shape[1] - 1 - 2 * p), [0.0]])
+    ref = cost - cost[tableau.basis] @ T[:-1]
+    assert np.max(np.abs(T[-1] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
@@ -67,6 +76,7 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
     c, A, b = _box_lp(rng, p)
     tableau = optimal_tableau(c, A, b)
     _close(tableau.vertex(), solve_lp(c, A, b))
+    _carried_costs_match(tableau)
     for _ in range(n_cuts):
         coef, rhs = _next_cut(rng, tableau, A, b)
         A, b = np.vstack([A, coef]), np.append(b, rhs)
@@ -77,6 +87,7 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
                 tableau.add_cut(coef, rhs)
             return
         tableau.add_cut(coef, rhs)
+        _carried_costs_match(tableau)
         _close(tableau.vertex(), cold)
         assert np.max(A @ tableau.vertex()[0] - b) <= 1e-9 * max(1.0, np.max(np.abs(b)))
 

@@ -141,7 +141,9 @@ def test_lift_is_the_block_matrix_bit_for_bit():
 def _decompose_by_eigen(qc, zero_tol=1e-9):
     """The point-free part of the canonical form by the route ``decompose``
     replaced: ``eigen`` (with its symmetry check) on lift(Q, b, c), index
-    lists per sign and ``np.linalg.norm``; the reference for ``decompose``."""
+    lists per sign and ``np.linalg.norm``; the reference for ``decompose``.
+    M0 is M before the case-2 rescaling, and the case is the one before the
+    λ = −a test."""
     eig, V = eigen(lift(qc.Q, qc.b, qc.c))
     thresh = zero_tol * float(np.max(np.abs(eig)))
     pos, neg = np.flatnonzero(eig > thresh), np.flatnonzero(eig < -thresh)
@@ -149,7 +151,7 @@ def _decompose_by_eigen(qc, zero_tol=1e-9):
     n, m = len(pos), len(neg)
     sigma = np.where(np.abs(eig) <= thresh, 1.0, np.sqrt(np.abs(eig)))
     perm = np.concatenate([pos, neg, zer])
-    M = (sigma[:, None] * V.T)[perm]
+    M0 = M = (sigma[:, None] * V.T)[perm]
     g = -(V[-1] / sigma)[perm]
     a, d, h = g[:n], g[n : n + m], g[n + m :]
     mu = None
@@ -163,7 +165,7 @@ def _decompose_by_eigen(qc, zero_tol=1e-9):
         mu = np.linalg.norm(a)
         M, a, d, h = mu * M, a / mu, d / mu, h / mu
         case = CASE_CASE2_CR
-    return (n, m, len(zer)), eig, M, (a, d, h), case, mu
+    return (n, m, len(zer)), eig, M0, M, (a, d, h), case, mu
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -175,14 +177,20 @@ def test_decompose_matches_eigen_of_the_lift_bit_for_bit(k):
         for m in range(k + 1 - n):
             for _ in range(3):
                 qc = random_instance(rng, n, m, k - n - m)
-                form = decompose(qc)
-                sig, eig, M, adh, case, mu = _decompose_by_eigen(qc)
-                assert (form.n, form.m, form.l) == sig == (n, m, k - n - m)
-                assert form.eigenvalues.tobytes() == eig.tobytes()
-                assert form.M.tobytes() == M.tobytes()
-                for got, ref in zip((form.a, form.d, form.h), adh):
+                cf = decompose(qc)(qc.point)
+                sig, eig, M0, M, adh, case, mu = _decompose_by_eigen(qc)
+                assert (cf.n, cf.m, cf.l) == sig == (n, m, k - n - m)
+                assert cf.eigenvalues.tobytes() == eig.tobytes()
+                assert cf.M.tobytes() == M.tobytes()
+                for got, ref in zip((cf.a, cf.d, cf.h), adh):
                     assert got.tobytes() == ref.tobytes()
-                assert form.case == case and form.mu == mu
+                assert cf.case2_rescale == mu
+                x = (M0 @ np.append(qc.point, 1.0))[:n]
+                lam = x / np.linalg.norm(x)
+                assert cf.lam.tobytes() == lam.tobytes()
+                if mu is not None and np.linalg.norm(lam + adh[0]) <= 1e-9:
+                    case = CASE_CASE2_CR_LAMBDA_NEG_A
+                assert cf.case == case
                 cases.add(case)
     if k >= 4:  # room for a zero eigenvalue beside both signs
         assert {CASE_EMPTY_S, CASE_HOMOG_H_NONZERO, CASE_CASE2_CR} <= cases
@@ -333,24 +341,25 @@ def test_a_reused_decomposition_matches_canonicalize_bit_for_bit(seed):
     for n, m, l in _SIGNATURES:
         qc = random_instance(rng, n, m, l)
         p = qc.dim
-        form = decompose(qc)
+        at = decompose(qc)
+        cf = at(qc.point)
         points = [qc.point] + [
             qc.point * rng.uniform(0.5, 2.0) + rng.normal(0.0, 0.1, p) for _ in range(4)
         ]
-        if form.mu is not None:  # w = (−a, 0, 0) is on the slice, with λ = −a
-            w = np.concatenate([-form.a, np.zeros(m + l)])
-            points.append(np.linalg.solve(form.M, w)[:-1])
-            assert form.at(points[-1]).case == CASE_CASE2_CR_LAMBDA_NEG_A
+        if cf.case2_rescale is not None:  # w = (−a, 0, 0) is on the slice, with λ = −a
+            w = np.concatenate([-cf.a, np.zeros(m + l)])
+            points.append(np.linalg.solve(cf.M, w)[:-1])
+            assert at(points[-1]).case == CASE_CASE2_CR_LAMBDA_NEG_A
         for point in points:
             if qc(point) <= 1e-9:
                 with pytest.raises(NotSeparableError):
-                    form.at(point)
+                    at(point)
                 continue
             fresh = canonicalize(dataclasses.replace(qc, point=point))
-            assert _bits(form.at(point)) == _bits(fresh)
+            assert _bits(at(point)) == _bits(fresh)
 
 
 @pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 1.0], [1.0, 2.0, 3.0]])
 def test_decomposition_rejects_a_bad_point(point):
     with pytest.raises(ValueError):
-        decompose(wedge_constraint()).at(point)
+        decompose(wedge_constraint())(point)
