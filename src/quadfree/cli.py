@@ -92,6 +92,8 @@ def parse_instance(path: str) -> dict:
         )
     except NonSymmetricError as exc:
         raise ParseError(f"Q: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"unusable constraint: {exc}") from exc
     inst = {"raw": raw, "qc": qc}
 
     if "cone" in raw:

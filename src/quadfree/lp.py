@@ -1,12 +1,15 @@
 """A small dense simplex for the cutting loop, with Bland's rule.
 
 Solves  min cᵀs  subject to  A s ≤ b  with free variables (split into
-positive parts, s = u − v).  ``optimal_tableau`` runs the two-phase
-primal simplex from scratch; every pivot is one rank-1 update of the
-dense tableau, and Bland's rule (first improving column, smallest basic
-index among tied rows) rules out cycling.  The tableau it returns stays
-dual feasible when a row is added, so ``Tableau.add_cut`` re-optimises
-after a cut by dual simplex pivots (Lemke 1954) instead of solving again.
+positive parts, s = u − v) on the tableau [A, −A, I | b]; every pivot is
+one rank-1 update of it.  At zero cost its slack basis is dual feasible,
+so ``optimal_tableau`` reaches a feasible basis by dual simplex pivots
+(Lemke 1954), then writes the reduced costs of c once and optimises by
+the primal simplex under Bland's rule (first improving column, smallest
+basic index among tied rows); the dual pivots also choose by smallest
+index, so neither loop cycles.  The optimal tableau stays dual feasible
+when a row is added, so ``Tableau.add_cut`` re-optimises after a cut by
+the same dual simplex instead of solving again.
 ``Tableau.cone_rays`` reads the cone of the vertex from the basis: its
 tight rows are the p rows whose slacks are nonbasic, so an ``=`` row, or
 any row tight at the vertex but basic at zero, needs no tolerance and no
@@ -30,11 +33,6 @@ def _pivot(T, basis, row, col):
     T -= np.outer(T[:, col], pivot_row)
     T[row] = pivot_row
     basis[row] = col
-
-
-def _with_costs(T, basis, cost):
-    """T with the reduced-cost row cost − cost_B·T appended, which ``_pivot`` keeps current."""
-    return np.vstack([T, cost - cost[basis] @ T])
 
 
 def _bland_loop(T, basis):
@@ -67,16 +65,16 @@ def _dual_loop(T, basis):
         row = infeasible[np.argmin(basis[infeasible])]
         cols = np.flatnonzero(T[row, :-1] < -_EPS)
         if cols.size == 0:
-            raise InfeasibleLPError("a cut left the LP without a feasible point")
+            raise InfeasibleLPError("no point satisfies the rows of the LP")
         ratios = T[-1, cols] / -T[row, cols]
         _pivot(T, basis, row, cols[np.argmin(ratios)])
 
 
 @dataclass
 class Tableau:
-    """An optimal phase-2 tableau: rows B⁻¹[A_std | b] over the columns
-    (u, v, slacks), then the reduced costs (ending in −cᵀs*), the basic
-    column of each row but the last, and the objective c."""
+    """An optimal tableau: rows B⁻¹[A, −A, I | b] over the columns
+    (u, v, slacks), one per row of A, then the reduced costs (ending in
+    −cᵀs*), the basic column of each row but the last, and the objective c."""
 
     T: np.ndarray
     basis: np.ndarray
@@ -140,7 +138,9 @@ class Tableau:
 
 
 def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
-    """Minimize cᵀs over {A s ≤ b} with s free by the two-phase simplex."""
+    """Minimize cᵀs over {A s ≤ b} with s free: dual simplex pivots at zero
+    cost from the slack basis to a feasible one, then the primal simplex.
+    Raises ``InfeasibleLPError`` when no point satisfies the rows."""
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -148,35 +148,13 @@ def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
     if c.shape != (p,):
         raise ValueError("objective/constraint dimensions disagree")
 
-    # Standard form: [A, -A, I][u; v; slack] = b, all variables ≥ 0.
-    A_std = np.hstack([A, -A, np.eye(n_rows)])
-    b_std = b.copy()
-    flip = b_std < 0.0
-    A_std[flip] *= -1.0
-    b_std[flip] *= -1.0
-    n_std = A_std.shape[1]
-
-    # Phase 1 with an all-artificial basis.
-    T = np.hstack([A_std, np.eye(n_rows), b_std[:, None]])
-    basis = np.arange(n_std, n_std + n_rows)
-    T = _with_costs(T, basis, np.concatenate([np.zeros(n_std), np.ones(n_rows), [0.0]]))
-    _bland_loop(T, basis)
-    if -T[-1, -1] > 1e-7:
-        raise InfeasibleLPError("phase 1 ended with positive artificial mass")
-
-    # Drive residual artificials out of the basis (or drop dead rows).
-    keep_rows = []
-    for i in range(n_rows):
-        if basis[i] >= n_std:
-            pivot_cols = np.flatnonzero(np.abs(T[i, :n_std]) > _EPS)
-            if pivot_cols.size == 0:
-                continue  # redundant row
-            _pivot(T, basis, i, pivot_cols[0])
-        keep_rows.append(i)
-    T = T[keep_rows][:, list(range(n_std)) + [-1]]
-    basis = basis[keep_rows]
-
-    T = _with_costs(T, basis, np.concatenate([c, -c, np.zeros(n_rows), [0.0]]))
+    # [A, −A, I][u; v; slack] = b, all variables ≥ 0, with the slacks basic.
+    T = np.zeros((n_rows + 1, 2 * p + n_rows + 1))
+    T[:-1] = np.hstack([A, -A, np.eye(n_rows), b[:, None]])
+    basis = np.arange(2 * p, 2 * p + n_rows)
+    _dual_loop(T, basis)
+    cost = np.concatenate([c, -c, np.zeros(n_rows + 1)])
+    T[-1] = cost - cost[basis] @ T[:-1]
     _bland_loop(T, basis)
     return Tableau(T=T, basis=basis, c=c, p=p)
 

@@ -33,9 +33,11 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {A.shape}")
     scale = 1.0 + (np.max(np.abs(A)) if A.size else 0.0)
-    if np.max(np.abs(A - A.T), initial=0.0) > 1e-12 * scale:
-        raise NonSymmetricError("matrix is not symmetric within tolerance")
-    return 0.5 * (A + A.T)
+    # an overflow gives inf, which fails the symmetry test or the caller's finiteness check
+    with np.errstate(over="ignore"):
+        if np.max(np.abs(A - A.T), initial=0.0) > 1e-12 * scale:
+            raise NonSymmetricError("matrix is not symmetric within tolerance")
+        return 0.5 * (A + A.T)
 
 
 @dataclass(frozen=True)

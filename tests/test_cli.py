@@ -295,6 +295,22 @@ def test_canon_non_finite_exit_3(tmp_path):
     assert main(["canon", str(path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "Q, message",
+    [
+        ([[1e308, 0.0], [0.0, -1e308]], "unusable constraint: Q, b, c and point must be finite"),
+        ([[0.0, 1e308], [-1e308, 0.0]], "Q: matrix is not symmetric"),
+    ],
+)
+def test_canon_q_whose_symmetrisation_overflows_exit_3(tmp_path, capsys, Q, message):
+    # every entry is finite, but Q + Qᵀ or Q − Qᵀ is not: no warning, no traceback
+    path = write_instance(tmp_path, dim=2, Q=Q, b=[0.0, 0.0], c=-1.0, point=[3.0, 0.5])
+    assert main(["canon", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"ParseError: {message}")
+
+
 # --- cut ---------------------------------------------------------------------
 
 
@@ -706,27 +722,34 @@ def test_loop_022_runs_past_the_row_a_tight_scan_missed(capsys):
 
 
 def test_loop_025_certifies_a_step_by_its_slope_in_two_margin_calls(capsys, monkeypatch):
-    # the benchmark's loop/025 (p = 7): one cut has a CLambda ray whose root
-    # t* = 1.88e-4 and the four points 4 ulps to 2⁻³² relative below it have
-    # margin 4.4e-16 > 0 by rounding; the point its slope places is certified
-    calls, margin, steps = [], freesets.FreeSetDescriptor.margin, freesets.boundary_steps
+    # a cut of the benchmark's loop/025 (p = 7), kept as its boundary_steps
+    # input because the loop's four cuts certify in one margin call each at
+    # the vertices the LP rounds today: a CLambda ray whose root t* = 1.88e-4
+    # and the four points 4 ulps to 2⁻³² relative below it have margin
+    # 4.4e-16 > 0 by rounding; the point its slope places is certified
+    with open(Path(__file__).parent / "data" / "loop_025_slope_ray.json", encoding="utf-8") as fh:
+        rec = json.load(fh)
+    fs = freesets.CLambda(rec["n"], rec["m"], rec["l"], lam=np.array(rec["lam"]))
+    apex, rays = np.array(rec["apex"]), np.array(rec["rays"])
+    calls, margin = [], freesets.FreeSetDescriptor.margin
 
     def counted_margin(self, w):
-        calls[-1] += 1
+        calls.append(1)
         return margin(self, w)
 
-    def counted_steps(*args, **kwargs):
-        calls.append(0)
-        return steps(*args, **kwargs)
-
     monkeypatch.setattr(freesets.FreeSetDescriptor, "margin", counted_margin)
-    monkeypatch.setattr(freesets, "boundary_steps", counted_steps)
+    steps, residuals = freesets.boundary_steps(fs, apex, rays)
+    assert len(calls) == 2
+    t, below = freesets._roots(fs, apex, rays)
+    assert t[-1] == pytest.approx(1.8829e-4, rel=1e-4)
+    assert steps[-1] == below(np.array([len(rays) - 1]), 1e-9)[0] < t[-1] * (1.0 - 2.0**-32)
+    assert -1e-9 <= residuals[-1] <= 0.0
+
     path = str(Path(__file__).parent / "data" / "loop_025.json")
     assert main(["loop", path]) == 0
     records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()[1:]]
     assert [r["iter"] for r in records] == list(range(5)) and records[-1]["converged"]
     assert records[-1]["objective"] == pytest.approx(6.446126051979341, rel=1e-8)
-    assert len(calls) == 4 and max(calls) == 2
 
 
 def test_loop_converges_at_a_tolerance_above_its_floor(capsys):
@@ -802,6 +825,11 @@ def test_loop_infeasible_start_exit_9(tmp_path, capsys):
     )
     assert main(["loop", path]) == 9
     assert "InfeasibleLPError" in capsys.readouterr().err
+    # the single row 0ᵀs ≤ −1: phase 1 finds no column to pivot on
+    fields = {**loop_fields(), "linear_constraints": [{"coef": [0.0, 0.0], "rhs": -1.0, "sense": "<="}]}
+    assert main(["loop", write_instance(tmp_path, "zero_row.json", **fields)]) == 9
+    err = capsys.readouterr().err
+    assert err == "InfeasibleLPError: no point satisfies the rows of the LP\n"
 
 
 def test_loop_emptied_by_cuts_exit_5(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ def test_infeasible_detected():
     b = np.array([1.0, -2.0])  # s ≤ 1 and s ≥ 2
     with pytest.raises(InfeasibleLPError):
         solve_lp(c, A, b)
+    # 0ᵀs ≤ −1 holds nowhere, whatever the other rows
+    A = np.vstack([np.zeros(2), np.eye(2), -np.eye(2)])
+    b = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(InfeasibleLPError):
+        solve_lp(np.array([1.0, 1.0]), A, b)
+
+
+def _matches_enumeration(c, A, b):
+    """solve_lp's vertex is feasible and its value is the least cᵀv over the
+    vertices of {A s ≤ b}: the points where p of the rows meet in one point
+    and no row is violated."""
+    s, value = solve_lp(c, A, b)
+    assert np.max(A @ s - b) <= 1e-8
+    best = np.inf
+    for rows in itertools.combinations(range(A.shape[0]), A.shape[1]):
+        M = A[list(rows)]
+        if abs(np.linalg.det(M)) < 1e-10:
+            continue
+        v = np.linalg.solve(M, b[list(rows)])
+        if np.max(A @ v - b) <= 1e-8:
+            best = min(best, float(c @ v))
+    assert value == pytest.approx(best, abs=1e-7)
 
 
 def test_matches_bruteforce_vertex_enumeration():
@@ -56,18 +80,16 @@ def test_matches_bruteforce_vertex_enumeration():
         p = 2
         A = np.vstack([rng.standard_normal((4, p)), np.eye(p), -np.eye(p)])
         b = np.concatenate([rng.uniform(0.5, 2.0, 4), np.full(2 * p, 5.0)])
-        c = rng.standard_normal(p)
-        s, value = solve_lp(c, A, b)
-        assert np.max(A @ s - b) <= 1e-8
-        # enumerate all vertices of the polygon
-        best = np.inf
-        k = A.shape[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                M = A[[i, j]]
-                if abs(np.linalg.det(M)) < 1e-10:
-                    continue
-                v = np.linalg.solve(M, b[[i, j]])
-                if np.max(A @ v - b) <= 1e-8:
-                    best = min(best, float(c @ v))
-        assert value == pytest.approx(best, abs=1e-7)
+        _matches_enumeration(rng.standard_normal(p), A, b)
+    # rows about a point x0 away from the origin, with a duplicated row, an
+    # "=" pair through x0 and the row 0ᵀs ≤ 1: the rhs take both signs, so
+    # the slack basis is infeasible and phase 1 has to pivot
+    for p in (2, 3):
+        for _ in range(40):
+            x0 = rng.uniform(1.0, 4.0, p) * rng.choice((-1.0, 1.0), p)
+            G, a = rng.standard_normal((4, p)), rng.standard_normal(p)
+            A = np.vstack([G, G[:1], a, -a, np.zeros(p), np.eye(p), -np.eye(p)])
+            g = G @ x0 + rng.uniform(0.2, 2.0, 4)
+            b = np.concatenate([g, g[:1], [a @ x0, -(a @ x0), 1.0], np.full(2 * p, 6.0)])
+            assert b.min() < 0.0 < b.max()
+            _matches_enumeration(rng.standard_normal(p), A, b)
