@@ -629,7 +629,7 @@ def test_loop_vertices_match_a_cold_solve_over_the_cuts(tmp_path, capsys):
     A = [row["coef"] for row in fields["linear_constraints"]]
     rhs = [3.0] * 4
     for record in records:
-        s, value = lp.solve_lp(np.array(fields["objective"]), np.array(A), np.array(rhs))
+        s, value = lp.optimal_tableau(np.array(fields["objective"]), np.array(A), np.array(rhs)).vertex()
         assert np.allclose(record["vertex"], s, rtol=0.0, atol=1e-9)
         assert record["objective"] == pytest.approx(value, abs=1e-9)
         A.append(record["cut"]["coef"])
@@ -670,7 +670,7 @@ def test_loop_cuts_from_the_basis_at_a_vertex_with_three_tight_rows(tmp_path, ca
     assert first["vertex"] == s_star.tolist()
     assert np.count_nonzero(A @ s_star == rhs) == 3
     cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
-    nonbasic = np.setdiff1d(np.arange(len(A)), tableau.basis - 2 * tableau.p)
+    nonbasic = np.setdiff1d(np.arange(len(A)), tableau.basis - tableau.p)
     assert len(nonbasic) == 2
     cert = cuts.separate(dataclasses.replace(inst["qc"], point=s_star), cone)
     assert first["cut"] == {"coef": cert.coef.tolist(), "rhs": cert.rhs}

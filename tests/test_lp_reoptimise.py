@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfree.lp import InfeasibleLPError, _pivot, optimal_tableau, solve_lp
+from quadfree.lp import InfeasibleLPError, _pivot, optimal_tableau
 
 
 def _pivot_by_rows(T, basis, row, col):
@@ -55,7 +55,7 @@ def _next_cut(rng, tableau, A, b):
     time, no point is left."""
     s, _ = tableau.vertex()
     coef = rng.standard_normal(len(s))
-    room = coef @ s - solve_lp(coef, A, b)[1]
+    room = coef @ s - optimal_tableau(coef, A, b).vertex()[1]
     u = rng.uniform(0.02, 0.9) if rng.random() < 0.85 else rng.uniform(1.1, 1.3)
     return coef, coef @ s - u * room
 
@@ -64,24 +64,35 @@ def _carried_costs_match(tableau):
     """The reduced-cost row the tableau carries against cost − cost_B·T
     recomputed from the rows above it."""
     T, p = tableau.T, tableau.p
-    cost = np.concatenate([tableau.c, -tableau.c, np.zeros(T.shape[1] - 1 - 2 * p), [0.0]])
+    cost = np.concatenate([tableau.c, np.zeros(T.shape[1] - 1 - p), [0.0]])
     ref = cost - cost[tableau.basis] @ T[:-1]
     assert np.max(np.abs(T[-1] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
+def _with_dependent_rows(rng, A, b):
+    """The box rows, a duplicate of the first and an "=" pair aᵀs = aᵀx0
+    through an interior point x0 of the box."""
+    p = A.shape[1]
+    lo, hi = -b[p:], b[:p]
+    x0, a = lo + rng.uniform(0.1, 0.9, p) * (hi - lo), rng.standard_normal(p)
+    return np.vstack([A, A[:1], a, -a]), np.concatenate([b, b[:1], [a @ x0, -(a @ x0)]])
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 10))
-def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 10), st.booleans())
+def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts, dependent):
     rng = np.random.default_rng(seed)
     c, A, b = _box_lp(rng, p)
+    if dependent:  # phase 0 and the dual loop meet dependent rows
+        A, b = _with_dependent_rows(rng, A, b)
     tableau = optimal_tableau(c, A, b)
-    _close(tableau.vertex(), solve_lp(c, A, b))
+    _close(tableau.vertex(), optimal_tableau(c, A, b).vertex())
     _carried_costs_match(tableau)
     for _ in range(n_cuts):
         coef, rhs = _next_cut(rng, tableau, A, b)
         A, b = np.vstack([A, coef]), np.append(b, rhs)
         try:
-            cold = solve_lp(c, A, b)
+            cold = optimal_tableau(c, A, b).vertex()
         except InfeasibleLPError:
             with pytest.raises(InfeasibleLPError):
                 tableau.add_cut(coef, rhs)
@@ -95,7 +106,7 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts):
 def _rays_invert_the_nonbasic_rows(tableau, A):
     """cone_rays() against −inv(A_N), N the rows with a nonbasic slack."""
     R = tableau.cone_rays()
-    rows = np.setdiff1d(np.arange(len(A)), tableau.basis - 2 * tableau.p)
+    rows = np.setdiff1d(np.arange(len(A)), tableau.basis - tableau.p)
     assert len(rows) == tableau.p
     ref = -np.linalg.inv(A[rows])
     assert np.max(np.abs(R - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -121,7 +132,7 @@ def test_basis_rays_are_minus_the_inverse_of_the_nonbasic_rows(p, seed, n_cuts):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.data())
-def test_a_zero_coordinate_with_u_and_v_nonbasic_takes_a_degenerate_pivot(p, seed, data):
+def test_a_zero_coordinate_stays_basic(p, seed, data):
     rng = np.random.default_rng(seed)
     c, A, b = _box_lp(rng, p)
     k = data.draw(st.integers(1, p), label="zero coordinates")
@@ -131,14 +142,20 @@ def test_a_zero_coordinate_with_u_and_v_nonbasic_takes_a_degenerate_pivot(p, see
     tableau = optimal_tableau(c, A, b)
     s_star, value = tableau.vertex()
     assert np.all(s_star[:k] == 0.0)
-    T, basis = tableau.T, tableau.basis
-    for i in range(k):  # swap u_i or v_i for a nonbasic slack at the same vertex
-        row = np.flatnonzero((basis == i) | (basis == p + i))
-        if row.size:
-            slacks = np.setdiff1d(np.arange(2 * p, T.shape[1] - 1), basis)
-            _pivot(T, basis, row[0], slacks[np.argmax(np.abs(T[row[0], slacks]))])
-    assert not np.isin(np.arange(k), basis).any() and not np.isin(p + np.arange(k), basis).any()
+    assert np.isin(np.arange(p), tableau.basis).all()
 
     rows = _rays_invert_the_nonbasic_rows(tableau, A)
     assert np.array_equal(rows, np.flatnonzero(np.abs(A @ s_star - b) <= 1e-9))
     assert np.array_equal(tableau.vertex()[0], s_star) and tableau.vertex()[1] == value
+
+
+def test_a_cut_brings_a_coordinate_no_row_bounded_into_the_basis():
+    # −3 ≤ s1 ≤ 10 leaves s2 nonbasic at 0; a dual pivot on a slack alone
+    # would meet the cut s2 − s1 ≤ −5 at s1 = 5, the optimum moves s2 to −8
+    A = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    tableau = optimal_tableau(np.array([1.0, 0.0]), A, np.array([3.0, 10.0]))
+    tableau.add_cut([-1.0, 1.0], -5.0)
+    s, value = tableau.vertex()
+    assert s.tolist() == [-3.0, -8.0] and value == -3.0
+    R = tableau.cone_rays()
+    assert np.allclose(R, -np.linalg.inv(np.array([[-1.0, 0.0], [-1.0, 1.0]])), atol=1e-12)
