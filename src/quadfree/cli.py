@@ -314,14 +314,14 @@ def cmd_loop(inst, args) -> int:
         json.dumps({"objective_direction": "nondecreasing", "max_iters": args.max_iters})
         + "\n"
     )
-    tableau = lp.optimal_tableau(inst["objective"], inst["A"], inst["rhs"])
+    basis = lp.optimal_basis(inst["objective"], inst["A"], inst["rhs"])
     for it in range(args.max_iters + 1):
         if it:  # re-optimise after the last cut; never solve from scratch
             try:
-                tableau.add_cut(cert.coef, cert.rhs)
+                basis.add_cut(cert.coef, cert.rhs)
             except InfeasibleLPError as exc:
                 raise EmptySError(f"LP infeasible after cuts: {exc}") from exc
-        s_star, value = tableau.vertex()
+        s_star, value = basis.vertex()
         viol = qc(s_star)
         record = {
             "iter": it,
@@ -334,7 +334,7 @@ def cmd_loop(inst, args) -> int:
             sys.stdout.write(json.dumps(record) + "\n")
             return 0
         try:
-            cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
+            cone = cuts.SimplicialCone(apex=s_star, R=basis.cone_rays(), tight_rows=basis.A[basis.N])
         except ValueError as exc:
             raise DegenerateVertexError(f"the vertex cone is unusable: {exc}") from exc
         if at is None:

@@ -12,18 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import freesets, spectral
+from . import freesets, lp, spectral
 from .errors import AllRaysRecessionError
 
 _COND_CAP = 1e10
+_RESIDUAL_CAP = 1e-6
 
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """Apex plus p linearly independent ray columns."""
+    """Apex plus p linearly independent ray columns; a cone read off an LP
+    vertex carries its tight rows A_N, and then R must be −A_N⁻¹."""
 
     apex: np.ndarray
     R: np.ndarray
+    tight_rows: np.ndarray | None = None
 
     def __post_init__(self):
         apex = np.asarray(self.apex, dtype=float).reshape(-1)
@@ -31,8 +34,10 @@ class SimplicialCone:
         p = apex.shape[0]
         if R.shape != (p, p):
             raise ValueError("ray matrix must be p×p")
-        if np.linalg.cond(R) > _COND_CAP:
+        if self.tight_rows is None and np.linalg.cond(R) > _COND_CAP:
             raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
+        if self.tight_rows is not None and not lp.ray_residual(self.tight_rows, R) <= _RESIDUAL_CAP:
+            raise ValueError("cone is not simplicial (rays ill-conditioned: ‖A_N R + I‖ > 1e-6)")
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "R", R)
 
@@ -59,7 +64,11 @@ def intersection_cut(
 ) -> CutCertificate:
     """Assemble the intersection cut for one cone and free set."""
     apex, rays = cf.map_point(cone.apex), cf.map_direction(cone.R.T)
-    steps, residuals = freesets.boundary_steps(fs, apex, rays)
+    # step each ray scaled by the power of two that brings its largest
+    # entry into [1, 2), so no step depends on the ray's length
+    scale = np.ldexp(1.0, 1 - np.frexp(np.abs(rays).max(axis=1))[1])
+    steps, residuals = freesets.boundary_steps(fs, apex, rays * scale[:, None])
+    steps = steps * scale
     if np.isinf(steps).all():
         raise AllRaysRecessionError("free set contains the whole cone")
 

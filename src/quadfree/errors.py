@@ -68,8 +68,8 @@ class UnboundedLPError(QuadfreeError):
 
 
 class DegenerateVertexError(QuadfreeError):
-    """The cone of the LP vertex, read off the basis, is singular or
-    ill-conditioned, so it is no simplicial cone to cut from."""
+    """The cone of the LP vertex is singular (a coordinate no tight row fixes)
+    or its rays R miss −A_N⁻¹ (‖A_N R + I‖ > 1e-6): no simplicial cone."""
 
 
 class ParseError(QuadfreeError):

@@ -1,20 +1,19 @@
-"""A small dense simplex for the cutting loop, with Bland's rule.
+"""A small simplex for the cutting loop, kept as the cone of its vertex.
 
-Solves  min cᵀs  subject to  A s ≤ b  with s free on the tableau
-[A, I | b] over the columns (s, slacks); every pivot is one rank-1 update
-of it.  Each s_i is pivoted into the slack basis once and never leaves
-it: only rows with a basic slack take part in a ratio test (Maros 2003).
-At zero cost that basis is dual feasible, so ``optimal_tableau`` reaches
-a feasible basis by dual simplex pivots (Lemke 1954), then writes the
-reduced costs of c once and optimises by the primal simplex under Bland's
-rule (first improving column, smallest basic index among tied rows); the
-dual pivots also choose by smallest index, so neither loop cycles.  The
-optimal tableau stays dual feasible when a row is added, so
-``Tableau.add_cut`` re-optimises after a cut by the same dual simplex.
-``Tableau.cone_rays`` reads the cone of the vertex from the basis: its
-tight rows are the p rows whose slacks are nonbasic, so an ``=`` row, or
-any row tight at the vertex but basic at zero, needs no tolerance and no
-count; a cone the basis cannot give is a ``DegenerateVertexError``.
+Solves  min cᵀs  subject to  A s ≤ b  with s free (the revised simplex,
+Maros 2003) on the rows, the p tight rows N, the rays R = −A_N⁻¹ and the
+vertex s.  Rows 0..p−1 are −s_i ≤ 0, tight at the start for the s_i no
+row fixes yet, and never re-enter N.  A pivot swaps a tight row for an
+open one by a rank-1 update of R and moves s along one ray; after each
+solve s is solved from A_N s = b_N, and R recomputed once ‖A_N R + I‖
+passes ``_REFACTOR``.  The pivot rules are the tableau's, whose entry
+for open row a and ray r_j is a·r_j and reduced cost c·r_j: each s_i is
+made basic on the open row with the largest |a·r_j| > 1e-9, dual simplex
+pivots at zero cost reach a feasible vertex (Lemke 1954), then the primal
+simplex under Bland's rule.  A dual pivot takes out the infeasible row of
+least index, in the ray with the least c·r_j / −(a·r_j) over
+a·r_j < −1e-9, ties to the least row index; ``Basis.add_cut`` re-optimises
+by the same dual simplex, as a cut keeps the vertex dual feasible.
 """
 
 from __future__ import annotations
@@ -26,130 +25,130 @@ import numpy as np
 from .errors import DegenerateVertexError, InfeasibleLPError, UnboundedLPError
 
 _EPS = 1e-9
+_REFACTOR = 1e-11
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    pivot_row = T[row].copy()
-    T -= np.outer(T[:, col], pivot_row)
-    T[row] = pivot_row
-    basis[row] = col
-
-
-def _pivot_in_free(T, basis, p):
-    """Pivot each nonbasic s_i in on the slack-basic row with the largest
-    |T[r, i]|; an s_i with no entry above _EPS there stays nonbasic."""
-    for i in np.flatnonzero(np.bincount(basis, minlength=p)[:p] == 0):
-        rows = np.flatnonzero(basis >= p)
-        if rows.size and np.abs(T[rows, i]).max() > _EPS:
-            _pivot(T, basis, rows[np.argmax(np.abs(T[rows, i]))], i)
-
-
-def _bland_loop(T, basis, p):
-    """Optimize the canonical tableau in place; Bland's rule throughout."""
-    # a basic s_i has a reduced cost of 0; a nonbasic one has a zero column
-    # in every slack row, so no row bounds it
-    if np.any(np.abs(T[-1, :p]) > _EPS):
-        raise UnboundedLPError("the objective moves a coordinate that no row bounds")
-    while True:
-        improving = np.flatnonzero(T[-1, :-1] < -_EPS)
-        if improving.size == 0:
-            return
-        entering = improving[0]
-        rows = np.flatnonzero((basis >= p) & (T[:-1, entering] > _EPS))
-        if rows.size == 0:
-            raise UnboundedLPError("no blocking row for the entering column")
-        ratios = T[rows, -1] / T[rows, entering]
-        # Bland tie-break: smallest basic variable index among the ties.
-        ties = rows[ratios <= ratios.min() + _EPS]
-        _pivot(T, basis, ties[np.argmin(basis[ties])], entering)
-
-
-def _dual_loop(T, basis, p):
-    """Restore primal feasibility of a dual-feasible tableau in place.
-
-    The leaving row is the infeasible slack row with the smallest basic
-    index; the entering column has the least ratio of reduced cost to
-    |T[row, j]| over T[row, j] < 0, ties going to the smallest j."""
-    while True:
-        infeasible = np.flatnonzero((basis >= p) & (T[:-1, -1] < -_EPS))
-        if infeasible.size == 0:
-            return
-        row = infeasible[np.argmin(basis[infeasible])]
-        cols = np.flatnonzero(T[row, :-1] < -_EPS)
-        if cols.size == 0:
-            raise InfeasibleLPError("no point satisfies the rows of the LP")
-        ratios = T[-1, cols] / -T[row, cols]
-        _pivot(T, basis, row, cols[np.argmin(ratios)])
+def ray_residual(rows, R) -> float:
+    """max |A_N R + I|: how far the rays R are from −A_N⁻¹."""
+    E = rows @ R
+    E.flat[:: len(E) + 1] += 1.0
+    return float(np.abs(E).max())
 
 
 @dataclass
-class Tableau:
-    """An optimal tableau: rows B⁻¹[A, I | b] over the columns (s, slacks),
-    one per row of A, then the reduced costs (ending in −cᵀs*), the basic
-    column of each row but the last, and the objective c."""
+class Basis:
+    """A vertex s of {A s ≤ b} (A after the rows −s ≤ 0), its tight rows
+    N, the rays R = −A_N⁻¹, the objective c and the mask of open rows."""
 
-    T: np.ndarray
-    basis: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     c: np.ndarray
-    p: int
+    N: np.ndarray
+    R: np.ndarray
+    s: np.ndarray
+    open: np.ndarray
+
+    @property
+    def p(self) -> int:
+        return len(self.c)
+
+    def _pivot(self, j, k, w, slack):
+        """Make row k (a·R = w, b_k − a·s = slack) tight in place of N_j."""
+        u = self.R[:, j] / w[j]
+        self.s += slack * u
+        self.R -= u[:, None] * w
+        self.R[:, j] = -u
+        if self.N[j] >= self.p:
+            self.open[self.N[j]] = True
+        self.N[j], self.open[k] = k, False
+
+    def _settle(self):
+        A_N = self.A[self.N]
+        self.s = np.linalg.solve(A_N, self.b[self.N])
+        if ray_residual(A_N, self.R) > _REFACTOR:
+            self.R = -np.linalg.inv(A_N)
+
+    def _pivot_in_free(self):
+        if self.N.min() < self.p:
+            for j in np.flatnonzero(self.N < self.p):
+                col = np.where(self.open, np.abs(self.A @ self.R[:, j]), 0.0)
+                k = np.argmax(col)
+                if col[k] > _EPS:
+                    self._pivot(j, k, self.A[k] @ self.R, self.b[k] - self.A[k] @ self.s)
+
+    def _dual_loop(self, cost):
+        while True:
+            slack = self.b - self.A @ self.s
+            infeasible = (slack < -_EPS) & self.open
+            k = infeasible.argmax()
+            if not infeasible[k]:
+                return
+            w = self.A[k] @ self.R
+            ratio = min(
+                ((d / -a, n, j) for j, (d, a, n) in enumerate(zip(
+                    (cost @ self.R).tolist(), w.tolist(), self.N.tolist())) if a < -_EPS),
+                default=None,
+            )
+            if ratio is None:
+                raise InfeasibleLPError("no point satisfies the rows of the LP")
+            self._pivot(ratio[2], k, w, slack[k])
+
+    def _bland_loop(self):
+        reduced = self.c @ self.R
+        if np.any(np.abs(reduced[self.N < self.p]) > _EPS):
+            raise UnboundedLPError("the objective moves a coordinate that no row bounds")
+        while (improving := np.flatnonzero(reduced < -_EPS)).size:
+            j = improving[np.argmin(self.N[improving])]
+            col = self.A @ self.R[:, j]
+            rows = np.flatnonzero((col > _EPS) & self.open)
+            if rows.size == 0:
+                raise UnboundedLPError("no blocking row for the entering ray")
+            slack = self.b[rows] - self.A[rows] @ self.s
+            ratios = slack / col[rows]
+            i = np.argmax(ratios <= ratios.min() + _EPS)
+            self._pivot(j, rows[i], self.A[rows[i]] @ self.R, slack[i])
+            reduced = self.c @ self.R
 
     def vertex(self):
-        """The basic solution (s*, cᵀs*)."""
-        s, rows = np.zeros(self.p), self.basis < self.p
-        s[self.basis[rows]] = self.T[:-1, -1][rows]
-        return s, float(self.c @ s)
+        """The vertex (s*, cᵀs*)."""
+        return self.s.copy(), float(self.c @ self.s)
 
     def cone_rays(self):
-        """The ray columns of the vertex cone {s : A_N s ≤ b_N}, N the rows
-        whose slack is nonbasic, in row order: −T[s rows, those slacks],
-        which is −A_N⁻¹.  A nonbasic s_i is fixed by no tight row."""
-        p, T, basis = self.p, self.T[:-1], self.basis
-        nonbasic = np.bincount(basis, minlength=T.shape[1] - 1) == 0
-        if nonbasic[:p].any():
+        """The rays R = −A_N⁻¹ of the vertex cone {s : A_N s ≤ b_N}, one
+        column per tight row in ``N``; its rows are ``A[N]``."""
+        if self.N.min() < self.p:
             raise DegenerateVertexError(
-                f"s_{np.argmax(nonbasic)} is not fixed by the tight rows: the vertex cone is singular")
-        R = np.empty((p, p))
-        R[basis[basis < p]] = -T[basis < p][:, np.flatnonzero(nonbasic)]
-        return R
+                f"s_{self.N.min()} is not fixed by the tight rows: the vertex cone is singular")
+        return self.R.copy()
 
     def add_cut(self, coef, rhs):
-        """Add the row coefᵀs ≤ rhs and re-optimise by dual simplex.
-
-        The row enters reduced against the current basis with a new slack,
-        basic at rhs − coefᵀs* unless an s_i no row bounded enters on it.
-        Raises ``InfeasibleLPError`` when no point satisfies the rows."""
-        coef = np.asarray(coef, dtype=float).reshape(-1)
-        k, width = self.T.shape
-        T = np.zeros((k + 1, width + 1))
-        T[:k, :-2], T[:k, -1] = self.T[:, :-1], self.T[:, -1]
-        T[k] = T[k - 1]  # the reduced-cost row stays last
-        row = np.concatenate([coef, np.zeros(width - 1 - self.p), [1.0, rhs]])
-        T[k - 1] = row - row[self.basis] @ T[: k - 1]
-        self.T = T
-        self.basis = np.append(self.basis, width - 1)
-        _pivot_in_free(self.T, self.basis, self.p)
-        _dual_loop(self.T, self.basis, self.p)
+        """Add the row coefᵀs ≤ rhs, on which an s_i no row fixed becomes
+        basic if it can, and re-optimise by dual simplex.  Raises
+        ``InfeasibleLPError`` when no point satisfies the rows."""
+        self.A = np.concatenate((self.A, np.asarray(coef, dtype=float).reshape(1, -1)))
+        self.b = np.concatenate((self.b, [rhs]))
+        self.open = np.concatenate((self.open, [True]))
+        self._pivot_in_free()
+        self._dual_loop(self.c)
+        self._settle()
 
 
-def optimal_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Tableau:
-    """Minimize cᵀs over {A s ≤ b} with s free: each s_i pivoted into the
-    slack basis, dual simplex pivots at zero cost to a feasible basis,
-    then the primal simplex.  Raises ``InfeasibleLPError`` when no point
-    satisfies the rows, ``UnboundedLPError`` when cᵀs has no minimum."""
+def optimal_basis(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> Basis:
+    """Minimize cᵀs over {A s ≤ b} with s free.  Raises
+    ``InfeasibleLPError`` when no point satisfies the rows,
+    ``UnboundedLPError`` when cᵀs has no minimum."""
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     n_rows, p = A.shape
     if c.shape != (p,):
         raise ValueError("objective/constraint dimensions disagree")
-    # [A, I][s; slack] = b, slacks ≥ 0, with the slacks basic.
-    T = np.zeros((n_rows + 1, p + n_rows + 1))
-    T[:-1] = np.hstack([A, np.eye(n_rows), b[:, None]])
-    basis = np.arange(p, p + n_rows)
-    _pivot_in_free(T, basis, p)
-    _dual_loop(T, basis, p)
-    cost = np.concatenate([c, np.zeros(n_rows + 1)])
-    T[-1] = cost - cost[basis] @ T[:-1]
-    _bland_loop(T, basis, p)
-    return Tableau(T=T, basis=basis, c=c, p=p)
+    basis = Basis(
+        A=np.vstack([-np.eye(p), A]), b=np.concatenate([np.zeros(p), b]), c=c,
+        N=np.arange(p), R=np.eye(p), s=np.zeros(p), open=np.arange(p + n_rows) >= p,
+    )
+    basis._pivot_in_free()
+    basis._dual_loop(np.zeros(p))
+    basis._bland_loop()
+    basis._settle()
+    return basis

@@ -525,7 +525,8 @@ def check_cut_validity(
     That region is conv{apex, apex + t_j r_j}, where ray r_j meets the
     cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < −16ε‖coef‖‖r_j‖;
     a ray it never meets, a weight-0 ray whose slope is rounding noise of
-    either sign included, gets a multiplier drawn from [0, 10].  It comes from the
+    either sign included, gets a multiplier drawn from [0, 10·max(1, t_j)]
+    over the rays that meet it, short rays included.  It comes from the
     cut and the cone alone, not from ``cert.steps``, and lies in the
     S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite
     vertex, at ``count // 2`` seeded points of the far face and at the
@@ -544,8 +545,9 @@ def check_cut_validity(
     face = rng.dirichlet(np.ones(k), count // 2)
     inner = rng.dirichlet(np.ones(k + 1), count - count // 2)[:, :k]
     U = np.zeros((k + count, len(apex)))
-    U[:, meets] = np.vstack([np.eye(k), face, inner]) * (-excess / slope[meets])
-    U[k:, ~meets] = rng.uniform(0.0, 10.0, (count, len(apex) - k))
+    t = -excess / slope[meets]
+    U[:, meets] = np.vstack([np.eye(k), face, inner]) * t
+    U[k:, ~meets] = rng.uniform(0.0, 10.0 * max(1.0, t.max(initial=0.0)), (count, len(apex) - k))
     samples = apex + U @ R.T
     scale = np.linalg.norm(spectral.lift(qc.Q, qc.b, qc.c), 2)
     rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))

@@ -629,7 +629,7 @@ def test_loop_vertices_match_a_cold_solve_over_the_cuts(tmp_path, capsys):
     A = [row["coef"] for row in fields["linear_constraints"]]
     rhs = [3.0] * 4
     for record in records:
-        s, value = lp.optimal_tableau(np.array(fields["objective"]), np.array(A), np.array(rhs)).vertex()
+        s, value = lp.optimal_basis(np.array(fields["objective"]), np.array(A), np.array(rhs)).vertex()
         assert np.allclose(record["vertex"], s, rtol=0.0, atol=1e-9)
         assert record["objective"] == pytest.approx(value, abs=1e-9)
         A.append(record["cut"]["coef"])
@@ -665,13 +665,12 @@ def test_loop_cuts_from_the_basis_at_a_vertex_with_three_tight_rows(tmp_path, ca
     first = _loop_records(capsys)[0]
     inst = parse_instance(path)
     A, rhs = inst["A"], inst["rhs"]
-    tableau = lp.optimal_tableau(inst["objective"], A, rhs)
-    s_star, _ = tableau.vertex()
+    basis = lp.optimal_basis(inst["objective"], A, rhs)
+    s_star, _ = basis.vertex()
     assert first["vertex"] == s_star.tolist()
-    assert np.count_nonzero(A @ s_star == rhs) == 3
-    cone = cuts.SimplicialCone(apex=s_star, R=tableau.cone_rays())
-    nonbasic = np.setdiff1d(np.arange(len(A)), tableau.basis - tableau.p)
-    assert len(nonbasic) == 2
+    tight = np.flatnonzero(A @ s_star == rhs)
+    assert len(tight) == 3 and np.isin(basis.N - basis.p, tight).all()
+    cone = cuts.SimplicialCone(apex=s_star, R=basis.cone_rays(), tight_rows=basis.A[basis.N])
     cert = cuts.separate(dataclasses.replace(inst["qc"], point=s_star), cone)
     assert first["cut"] == {"coef": cert.coef.tolist(), "rhs": cert.rhs}
     assert oracle.check_cut_validity(inst["qc"], cert).passed
@@ -778,15 +777,14 @@ def test_uncertified_step_exit_13(tmp_path, capsys, monkeypatch):
 
 
 def test_loop_ill_conditioned_cone_exit_7(tmp_path, capsys, monkeypatch):
-    # the cone at the vertex rejects its rays (as for cond > 1e10): exit 7
-    def ill_conditioned(*args, **kwargs):
-        raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
-
-    monkeypatch.setattr(cuts, "SimplicialCone", ill_conditioned)
+    # rays that miss −A_N⁻¹ by more than the cone's bound fail its check
+    # on ‖A_N R + I‖: exit 7
+    cone_rays = lp.Basis.cone_rays
+    monkeypatch.setattr(lp.Basis, "cone_rays", lambda self: cone_rays(self) * (1.0 + 1e-5))
     path = write_instance(tmp_path, **loop_fields())
     assert main(["loop", path]) == 7
     err = capsys.readouterr().err
-    assert "DegenerateVertexError" in err and "Traceback" not in err
+    assert "DegenerateVertexError" in err and "ill-conditioned" in err and "Traceback" not in err
 
 
 def test_loop_unbounded_exit_6(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, random_orthogonal, wedge_canonical, wedge_constraint
-from quadfree import freesets, oracle, spectral
+from quadfree import oracle, spectral
 from quadfree.corefns import CaseData
 from quadfree.cuts import CutCertificate, SimplicialCone, intersection_cut, separate
 from quadfree.errors import AllRaysRecessionError, EmptySError
@@ -58,6 +58,19 @@ def _identity_cf(p):
 def test_simplicial_cone_rejects_degenerate_rays():
     with pytest.raises(ValueError):
         SimplicialCone(apex=np.zeros(2), R=np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_a_cone_with_tight_rows_checks_its_rays_invert_them():
+    # given the tight rows A_N, the rays must be −A_N⁻¹ to within
+    # ‖A_N R + I‖ ≤ 1e-6, whatever cond(R): here cond(R) = 1e11 > 1e10
+    rows = np.diag([1.0, 1e-11])
+    R = -np.linalg.inv(rows)
+    assert np.linalg.cond(R) > 1e10
+    SimplicialCone(apex=np.zeros(2), R=R, tight_rows=rows)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        SimplicialCone(apex=np.zeros(2), R=R)
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        SimplicialCone(apex=np.zeros(2), R=R * (1.0 + 2e-6), tight_rows=rows)
 
 
 def test_unit_steps_give_unit_sum_cut():
@@ -282,11 +295,25 @@ def test_scaling_a_ray_by_a_power_of_two_divides_its_step(data):
     qc, R, base = drawn
     k = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=R.shape[1], max_size=R.shape[1])))
     cert = separate(qc, SimplicialCone(apex=qc.point, R=R * 2.0**k))
-    # Steps from 2⁻⁸·1e12 up may move across the 1e12 recession test.
-    near_cap = np.fmin(base.steps, cert.steps * 2.0**k) >= freesets._T_CAP / 2.0**8
-    assert np.array_equal(cert.steps[~near_cap], base.steps[~near_cap] / 2.0 ** k[~near_cap])
-    assert np.array_equal(cert.residuals[~near_cap], base.residuals[~near_cap])
+    # every ray is stepped at the same length, so no step crosses the
+    # recession test differently
+    assert np.array_equal(cert.steps, base.steps / 2.0**k)
+    assert np.array_equal(cert.residuals, base.residuals)
     assert np.max(np.abs(_normalised(cert) - _normalised(base))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300])
+def test_a_cut_does_not_depend_on_the_rays_length(mu):
+    # the wedge's rays scaled by mu: with the 1e12 recession test in ray
+    # lengths, 1e-12 gave ray 1 weight 0 and a cut that removes s = (8, −2),
+    # 1e-13 left no finite step, and 1e155 overflowed a piece's root
+    qc = wedge_constraint()
+    base = separate(qc, SimplicialCone(apex=qc.point, R=np.eye(2)))
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=mu * np.eye(2)))
+    assert np.allclose(cert.steps * mu, base.steps, rtol=1e-14, atol=0.0)
+    assert np.all((-1e-9 <= cert.residuals) & (cert.residuals <= 0.0))
+    assert np.max(np.abs(_normalised(cert) - _normalised(base))) <= 1e-15
 
 
 def test_step_monotonicity_under_set_enlargement():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadfree.errors import DegenerateVertexError, UnboundedLPError
-from quadfree.lp import InfeasibleLPError, optimal_tableau
+from quadfree.lp import InfeasibleLPError, optimal_basis
 
 
 def test_simple_box_minimum():
@@ -12,7 +12,7 @@ def test_simple_box_minimum():
     c = np.array([1.0, 1.0])
     A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([3.0, 1.0, 10.0, 10.0])
-    s, value = optimal_tableau(c, A, b).vertex()
+    s, value = optimal_basis(c, A, b).vertex()
     assert np.allclose(s, [-3.0, -1.0], atol=1e-9)
     assert value == pytest.approx(-4.0, abs=1e-9)
 
@@ -21,7 +21,7 @@ def test_maximization_via_negation():
     c = np.array([-2.0, -3.0])
     A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([4.0, 3.0, 3.0])
-    s, value = optimal_tableau(c, A, b).vertex()
+    s, value = optimal_basis(c, A, b).vertex()
     # max 2s1+3s2 over the triangle: optimum at (1, 3)
     assert np.allclose(s, [1.0, 3.0], atol=1e-9)
     assert value == pytest.approx(-11.0, abs=1e-9)
@@ -32,7 +32,7 @@ def test_negative_rhs_handled():
     c = np.array([1.0])
     A = np.array([[-1.0], [1.0]])
     b = np.array([-2.0, 5.0])
-    s, value = optimal_tableau(c, A, b).vertex()
+    s, value = optimal_basis(c, A, b).vertex()
     assert s[0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -41,7 +41,7 @@ def test_unbounded_detected():
     A = np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = np.array([0.0, 1.0, 1.0])
     with pytest.raises(UnboundedLPError):
-        optimal_tableau(c, A, b).vertex()
+        optimal_basis(c, A, b).vertex()
 
 
 def test_infeasible_detected():
@@ -49,12 +49,12 @@ def test_infeasible_detected():
     A = np.array([[1.0], [-1.0]])
     b = np.array([1.0, -2.0])  # s ≤ 1 and s ≥ 2
     with pytest.raises(InfeasibleLPError):
-        optimal_tableau(c, A, b).vertex()
+        optimal_basis(c, A, b).vertex()
     # 0ᵀs ≤ −1 holds nowhere, whatever the other rows
     A = np.vstack([np.zeros(2), np.eye(2), -np.eye(2)])
     b = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
     with pytest.raises(InfeasibleLPError):
-        optimal_tableau(np.array([1.0, 1.0]), A, b).vertex()
+        optimal_basis(np.array([1.0, 1.0]), A, b).vertex()
 
 
 def test_a_coordinate_no_row_bounds():
@@ -65,22 +65,23 @@ def test_a_coordinate_no_row_bounds():
     b = np.array([3.0, 10.0])
     for c in ([1.0, 1.0], [1.0, -1.0]):
         with pytest.raises(UnboundedLPError):
-            optimal_tableau(np.array(c), A, b)
-    tableau = optimal_tableau(np.array([1.0, 0.0]), A, b)
-    s, value = tableau.vertex()
+            optimal_basis(np.array(c), A, b)
+    basis = optimal_basis(np.array([1.0, 0.0]), A, b)
+    s, value = basis.vertex()
     assert s.tolist() == [-3.0, 0.0] and value == -3.0
     with pytest.raises(DegenerateVertexError):
-        tableau.cone_rays()
+        basis.cone_rays()
 
 
 def _matches_enumeration(c, A, b):
     """The vertex is feasible and its value is the least cᵀv over the
     vertices of {A s ≤ b}: the points where p of the rows meet in one point
-    and no row is violated.  When A has rank p every s_i is basic."""
-    tableau = optimal_tableau(c, A, b)
-    s, value = tableau.vertex()
+    and no row is violated.  When A has rank p every s_i is basic: every
+    tight row is a row of A."""
+    basis = optimal_basis(c, A, b)
+    s, value = basis.vertex()
     if np.linalg.matrix_rank(A) == A.shape[1]:
-        assert np.isin(np.arange(A.shape[1]), tableau.basis).all()
+        assert (basis.N >= basis.p).all()
     assert np.max(A @ s - b) <= 1e-8
     best = np.inf
     for rows in itertools.combinations(range(A.shape[0]), A.shape[1]):

@@ -1,36 +1,58 @@
-"""The rank-1 pivot, the dual-simplex re-optimisation after a cut and the
-vertex cone read from the basis."""
+"""The rank-1 ray update, the dual-simplex re-optimisation after a cut and
+the vertex cone the basis hands out."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfree.lp import InfeasibleLPError, _pivot, optimal_tableau
+from quadfree import lp
+from quadfree.lp import Basis, InfeasibleLPError, optimal_basis
 
 
-def _pivot_by_rows(T, basis, row, col):
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
-    basis[row] = col
-
-
-def test_rank1_pivot_matches_the_row_loop_bit_for_bit():
+def test_rank1_ray_update_matches_a_fresh_inverse():
+    # a pivot swaps tight row N_j for row k by one rank-1 update of
+    # R = −A_N⁻¹ and moves s along r_j to where the new tight rows meet
     rng = np.random.default_rng(7)
     for _ in range(300):
-        k, w = rng.integers(1, 12), rng.integers(2, 30)
-        T = rng.standard_normal((k, w))
-        T[rng.random((k, w)) < 0.3] = 0.0  # rows the loop skips
-        row, col = rng.integers(k), rng.integers(w - 1)
-        T[row, col] = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
-        basis = rng.integers(w - 1, size=k)
-        T_ref, basis_ref = T.copy(), basis.copy()
-        _pivot(T, basis, row, col)
-        _pivot_by_rows(T_ref, basis_ref, row, col)
-        assert T.tobytes() == T_ref.tobytes()
-        assert np.array_equal(basis, basis_ref)
+        p = rng.integers(1, 9)
+        m = p + rng.integers(1, 12)
+        A = np.vstack([-np.eye(p), rng.standard_normal((m, p))])
+        b = np.concatenate([np.zeros(p), rng.standard_normal(m)])
+        N = p + rng.permutation(m)[:p]
+        rows = np.arange(p + m)
+        basis = Basis(A=A, b=b, c=np.zeros(p), N=N.copy(), R=-np.linalg.inv(A[N]),
+                      s=np.linalg.solve(A[N], b[N]), open=(rows >= p) & ~np.isin(rows, N))
+        j, k = rng.integers(p), rng.choice(np.setdiff1d(np.arange(p, p + m), N))
+        w = A[k] @ basis.R
+        N[j] = k
+        if np.linalg.cond(A[N]) > 1e6:
+            continue
+        basis._pivot(j, k, w, b[k] - A[k] @ basis.s)
+        ref = -np.linalg.inv(A[N])
+        assert np.array_equal(basis.N, N)
+        assert np.array_equal(basis.open, (rows >= p) & ~np.isin(rows, N))
+        assert np.max(np.abs(basis.R - ref)) <= 1e-12 * np.linalg.cond(A[N]) * np.max(np.abs(ref))
+        assert lp.ray_residual(A[N], basis.R) <= 1e-12 * np.linalg.cond(A[N])
+        assert np.allclose(basis.s, np.linalg.solve(A[N], b[N]), rtol=1e-9, atol=1e-9)
+
+
+def test_a_solve_ends_on_the_vertex_of_its_tight_rows(monkeypatch):
+    # after a solve s is solved from A_N s = b_N, and rays off −A_N⁻¹ by
+    # more than _REFACTOR are recomputed
+    rng = np.random.default_rng(3)
+    c, A, b = _box_lp(rng, 3)
+    basis = optimal_basis(c, A, b)
+    A_N, b_N = basis.A[basis.N], basis.b[basis.N]
+    basis.R *= 1.0 + 1e-6
+    basis.s += 1e-6
+    basis._settle()
+    assert np.array_equal(basis.R, -np.linalg.inv(A_N))
+    assert np.array_equal(basis.s, np.linalg.solve(A_N, b_N))
+    monkeypatch.setattr(lp, "_REFACTOR", np.inf)
+    basis.R *= 1.0 + 1e-6
+    basis._settle()
+    assert not np.array_equal(basis.R, -np.linalg.inv(A_N))
 
 
 def _close(warm, cold):
@@ -49,24 +71,25 @@ def _box_lp(rng, p):
     return rng.standard_normal(p), A, np.concatenate([hi, -lo])
 
 
-def _next_cut(rng, tableau, A, b):
+def _next_cut(rng, basis, A, b):
     """A cut off the current vertex by a fraction u of the room below
     coefᵀs on the rows so far; past that room (u > 1), about 15 % of the
     time, no point is left."""
-    s, _ = tableau.vertex()
+    s, _ = basis.vertex()
     coef = rng.standard_normal(len(s))
-    room = coef @ s - optimal_tableau(coef, A, b).vertex()[1]
+    room = coef @ s - optimal_basis(coef, A, b).vertex()[1]
     u = rng.uniform(0.02, 0.9) if rng.random() < 0.85 else rng.uniform(1.1, 1.3)
     return coef, coef @ s - u * room
 
 
-def _carried_costs_match(tableau):
-    """The reduced-cost row the tableau carries against cost − cost_B·T
-    recomputed from the rows above it."""
-    T, p = tableau.T, tableau.p
-    cost = np.concatenate([tableau.c, np.zeros(T.shape[1] - 1 - p), [0.0]])
-    ref = cost - cost[tableau.basis] @ T[:-1]
-    assert np.max(np.abs(T[-1] - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+def _certifies_optimality(basis):
+    """The vertex is optimal: every row holds within 1e-9, no ray lowers
+    cᵀs (c·r_j ≥ −1e-9) and the rays invert the tight rows within the
+    refactorisation bound."""
+    A, b = basis.A[basis.p :], basis.b[basis.p :]
+    assert np.max(A @ basis.s - b) <= 1e-9 * max(1.0, np.max(np.abs(b)))
+    assert np.min(basis.c @ basis.R) >= -1e-9
+    assert lp.ray_residual(basis.A[basis.N], basis.R) <= lp._REFACTOR
 
 
 def _with_dependent_rows(rng, A, b):
@@ -85,32 +108,33 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts, de
     c, A, b = _box_lp(rng, p)
     if dependent:  # phase 0 and the dual loop meet dependent rows
         A, b = _with_dependent_rows(rng, A, b)
-    tableau = optimal_tableau(c, A, b)
-    _close(tableau.vertex(), optimal_tableau(c, A, b).vertex())
-    _carried_costs_match(tableau)
+    basis = optimal_basis(c, A, b)
+    _close(basis.vertex(), optimal_basis(c, A, b).vertex())
+    _certifies_optimality(basis)
     for _ in range(n_cuts):
-        coef, rhs = _next_cut(rng, tableau, A, b)
+        coef, rhs = _next_cut(rng, basis, A, b)
         A, b = np.vstack([A, coef]), np.append(b, rhs)
         try:
-            cold = optimal_tableau(c, A, b).vertex()
+            cold = optimal_basis(c, A, b).vertex()
         except InfeasibleLPError:
             with pytest.raises(InfeasibleLPError):
-                tableau.add_cut(coef, rhs)
+                basis.add_cut(coef, rhs)
             return
-        tableau.add_cut(coef, rhs)
-        _carried_costs_match(tableau)
-        _close(tableau.vertex(), cold)
-        assert np.max(A @ tableau.vertex()[0] - b) <= 1e-9 * max(1.0, np.max(np.abs(b)))
+        basis.add_cut(coef, rhs)
+        _certifies_optimality(basis)
+        _close(basis.vertex(), cold)
+        assert np.max(A @ basis.vertex()[0] - b) <= 1e-9 * max(1.0, np.max(np.abs(b)))
 
 
-def _rays_invert_the_nonbasic_rows(tableau, A):
-    """cone_rays() against −inv(A_N), N the rows with a nonbasic slack."""
-    R = tableau.cone_rays()
-    rows = np.setdiff1d(np.arange(len(A)), tableau.basis - tableau.p)
-    assert len(rows) == tableau.p
+def _rays_invert_the_nonbasic_rows(basis, A):
+    """cone_rays() against −inv(A_N), N the tight rows as indices of A."""
+    R = basis.cone_rays()
+    rows = basis.N - basis.p
+    assert len(np.unique(rows)) == basis.p and rows.min() >= 0
+    assert np.array_equal(basis.A[basis.N], A[rows])
     ref = -np.linalg.inv(A[rows])
     assert np.max(np.abs(R - ref)) <= 1e-9 * np.max(np.abs(ref))
-    return rows
+    return np.sort(rows)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -118,16 +142,16 @@ def _rays_invert_the_nonbasic_rows(tableau, A):
 def test_basis_rays_are_minus_the_inverse_of_the_nonbasic_rows(p, seed, n_cuts):
     rng = np.random.default_rng(seed)
     c, A, b = _box_lp(rng, p)
-    tableau = optimal_tableau(c, A, b)
-    _rays_invert_the_nonbasic_rows(tableau, A)
+    basis = optimal_basis(c, A, b)
+    _rays_invert_the_nonbasic_rows(basis, A)
     for _ in range(n_cuts):
-        coef, rhs = _next_cut(rng, tableau, A, b)
+        coef, rhs = _next_cut(rng, basis, A, b)
         try:
-            tableau.add_cut(coef, rhs)
+            basis.add_cut(coef, rhs)
         except InfeasibleLPError:
             return
         A, b = np.vstack([A, coef]), np.append(b, rhs)
-        _rays_invert_the_nonbasic_rows(tableau, A)
+        _rays_invert_the_nonbasic_rows(basis, A)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -139,23 +163,23 @@ def test_a_zero_coordinate_stays_basic(p, seed, data):
     vertex = np.where(c > 0.0, -b[p:], b[:p])  # the minimising corner
     shift = np.where(np.arange(p) < k, vertex, 0.0)
     b = b - A @ shift  # s*_i = 0 for i < k
-    tableau = optimal_tableau(c, A, b)
-    s_star, value = tableau.vertex()
+    basis = optimal_basis(c, A, b)
+    s_star, value = basis.vertex()
     assert np.all(s_star[:k] == 0.0)
-    assert np.isin(np.arange(p), tableau.basis).all()
+    assert (basis.N >= p).all()
 
-    rows = _rays_invert_the_nonbasic_rows(tableau, A)
+    rows = _rays_invert_the_nonbasic_rows(basis, A)
     assert np.array_equal(rows, np.flatnonzero(np.abs(A @ s_star - b) <= 1e-9))
-    assert np.array_equal(tableau.vertex()[0], s_star) and tableau.vertex()[1] == value
+    assert np.array_equal(basis.vertex()[0], s_star) and basis.vertex()[1] == value
 
 
 def test_a_cut_brings_a_coordinate_no_row_bounded_into_the_basis():
     # −3 ≤ s1 ≤ 10 leaves s2 nonbasic at 0; a dual pivot on a slack alone
     # would meet the cut s2 − s1 ≤ −5 at s1 = 5, the optimum moves s2 to −8
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    tableau = optimal_tableau(np.array([1.0, 0.0]), A, np.array([3.0, 10.0]))
-    tableau.add_cut([-1.0, 1.0], -5.0)
-    s, value = tableau.vertex()
+    basis = optimal_basis(np.array([1.0, 0.0]), A, np.array([3.0, 10.0]))
+    basis.add_cut([-1.0, 1.0], -5.0)
+    s, value = basis.vertex()
     assert s.tolist() == [-3.0, -8.0] and value == -3.0
-    R = tableau.cone_rays()
-    assert np.allclose(R, -np.linalg.inv(np.array([[-1.0, 0.0], [-1.0, 1.0]])), atol=1e-12)
+    assert np.allclose(basis.A[basis.N], [[-1.0, 0.0], [-1.0, 1.0]])
+    assert np.allclose(basis.cone_rays(), -np.linalg.inv(basis.A[basis.N]), atol=1e-12)

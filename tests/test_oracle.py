@@ -12,6 +12,7 @@ from conftest import (
     random_orthogonal,
     random_unit,
     wedge_canonical,
+    wedge_constraint,
 )
 from quadfree import oracle, spectral
 from quadfree.corefns import (
@@ -346,6 +347,21 @@ def test_cut_validity_follows_rays_the_cut_never_meets():
     rep = oracle.check_cut_validity(cone_S, cut)
     assert not rep.passed
     assert rep.witness[1] >= 3.0
+
+
+def test_cut_validity_reaches_as_far_along_short_rays_as_the_cut_does():
+    # on the wedge with rays 1e-12·I, ray 1 weighted 0 as if it receded
+    # gives the cut −1.151 s₂ ≤ 1.302, which removes s = (8, −2) where
+    # q = −5.7; a cut the rays meet 1e12 lengths out needs samples as far
+    qc = wedge_constraint()
+    R = 1e-12 * np.eye(2)
+    right = separate(qc, SimplicialCone(apex=qc.point, R=R))
+    wrong = _cut(qc.point, R, [np.inf, right.steps[1]])
+    assert np.allclose(wrong.coef, [0.0, -1.151], atol=1e-3) and abs(wrong.rhs - 1.302) < 1e-3
+    assert qc(np.array([8.0, -2.0])) < -5.0 and wrong.coef @ [8.0, -2.0] > wrong.rhs
+    rep = oracle.check_cut_validity(qc, wrong)
+    assert not rep.passed and qc(rep.witness) < 0.0
+    assert oracle.check_cut_validity(qc, right).passed
 
 
 def test_cut_validity_ignores_the_sign_of_a_recession_slope():
