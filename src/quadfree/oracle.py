@@ -538,7 +538,9 @@ def check_cut_validity(
     if not excess > 0.0:
         return VerificationReport("cut_validity", 0, -np.inf, False, 1e-9, apex, seed)
     slope = cert.coef @ R
-    noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * np.linalg.norm(R, axis=0)
+    e = np.frexp(np.abs(R).max(axis=0))[1]  # R's column norms, on columns scaled so no square overflows
+    norms = np.ldexp(np.linalg.norm(np.ldexp(R, -e), axis=0), e)
+    noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * norms
     meets = slope < -noise
     k = int(meets.sum())
     rng = np.random.default_rng(seed)

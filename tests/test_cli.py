@@ -484,6 +484,22 @@ def test_verify_wedge_passes(tmp_path, capsys):
     assert {"freeness", "duality", "convexity", "cut_validity"} <= names
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300])
+def test_verify_passes_whatever_the_rays_length(tmp_path, capsys, mu):
+    # the wedge's rays scaled by mu: the cut is the same, and so is the
+    # cut-validity check, whose ray norms once overflowed at 1e155
+    reports = []
+    for scale in (1.0, mu):
+        path = write_instance(tmp_path, **wedge_fields(cone={"rays": [[scale, 0.0], [0.0, scale]]}))
+        assert main(["verify", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        reports.append([r for r in out["reports"] if r["name"] == "cut_validity"][0])
+    base, scaled = reports
+    assert scaled["passed"] and scaled["samples"] == base["samples"]
+    assert scaled["worst_residual"] == pytest.approx(base["worst_residual"], rel=1e-12)
+
+
 def test_verify_forced_cglambda_fails(tmp_path, capsys):
     path = write_instance(tmp_path, **wedge_fields())
     code = main(["verify", path, "--samples", "2000", "--force-free-set", "CGLAMBDA"])

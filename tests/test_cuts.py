@@ -316,6 +316,20 @@ def test_a_cut_does_not_depend_on_the_rays_length(mu):
     assert np.max(np.abs(_normalised(cert) - _normalised(base))) <= 1e-15
 
 
+def test_a_far_exit_keeps_the_points_of_s_beyond_it():
+    # q = s1² − s2² − 1 from (3, 0): the ray (1, 1 + 1e-13) leaves the
+    # free set near t = 3e13, so its weight is small but not 0, and
+    # s = (3, 0) + 1e14·(1, 1 + 1e-13), with q(s) = −1.4e15, is kept
+    qc = spectral.QuadraticConstraint(Q=np.diag([1.0, -1.0]), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0]))
+    R = np.array([[1.0, -1.0], [1.0 + 1e-13, 0.5]])
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=R))
+    assert math.isfinite(cert.steps[0]) and cert.steps[0] == pytest.approx(3.0024e13, rel=1e-4)
+    assert np.all((-1e-9 <= cert.residuals) & (cert.residuals <= 0.0))
+    s = qc.point + 1e14 * R[:, 0]
+    assert qc(s) < -1e15
+    assert cert.coef @ s <= cert.rhs
+
+
 def test_step_monotonicity_under_set_enlargement():
     # CLambda ⊆ CPhiLambda on the same canonical data: every step can
     # only grow when the set is enlarged.

@@ -413,7 +413,7 @@ def test_boundary_steps_mixed_cone():
 
 def test_boundary_steps_root_near_the_cap():
     # Halfspace 1e-11·x ≤ 8 or ≤ 20 from the origin along (1, 0): the
-    # root 8e11 lies between 2³⁹ and the 1e12 cap, the root 2e12 beyond it.
+    # roots 8e11 and 2e12 are far out, and each is the ray's step.
     rays = np.array([[1e-11, 0.0]])
     near = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=8.0)
     steps, residuals = boundary_steps(near, np.zeros(2), rays)
@@ -421,7 +421,27 @@ def test_boundary_steps_root_near_the_cap():
     assert near.margin(steps[0] * rays[0]) <= 0.0 and residuals[0] <= 0.0
     far = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=20.0)
     steps, residuals = boundary_steps(far, np.zeros(2), rays)
-    assert steps[0] == math.inf and residuals[0] == 0.0
+    assert math.isfinite(steps[0]) and steps[0] == pytest.approx(2e12, rel=1e-9)
+    assert -1e-9 <= residuals[0] <= 0.0 and far.margin(steps[0] * rays[0]) == residuals[0]
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-13, 1e-14])
+def test_a_far_exit_gets_a_finite_step(eps):
+    # ‖y‖ ≤ x from (1, 0) along (1, 1 + ε): the margin is ε't − 1, with ε'
+    # the rounded ε, so the ray leaves at t = 1/ε' however far out that is.
+    # There the point's coordinates round by about 2⁻⁵²·t, and the margin,
+    # of slope ε', with them: the step may move by 2⁻⁵²/ε' relative, and
+    # the bound allows 8 times that.
+    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    apex, rays = np.array([1.0, 0.0]), np.array([[1.0, 1.0 + eps]])
+    exit_at = 1.0 / (rays[0, 1] - 1.0)
+    assert fs.recession().margin(rays[0]) > 0.0
+    try:
+        steps, residuals = boundary_steps(fs, apex, rays)
+    except UncertifiedStepError:
+        return
+    assert steps[0] == pytest.approx(exit_at, rel=8.0 * np.finfo(float).eps * exit_at)
+    assert -1e-9 <= residuals[0] <= 0.0
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -491,14 +511,20 @@ def _bracket(fs, apex, rays, m0, lo, v_lo, hi, v_hi, tol):
 
 
 def _bracketing_only(fs, apex, rays, tol):
-    """The steps by bracketing alone, each from [0, 1e12]: the oracle for
-    the closed-form steps."""
-    m0, v_cap = fs.margin(apex), fs.margin(apex + freesets._T_CAP * rays)
+    """The steps by bracketing alone: the oracle for the closed-form steps.
+    A ray whose recession margin is ≤ 0 recedes; any other is bracketed in
+    [0, hi], hi doubled from 1/max|r| until the margin there is > 0."""
+    m0 = fs.margin(apex)
     steps, residuals = np.full(len(rays), np.inf), np.zeros(len(rays))
-    f = v_cap > 0.0
+    f = fs.recession().margin(rays) > 0.0
+    hi = 1.0 / np.abs(rays[f]).max(axis=1)
+    v_hi = fs.margin(apex + hi[:, None] * rays[f])
+    while not (v_hi > 0.0).all():
+        j = ~(v_hi > 0.0)
+        hi[j] *= 2.0
+        v_hi[j] = fs.margin(apex + hi[j, None] * rays[f][j])
     steps[f], residuals[f] = _bracket(
-        fs, apex, rays[f], m0, np.zeros(f.sum()), np.full(f.sum(), m0),
-        np.full(f.sum(), freesets._T_CAP), v_cap[f], tol,
+        fs, apex, rays[f], m0, np.zeros(f.sum()), np.full(f.sum(), m0), hi, v_hi, tol,
     )
     return steps, residuals
 
@@ -527,7 +553,7 @@ def test_closed_form_steps_match_bracketing(data):
     cf = spectral.canonicalize(qc)
     if cf.case == spectral.CASE_EMPTY_S:
         return
-    # 10⁻¹¹ and 10⁻¹² put steps near the 1e12 cap, on either side of it
+    # 10⁻¹¹ and 10⁻¹² put steps near 1e12, on either side of it
     scale = data.draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-11, 1e-12]), min_size=p, max_size=p))
     apex = cf.map_point(qc.point)
     rays = cf.map_direction(random_orthogonal(rng, p) * np.array(scale)[:, None])
@@ -543,6 +569,34 @@ def test_closed_form_steps_match_bracketing(data):
         assert np.all((residuals >= -1e-9) & (residuals <= 0.0))
         for step, residual, ray in zip(steps[finite], residuals[finite], rays[finite]):
             assert fs.margin(apex + step * ray) == residual
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_recession_margin_is_the_slope_far_out(data):
+    p = data.draw(st.integers(1, 8), label="p")
+    n = data.draw(st.integers(1, p), label="n")
+    m = data.draw(st.integers(1, p + 1 - n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    qc = random_instance(rng, n, m, p + 1 - n - m)
+    cf = spectral.canonicalize(qc)
+    if cf.case == spectral.CASE_EMPTY_S:
+        return
+    apex = cf.map_point(qc.point)
+    rays = cf.map_direction(random_orthogonal(rng, p))
+    # The margin is Lipschitz, so its slope out to T along a unit ray is
+    # within (|f(apex)| + L‖apex‖ + c)/T of the recession margin.  Over
+    # 400 seeded instances of every family, |slope − recession| reached
+    # 2.33·(1 + ‖apex‖)/T at T = 1e6, 1e8 and 1e10 alike; the bound is 4.
+    far = 1e8
+    tol = 4.0 * (1.0 + np.linalg.norm(apex)) / far
+    for fs in _families(cf, apex):
+        name = type(fs).__name__
+        rec = fs.recession().margin(rays)
+        slope = (fs.margin(apex + far * rays) - fs.margin(apex)) / far
+        assert np.all(np.abs(rec - slope) <= tol), name
+        t, _ = freesets._roots(fs, apex, rays)
+        assert np.array_equal(rec <= 0.0, np.isnan(t)), name
 
 
 def _count_calls(monkeypatch):
@@ -593,15 +647,33 @@ def _budget_cases():
 
 
 def test_certified_cuts_take_one_margin_call(monkeypatch):
-    counts = _count_calls(monkeypatch)
-    families = set()
+    callers = []
+    margin = FreeSetDescriptor.margin
+
+    def counted_margin(self, w):
+        callers.append(self)
+        return margin(self, w)
+
+    monkeypatch.setattr(FreeSetDescriptor, "margin", counted_margin)
+    families, receding = set(), set()
     for fs, apex, rays in _budget_cases():
-        counts.update(margin=0)
+        callers.clear()
         steps, _ = boundary_steps(fs, apex, rays)
-        assert counts["margin"] == 1, type(fs).__name__  # the apex, the candidates and t = 1e12
+        name = type(fs).__name__
+        # the apex, the candidates and, where fs is its own recession set,
+        # the rays with no root
+        assert sum(c is fs for c in callers) == 1, name
+        # any other recession set takes one call, and only for such rays
+        others = [c for c in callers if c is not fs]
+        shared = fs.recession() is fs or not np.isinf(steps).any()
+        assert len(others) == (0 if shared else 1), name
+        assert all(type(c) is type(fs.recession()) for c in others), name
         if np.isfinite(steps).any():
-            families.add(type(fs).__name__)
+            families.add(name)
+        if others:
+            receding.add(name)
     assert families == {"CLambda", "CGLambda", "CPhiLambda", "CRPhiLambda", "Halfspace"}
+    assert receding == {"CRPhiLambda", "Halfspace"}
 
 
 def test_rounding_past_the_boundary_is_certified_by_the_slope(monkeypatch):
@@ -657,10 +729,9 @@ def _all_candidates(fs, apex, rays, tol=1e-9):
     for the certificate that tries the first three alone first."""
     T = _candidates(fs, apex, rays, tol)
     W = (apex + T[:, :, None] * rays[:, None, :]).reshape(-1, apex.size)
-    v = fs.margin(np.vstack([apex, W, apex + freesets._T_CAP * rays]))
-    V, v_cap = v[1 : 1 + T.size].reshape(T.shape), v[1 + T.size :]
+    V = fs.margin(W).reshape(T.shape)
     ok = (V >= -tol) & (V <= 0.0)
-    recedes = v_cap <= 0.0
+    recedes = fs.recession().margin(rays) <= 0.0
     assert np.all(ok.any(axis=1) | recedes)  # every ray gets a step
     r, best = np.arange(len(rays)), ok.argmax(axis=1)
     steps, residuals = T[r, best], V[r, best]
@@ -727,8 +798,7 @@ def test_boundary_step_wedge_matches_closed_form(cd_wedge):
             # just inside / just outside consistency
             assert fs.margin(apex + (step * (1 - 1e-6)) * ray) <= 1e-8
         else:
-            far = apex + 1e12 * ray
-            assert fs.margin(far) <= 0.0
+            assert fs.recession().margin(ray) <= 0.0
 
 
 def test_boundary_steps_come_from_interior_side():
