@@ -21,8 +21,10 @@ _RESIDUAL_CAP = 1e-6
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """Apex plus p linearly independent ray columns; a cone read off an LP
-    vertex carries its tight rows A_N, and then R must be −A_N⁻¹."""
+    """Apex plus p linearly independent ray columns.  Rays alone must have
+    cond ≤ 1e10 once each is scaled by the power of two that brings its
+    largest entry into [1, 2); a cone read off an LP vertex carries its
+    tight rows A_N instead, and then R must be −A_N⁻¹."""
 
     apex: np.ndarray
     R: np.ndarray
@@ -34,9 +36,12 @@ class SimplicialCone:
         p = apex.shape[0]
         if R.shape != (p, p):
             raise ValueError("ray matrix must be p×p")
-        if self.tight_rows is None and np.linalg.cond(R) > _COND_CAP:
-            raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
-        if self.tight_rows is not None and not lp.ray_residual(self.tight_rows, R) <= _RESIDUAL_CAP:
+        if self.tight_rows is None:
+            if np.linalg.cond(np.ldexp(R, 1 - np.frexp(np.abs(R).max(axis=0))[1])) > _COND_CAP:
+                raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
+        elif not lp.ray_residual(self.tight_rows, R) <= _RESIDUAL_CAP:
+            # an LP cone keeps this gate: about 3× cheaper per cut than a
+            # cond, and it checks that R inverts the tight rows
             raise ValueError("cone is not simplicial (rays ill-conditioned: ‖A_N R + I‖ > 1e-6)")
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "R", R)

@@ -523,24 +523,23 @@ def check_cut_validity(
     """No point of S = {q ≤ 0} may lie in the region the cut removes.
 
     That region is conv{apex, apex + t_j r_j}, where ray r_j meets the
-    cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < −16ε‖coef‖‖r_j‖;
-    a ray it never meets, a weight-0 ray whose slope is rounding noise of
-    either sign included, gets a multiplier drawn from [0, 10·max(1, t_j)]
-    over the rays that meet it, short rays included.  It comes from the
-    cut and the cone alone, not from ``cert.steps``, and lies in the
-    S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite
-    vertex, at ``count // 2`` seeded points of the far face and at the
-    rest inside; the worst residual is the least such value.  A cut that
-    keeps its apex fails with no samples.
+    cut at t_j = −(coefᵀapex − rhs)/(coefᵀr_j) if coefᵀr_j < −16ε‖coef‖‖r_j‖,
+    with ‖r_j‖ from ``np.hypot``, which cannot overflow; a ray it never
+    meets, a weight-0 ray whose slope is rounding noise of either sign
+    included, gets a multiplier drawn from [0, 10·max(1, t_j)] over the
+    rays that meet it, short rays included.  It comes from the cut and the
+    cone alone, not from ``cert.steps``, and lies in the S-free set, so
+    q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite vertex, at
+    ``count // 2`` seeded points of the far face and at the rest inside;
+    the worst residual is the least such value.  A cut that keeps its
+    apex fails with no samples.
     """
     apex, R = cert.cone.apex, cert.cone.R
     excess = float(cert.coef @ apex - cert.rhs)
     if not excess > 0.0:
         return VerificationReport("cut_validity", 0, -np.inf, False, 1e-9, apex, seed)
     slope = cert.coef @ R
-    e = np.frexp(np.abs(R).max(axis=0))[1]  # R's column norms, on columns scaled so no square overflows
-    norms = np.ldexp(np.linalg.norm(np.ldexp(R, -e), axis=0), e)
-    noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * norms
+    noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * np.hypot.reduce(R, axis=0)
     meets = slope < -noise
     k = int(meets.sum())
     rng = np.random.default_rng(seed)
