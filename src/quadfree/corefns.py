@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotUnitError, UndefinedGradientError
+from .spectral import _norm
 
 _UNIT_TOL = 1e-10
 
@@ -46,20 +47,20 @@ class CaseData:
         d = np.asarray(self.d, dtype=float).reshape(-1)
         if lam.shape != a.shape:
             raise ValueError("λ and a must have the same dimension")
-        if abs(np.linalg.norm(lam) - 1.0) > 1e-12:
+        if abs(_norm(lam) - 1.0) > 1e-12:
             raise NotUnitError("λ must be a unit vector")
         if self.unit_a:
-            if abs(np.linalg.norm(a) - 1.0) > _UNIT_TOL:
+            if abs(_norm(a) - 1.0) > _UNIT_TOL:
                 raise NotUnitError("‖a‖ = 1 required on this branch")
-            if np.linalg.norm(d) > 1.0 + 1e-12:
+            if _norm(d) > 1.0 + 1e-12:
                 raise ValueError("‖d‖ ≤ 1 required on this branch")
-            if np.linalg.norm(lam - a) <= 1e-12:
+            if _norm(lam - a) <= 1e-12:
                 raise ValueError("λ = a is excluded on this branch")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "lam_a", float(lam @ a))
-        object.__setattr__(self, "d_norm", float(np.linalg.norm(d)))
+        object.__setattr__(self, "d_norm", float(_norm(d)))
 
 
 def _check_unit(beta: np.ndarray) -> np.ndarray:
@@ -73,8 +74,8 @@ def _gauge_parts(cd: CaseData, y: np.ndarray):
     """‖y‖, dᵀy, the flat-branch mask λᵀa‖y‖ + dᵀy ≤ 0 (where φ(y) = ‖y‖)
     and the clamped radicands (‖y‖² − (dᵀy)²)₊ and (1 − (λᵀa)²)₊, for a
     vector or for each row of y."""
-    ny = np.sqrt((y * y).sum(axis=-1))
-    dy = (y * cd.d).sum(axis=-1)
+    ny = np.sqrt(np.add.reduce(y * y, -1))
+    dy = np.add.reduce(y * cd.d, -1)
     flat = cd.lam_a * ny + dy <= 0.0
     return ny, dy, flat, np.maximum(ny * ny - dy * dy, 0.0), max(1.0 - cd.lam_a**2, 0.0)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import freesets, lp, spectral
-from .errors import AllRaysRecessionError
+from .errors import AllRaysRecessionError, UncertifiedStepError
 
 _COND_CAP = 1e10
 _RESIDUAL_CAP = 1e-6
@@ -71,11 +71,15 @@ def intersection_cut(
     apex, rays = cf.map_point(cone.apex), cf.map_direction(cone.R.T)
     # step each ray scaled by the power of two that brings its largest
     # entry into [1, 2), so no step depends on the ray's length
-    scale = np.ldexp(1.0, 1 - np.frexp(np.abs(rays).max(axis=1))[1])
-    steps, residuals = freesets.boundary_steps(fs, apex, rays * scale[:, None])
-    steps = steps * scale
-    if np.isinf(steps).all():
-        raise AllRaysRecessionError("free set contains the whole cone")
+    e = 1 - np.frexp(np.abs(rays).max(axis=1))[1]
+    unit_steps, residuals = freesets.boundary_steps(fs, apex, np.ldexp(rays, e[:, None]))
+    with np.errstate(over="ignore"):
+        steps = np.ldexp(unit_steps, e)
+    if np.count_nonzero(inf := np.isinf(steps)):
+        if (lost := inf > np.isinf(unit_steps)).any():
+            raise UncertifiedStepError(f"the steps of rays {lost.nonzero()[0]} do not fit a float")
+        if inf.all():
+            raise AllRaysRecessionError("free set contains the whole cone")
 
     weights = 1.0 / steps
     # Σ_j weights_j · (R⁻¹(s − apex))_j ≥ 1, rewritten as coefᵀs ≤ rhs.

@@ -12,13 +12,14 @@ Margins accept a single point or a batch of row points.  The families:
 * ``CRPhiLambda``  — the hyperplane-relative enlargement of CPhiLambda.
 * ``Halfspace``    — a single linear inequality (convex cases).
 
-Each descriptor also splits its margin along rays w₀ + t·r, with the apex
-w₀ passed as one row, into pieces √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀): ‖y‖, a
-circle support or a branch of φ, minus λᵀx (``_pieces``), read into one
-coefficient table over pieces and rays.  A piece's zeros are roots of a
-quadratic (``_piece_roots``), so ``boundary_steps`` takes each ray's step
-in closed form and certifies it (margin in [−tol, 0]) in at most two margin
-calls; a ray with no root recedes iff its ``recession()`` margin is ≤ 0.
+Each descriptor also splits its margin along rays w₀ + t·r into pieces
+√(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀) (‖y‖, a circle support or a branch of φ,
+minus λᵀx), and ``_piece_table`` writes all their coefficients and branch
+rows from one moment pass: ‖y‖², yᵀy₀, dᵀy and λᵀx are each one row sum
+over the rays stacked above copies of the apex.  A piece's zeros are roots
+of a quadratic (``_piece_roots``), so ``boundary_steps`` takes each ray's
+step in closed form and certifies it (margin in [−tol, 0]) in at most two
+margin calls; a ray with no root recedes iff its ``recession()`` margin is ≤ 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _SECOND = 1.0 - np.array([2.0**-38, 2.0**-32])
 @dataclass(frozen=True)
 class FreeSetDescriptor:
     """Base for all free-set variants; concrete classes implement
-    ``_margin_rows`` over a batch of row points and ``_pieces`` along rays."""
+    ``_margin_rows`` over a batch of row points and ``_piece_table`` along rays."""
 
     n: int
     m: int
@@ -63,16 +64,16 @@ class FreeSetDescriptor:
         slope far out along r; a positively homogeneous margin is its own."""
         return self
 
-    def _pieces(self, w0, R):
-        """The margin along the rays w0 + t·R (a ray per row of R, w0 the
-        apex as one row) as a list of pieces (coefficients, branch).  A piece
-        is √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀), coefficients (q₂, q₁, q₀, ℓ₁, ℓ₀)
-        over the rays, q₀ and ℓ₀ one value.  It is the margin everywhere
-        when branch is None, else where the test λᵀa‖y‖ + dᵀy ≤ 0 of
-        ``_gauge_parts`` equals flat, for branch = (λᵀa, ‖y‖² and dᵀy as
-        (q₂, q₁, q₀, ℓ₁, ℓ₀), flat) along the ray.  Every zero of the margin
-        is a zero of a piece where it holds, and no piece exceeds the margin
-        where it holds."""
+    def _piece_table(self, W):
+        """The margin along the rays w₀ + t·W[i], i < k, W the k rays over k
+        copies of the apex w₀, as (pieces, branches).  A piece √(q₂t² + q₁t
+        + q₀) − (ℓ₁t + ℓ₀) is three columns over the rows of W, (q₂; q₀),
+        (q₁; ·) and (ℓ₁; ℓ₀): row i < k holds its terms along ray i, row
+        k + i the apex's.  A branch (j, λᵀa, (‖y‖², 2yᵀy₀, dᵀy) over the same
+        rows) puts piece j in force where λᵀa‖y‖ + dᵀy ≤ 0 (``_gauge_parts``)
+        and piece j + 1 elsewhere; a piece in no branch is the margin
+        everywhere.  Every zero of the margin is a zero of a piece where it
+        holds, and no piece exceeds the margin where it holds."""
         raise NotImplementedError
 
     def _split(self, w):
@@ -84,39 +85,27 @@ def _rows(X):
     return np.add.reduce(X, 1)
 
 
-def _dot(u, v0, V1):
-    """uᵀ(v0 + t·V1) as (ℓ₁, ℓ₀), for v0 one row (the apex): ℓ₀ is one value."""
-    return _rows(V1 * u), _rows(v0 * u)[0]
+def _moments(y, d):
+    """(‖y‖², 2yᵀy₀, dᵀy) over the rows of y, y₀ = y[-1] the apex's: the
+    columns (q₂; q₀) and (q₁; ·) of ‖y₀ + t·y_i‖², and (ℓ₁; ℓ₀) of
+    dᵀ(y₀ + t·y_i), for the rays y_i above the apex rows."""
+    return _rows(y * y), 2.0 * _rows(y * y[-1:]), _rows(y * d)
 
 
-def _sq_norm(v0, V1):
-    """‖v0 + t·V1‖² as (q₂, q₁, q₀), for v0 one row (the apex): q₀ is one value."""
-    return _rows(V1 * V1), 2.0 * _rows(V1 * v0), _rows(v0 * v0)[0]
-
-
-def _sub(lin, D, scale):
-    """ℓ − scale·D for linear coefficients ℓ and D."""
-    return lin[0] - scale * D[0], lin[1] - scale * D[1]
-
-
-def _phi_pieces(cd, N, D, lin):
+def _phi_pieces(cd, M, lin):
     """The flat branch ‖y‖ and the curved branch √((1 − (λᵀa)²)(‖y‖² − (dᵀy)²))
-    − λᵀa·dᵀy of φ(y), minus ℓ₁t + ℓ₀, from ‖y‖² = N and dᵀy = D along the
-    ray.  The flat piece is ``CLambda``'s, so the two agree at λ = −a."""
-    (n2, n1, n0), (d1, d0) = N, D
+    − λᵀa·dᵀy of φ(y), minus ℓ, from the moments M of y.  The flat piece
+    is ``CLambda``'s, so the two agree at λ = −a."""
+    nn, n1, dy = M
     lam_sq = max(1.0 - cd.lam_a**2, 0.0)
-    curved = (lam_sq * (n2 - d1 * d1), lam_sq * (n1 - 2.0 * d1 * d0), lam_sq * (n0 - d0 * d0))
-    return [
-        (N + lin, (cd.lam_a, N + D, True)),
-        (curved + _sub(lin, D, -cd.lam_a), (cd.lam_a, N + D, False)),
-    ]
+    return [(nn, n1, lin), (lam_sq * (nn - dy * dy), lam_sq * (n1 - 2.0 * dy * dy[-1:]), lin + cd.lam_a * dy)]
 
 
-def _piece_roots(q2, q1, q0, l1, l0):
-    """(T, valid): the roots t of √(q₂t² + q₁t + q₀) = ℓ₁t + ℓ₀ for
-    coefficients of shape (pieces, rays), each piece's two as T[0] and T[1]
-    (NaN or ±inf where there is none), and where ℓ₁t + ℓ₀ ≥ 0 at them.
-    q ≡ 0 gives a linear piece ℓ₁t + ℓ₀ = 0.
+def _piece_roots(Q):
+    """(T, valid): the roots t of √(q₂t² + q₁t + q₀) = ℓ₁t + ℓ₀ per piece
+    and ray of the table Q, the pieces' columns (``_piece_table``) stacked,
+    each piece's two as T[0] and T[1] (NaN or ±inf where there is none),
+    and where ℓ₁t + ℓ₀ ≥ 0 at them.  q ≡ 0 gives a linear piece ℓ₁t + ℓ₀ = 0.
 
     Squared, the equation is At² + 2Bt + C = 0 with A = ℓ₁² − q₂,
     B = ℓ₁ℓ₀ − q₁/2 and C = ℓ₀² − q₀.  Its roots are C/S and S/A with
@@ -126,15 +115,15 @@ def _piece_roots(q2, q1, q0, l1, l0):
     rounding counts as 0.  ℓ₁t + ℓ₀ ≥ 0 is tested to within 8 ulps of its
     terms, as a linear piece's root needs.
     """
-    h1 = 0.5 * q1
-    A = l1 * l1 - q2
+    k, q, lin = Q.shape[2] // 2, Q[:, 0], Q[:, 2]
+    q2, q0, l1, l0, h1 = q[:, :k], q[:, k:], lin[:, :k], lin[:, k:], 0.5 * Q[:, 1, :k]
+    AC = (sq_lin := lin * lin) - q  # A = ℓ₁² − q₂ per ray, beside C = ℓ₀² − q₀
     B = l1 * l0 - h1
-    C = l0 * l0 - q0
-    disc = l1 * (l1 * q0 - 2.0 * l0 * h1) + l0 * l0 * q2 + h1 * h1 - q2 * q0
+    disc = l1 * (l1 * q0 - 2.0 * l0 * h1) + sq_lin[:, k:] * q2 + h1 * h1 - q2 * q0
     S = -(B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
     T = np.empty((2,) + S.shape)
-    np.divide(C, S, out=T[0])
-    np.divide(S, A, out=T[1])
+    np.divide(AC[:, k:], S, out=T[0])
+    np.divide(S, AC[:, :k], out=T[1])
     slope_t = l1 * T
     return T, slope_t + l0 >= -8.0 * _EPS * (np.abs(slope_t) + np.abs(l0))
 
@@ -147,9 +136,9 @@ class CLambda(FreeSetDescriptor):
         x, y = self._split(W)
         return np.sqrt(_rows(y * y)) - _rows(x * self.lam)
 
-    def _pieces(self, w0, R):
-        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
-        return [(_sq_norm(y0, y1) + _dot(self.lam, x0, x1), None)]
+    def _piece_table(self, W):
+        x, y = self._split(W)
+        return [(_rows(y * y), 2.0 * _rows(y * y[-1:]), _rows(x * self.lam))], []
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,7 @@ class CGLambda(FreeSetDescriptor):
     forced: bool = False
 
     def __post_init__(self):
-        if not self.forced and (np.linalg.norm(self.cd.a) > self.cd.d_norm + 1e-12 or self.m <= 1):
+        if not self.forced and (spectral._norm(self.cd.a) > self.cd.d_norm + 1e-12 or self.m <= 1):
             raise ValueError("CGLambda needs ‖a‖ ≤ ‖d‖ and m > 1 (pass forced=True to bypass)")
 
     def _margin_rows(self, W):
@@ -167,9 +156,9 @@ class CGLambda(FreeSetDescriptor):
         cd = self.cd
         return _cap_support(cd, y, relaxed=False) - _rows(x * cd.lam)
 
-    def _pieces(self, w0, R):
-        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
-        return _cap_pieces(self.cd, y0, y1, False, _dot(self.cd.lam, x0, x1))
+    def _piece_table(self, W):
+        x, y = self._split(W)
+        return _cap_pieces(self.cd, y, False, _rows(x * self.cd.lam))
 
 
 def _cap_slopes(cd: CaseData, relaxed: bool) -> list[float]:
@@ -214,30 +203,29 @@ def _cap_support(cd: CaseData, t: np.ndarray, relaxed: bool) -> np.ndarray:
     return np.where(flat, nt, _circle_support(cd, nt, dt, c))
 
 
-def _cap_pieces(cd: CaseData, t0, T1, relaxed: bool, lin) -> list:
-    """``_cap_support(cd, t0 + t·T1, relaxed)`` − (ℓ₁t + ℓ₀) as pieces, branch
-    by branch as ``_cap_support`` takes them, for t0 the apex part as one row."""
+def _cap_pieces(cd: CaseData, y, relaxed: bool, lin):
+    """``_cap_support(cd, y₀ + t·y_i, relaxed)`` − (ℓ₁t + ℓ₀) as (pieces,
+    branches) over the rows of y and lin (``_piece_table``), branch by branch
+    as ``_cap_support`` takes them."""
     c = -cd.lam_a
     if cd.d.shape[0] == 1:
-        line = (T1[:, 0], t0[0, 0])
-        return [((0.0,) * 3 + _sub(lin, line, s), None) for s in _cap_slopes(cd, relaxed)]
+        zero = np.zeros(len(lin))
+        return [(zero, zero, lin - s * y[:, 0]) for s in _cap_slopes(cd, relaxed)], []
     nd = cd.d_norm
     if (c > nd) if relaxed else (c < -nd):
-        return []  # an empty cap: the support is −inf and has no zero
-    N = _sq_norm(t0, T1)
+        return [], []  # an empty cap: the support is −inf and has no zero
+    M = nn, n1, dy = _moments(y, cd.d)
     if not relaxed and c >= nd:
-        return [(N + lin, None)]
-    D = _dot(cd.d, t0, T1)
+        return [(nn, n1, lin)], []
+    branches = [(0, cd.lam_a, M)]
     if relaxed and (c < -nd or nd == 0.0):
-        return _phi_pieces(cd, N, D, lin)
+        return _phi_pieces(cd, M, lin), branches
     # the circle support (c/‖d‖²)·dᵀt + h·√(‖t‖² − (dᵀt/‖d‖)²), h² = 1 − (c/‖d‖)²
-    (n2, n1, n0), (e1, e0) = N, (D[0] / nd, D[1] / nd)
-    h_sq = max(1.0 - (c / nd) ** 2, 0.0)
-    circle = (h_sq * (n2 - e1 * e1), h_sq * (n1 - 2.0 * e1 * e0), h_sq * (n0 - e0 * e0))
-    circle = (circle + _sub(lin, D, c / nd**2), (cd.lam_a, N + D, relaxed))
+    e, h_sq = dy / nd, max(1.0 - (c / nd) ** 2, 0.0)
+    circle = (h_sq * (nn - e * e), h_sq * (n1 - 2.0 * e * e[-1:]), lin - c / nd**2 * dy)
     if relaxed:
-        return [circle, _phi_pieces(cd, N, D, lin)[1]]
-    return [(N + lin, (cd.lam_a, N + D, True)), circle]
+        return [circle, _phi_pieces(cd, M, lin)[1]], branches
+    return [(nn, n1, lin), circle], branches
 
 
 def _circle_support(cd: CaseData, nt: np.ndarray, dt: np.ndarray, c: float) -> np.ndarray:
@@ -257,10 +245,10 @@ class CPhiLambda(FreeSetDescriptor):
         x, y = self._split(W)
         return phi_value(self.cd, y) - _rows(x * self.cd.lam)
 
-    def _pieces(self, w0, R):
-        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
-        cd = self.cd
-        return _phi_pieces(cd, _sq_norm(y0, y1), _dot(cd.d, y0, y1), _dot(cd.lam, x0, x1))
+    def _piece_table(self, W):
+        x, y = self._split(W)
+        M = _moments(y, self.cd.d)
+        return _phi_pieces(self.cd, M, _rows(x * self.cd.lam)), [(0, self.cd.lam_a, M)]
 
 
 @dataclass(frozen=True)
@@ -293,14 +281,18 @@ class CRPhiLambda(FreeSetDescriptor):
     def recession(self):
         return CPhiLambda(self.n, self.m, self.l, cd=self.cd)  # without r(β), the caps' supports have max φ(y)
 
-    def _pieces(self, w0, R):
-        """The unrelaxed cap's pieces in y and the relaxed cap's in y − y₀."""
-        cd = self.cd
-        (x0, y0), (x1, y1) = self._split(w0), self._split(R)
-        lin, shift = _dot(cd.lam, x0, x1), 1.0 / (1.0 - cd.d_norm**2)
-        return _cap_pieces(cd, y0, y1, False, lin) + _cap_pieces(
-            cd, y0 - cd.d * shift, y1, True, (lin[0], lin[1] + cd.lam_a * shift)
-        )
+    def _piece_table(self, W):
+        """The unrelaxed cap's pieces in y and the relaxed cap's in y − y₀,
+        which moves only the apex rows."""
+        cd, k = self.cd, len(W) // 2
+        x, y = self._split(W)
+        lin, shift = _rows(x * cd.lam), 1.0 / (1.0 - cd.d_norm**2)
+        pieces, branches = _cap_pieces(cd, y, False, lin)
+        y, lin = y.copy(), lin.copy()
+        y[k:] -= cd.d * shift
+        lin[k:] += cd.lam_a * shift
+        more, relaxed = _cap_pieces(cd, y, True, lin)
+        return pieces + more, branches + [(j + len(pieces), lam_a, N) for j, lam_a, N in relaxed]
 
 
 @dataclass(frozen=True)
@@ -314,9 +306,10 @@ class Halfspace(FreeSetDescriptor):
     def recession(self):
         return Halfspace(self.n, self.m, self.l, coef=self.coef, rhs=0.0)
 
-    def _pieces(self, w0, R):
-        l1, l0 = _dot(self.coef, w0, R)
-        return [((0.0,) * 3 + (-l1, self.rhs - l0), None)]
+    def _piece_table(self, W):
+        lin = -_rows(W * self.coef)
+        lin[len(W) // 2 :] += self.rhs
+        return [(np.zeros(len(W)),) * 2 + (lin,)], []
 
 
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
@@ -359,13 +352,7 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
 
 
-def _table(k, rows):
-    """Rows of coefficients over k rays (arrays, or one value) as one array."""
-    out = np.empty((len(rows[0]), len(rows), k))
-    for j, row in enumerate(rows):
-        for i, value in enumerate(row):
-            out[i, j] = value
-    return out
+_IN_FORCE = np.array([[True], [False]])  # a branch's two pieces: where its test holds, and fails
 
 
 def _roots(fs, apex, rays):
@@ -373,28 +360,26 @@ def _roots(fs, apex, rays):
     where that piece holds, NaN where none; below(i, tol) is
     t − tol/(2f′) for the rays i, NaN where f′ ≤ 0, with f′ the slope at t
     of t's piece: (q₂t + q₁/2)/(ℓ₁t + ℓ₀) − ℓ₁, or −ℓ₁ for a linear one."""
+    # the apex repeated below the rays puts its terms on every ray: a ufunc
+    # on rows of one shape is about twice as fast as one that broadcasts
     k = len(rays)
-    pieces = fs._pieces(apex[None, :], rays)
-    if not pieces:
-        return np.full(k, np.nan), lambda i, tol: np.full(len(i), np.nan)
-    coefs, branches = zip(*pieces)
-    Q = _table(k, coefs)
+    W = np.empty((2 * k, apex.size))
+    W[:k], W[k:] = rays, apex
+    pieces, branches = fs._piece_table(W)
+    Q = np.array(pieces).reshape(len(pieces), 3, 2 * k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T, valid = _piece_roots(*Q)
-        if any(branches):
-            # an unbranched piece's test holds at every finite root
-            lam_a, nd, flat = zip(*[b or (0.0, (0.0,) * 5, True) for b in branches])
-            n2, n1, n0, d1, d0 = _table(k, nd)
-            ny = np.sqrt(np.maximum((n2 * T + n1) * T + n0, 0.0))
-            lam_a, flat = np.array(lam_a)[:, None], np.array(flat)[:, None]
-            valid &= (lam_a * ny + (d1 * T + d0) <= 0.0) == flat
+        T, valid = _piece_roots(Q)
+        for j, lam_a, (nn, n1, dy) in branches:
+            Tj = T[:, j : j + 2]
+            ny = np.sqrt(np.maximum((nn[:k] * Tj + n1[:k]) * Tj + nn[k:], 0.0))
+            valid[:, j : j + 2] &= (lam_a * ny + (dy[:k] * Tj + dy[k:]) <= 0.0) == _IN_FORCE
         valid &= (T > 0.0) & (T < np.inf)
         t = np.fmin.reduce(T, axis=(0, 1), where=valid, initial=np.nan)
 
     def below(i, tol):
         ti = t[i]
         piece = (valid[:, :, i] & (T[:, :, i] == ti)).any(axis=0).argmax(axis=0)
-        q2, q1, _, l1, l0 = Q[:, piece, i]
+        (q2, q1, l1), l0 = Q[piece, :, i].T, Q[piece, 2, k + i]
         num = q2 * ti + 0.5 * q1
         with np.errstate(divide="ignore"):
             f1 = np.divide(num, l1 * ti + l0, out=np.zeros_like(ti), where=num != 0.0) - l1
@@ -411,8 +396,8 @@ def _points(apex, rays, T):
 def _first_certified(T, V, tol):
     """Per row, the first t > 0 of T with margin V in [−tol, 0]: (t, V, found)."""
     ok = (V >= -tol) & (V <= 0.0) & (T > 0.0)  # T is NaN with no root
-    r, best = np.arange(len(T)), ok.argmax(axis=1)
-    return T[r, best], V[r, best], ok[r, best]
+    first = ok.argmax(axis=1) + np.arange(0, T.size, T.shape[1])  # as flat indices
+    return T.take(first), V.take(first), ok.take(first)
 
 
 def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +406,7 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
 
     Along a ray, f(t) = margin(apex + t·r) is convex (a support function
     minus a linear term) with f(0) < 0, so {f ≤ 0} is [0, t*], and t* is
-    the least zero of a piece of f where it holds (``_pieces``), as no
+    the least zero of a piece of f where it holds (``_piece_table``), as no
     piece exceeds f.  A step is a t ≤ t* with residual f(t) in [−tol, 0].
 
     One margin call takes the apex and, per ray, t* and t* moved 4 ulps
@@ -436,23 +421,29 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
     ``UncertifiedStepError``.
 
     No step depends on the other rays, since every coefficient and margin
-    is summed along its own row.  The apex must be interior.
+    is summed along its own row.  The apex must be interior; a non-finite
+    apex, or a zero or non-finite ray, raises ``ValueError``.
     """
     apex, rays = np.asarray(apex, dtype=float).reshape(-1), np.asarray(rays, dtype=float)
-    if not (np.abs(rays).max(1) > 0.0).all():
-        raise ValueError("every ray must be nonzero")
+    finite = np.count_nonzero(np.isfinite(apex)) + np.count_nonzero(np.isfinite(rays)) == apex.size + rays.size
+    if not (finite and np.count_nonzero(np.logical_or.reduce(rays, 1)) == len(rays)):  # the cheapest all()
+        raise ValueError("the apex and every ray must be finite, and every ray nonzero")
     t, below = _roots(fs, apex, rays)
-    T, rootless, rec = t[:, None] * _TOWARD_APEX, np.isnan(t), fs.recession()
-    v = fs.margin(np.concatenate((apex[None, :], _points(apex, rays, T), rays[rootless & (rec is fs)])))
+    T, rootless = t[:, None] * _TOWARD_APEX, np.isnan(t)
+    rec = fs.recession() if np.count_nonzero(rootless) else None
+    points = [apex[None, :], _points(apex, rays, T)] + ([rays[rootless]] if rec is fs else [])
+    v = fs.margin(np.concatenate(points))
     m0, V = v[0], v[1 : 1 + T.size].reshape(T.shape)
     if not m0 < -tol:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
-    v_rec = rec.margin(rays[rootless]) if rec is not fs and rootless.any() else v[1 + T.size :]
-    if not (v_rec <= 0.0).all():
-        raise UncertifiedStepError(f"rays {rootless.nonzero()[0][~(v_rec <= 0.0)]} have no root but leave the set")
     steps, residuals, ok = _first_certified(T, V, tol)
-    steps[rootless], residuals[rootless] = np.inf, 0.0
-    i = (~(ok | rootless)).nonzero()[0]
+    if rec is not None:
+        v_rec = v[1 + T.size :] if rec is fs else rec.margin(rays[rootless])
+        if not (v_rec <= 0.0).all():
+            raise UncertifiedStepError(f"rays {rootless.nonzero()[0][~(v_rec <= 0.0)]} have no root but leave the set")
+        steps[rootless], residuals[rootless] = np.inf, 0.0
+        ok |= rootless
+    i = (~ok).nonzero()[0]
     if i.size:
         T = np.column_stack((t[i, None] * _SECOND, below(i, tol)))
         V = fs.margin(_points(apex, rays[i], T)).reshape(T.shape)

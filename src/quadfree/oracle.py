@@ -527,12 +527,12 @@ def check_cut_validity(
     with ‖r_j‖ from ``np.hypot``, which cannot overflow; a ray it never
     meets, a weight-0 ray whose slope is rounding noise of either sign
     included, gets a multiplier drawn from [0, 10·max(1, t_j)] over the
-    rays that meet it, short rays included.  It comes from the cut and the
-    cone alone, not from ``cert.steps``, and lies in the S-free set, so
-    q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at each finite vertex, at
-    ``count // 2`` seeded points of the far face and at the rest inside;
-    the worst residual is the least such value.  A cut that keeps its
-    apex fails with no samples.
+    rays that meet it, short rays included, capped at the largest float.
+    It comes from the cut and the cone alone, not from ``cert.steps``, and
+    lies in the S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at
+    each finite vertex, at ``count // 2`` seeded points of the far face and
+    at the rest inside; the worst residual is the least such value.  A cut
+    that keeps its apex fails with no samples.
     """
     apex, R = cert.cone.apex, cert.cone.R
     excess = float(cert.coef @ apex - cert.rhs)
@@ -548,7 +548,9 @@ def check_cut_validity(
     U = np.zeros((k + count, len(apex)))
     t = -excess / slope[meets]
     U[:, meets] = np.vstack([np.eye(k), face, inner]) * t
-    U[k:, ~meets] = rng.uniform(0.0, 10.0 * max(1.0, t.max(initial=0.0)), (count, len(apex) - k))
+    if k < len(apex):
+        far = 10.0 * max(1.0, float(t.max(initial=0.0)))  # a Python float: inf, not a warning
+        U[k:, ~meets] = rng.uniform(0.0, min(far, np.finfo(float).max), (count, len(apex) - k))
     samples = apex + U @ R.T
     scale = np.linalg.norm(spectral.lift(qc.Q, qc.b, qc.c), 2)
     rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))

@@ -73,21 +73,21 @@ class QuadraticConstraint:
     def __call__(self, s: np.ndarray):
         """q at a point (a float) or at each row of s (an array)."""
         s = np.asarray(s, dtype=float)
-        vals = ((s @ self.Q) * s).sum(axis=-1) + s @ self.b + self.c
+        vals = np.add.reduce((s @ self.Q) * s, -1) + s @ self.b + self.c
         return float(vals) if s.ndim == 1 else vals
 
 
-def _descending(eig: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh``'s pairs descending, each vector signed so its largest-magnitude entry is positive."""
-    eig, V = eig[::-1], V[:, ::-1]
-    return eig, V * np.sign(V[np.abs(V).argmax(0), np.arange(V.shape[1])])
+def _signed(V: np.ndarray) -> np.ndarray:
+    """V with each column signed so that its largest-magnitude entry is positive."""
+    return V * np.sign(V[np.abs(V).argmax(0), np.arange(V.shape[1])])
 
 
 def eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a symmetric matrix in descending order and the
     matching orthonormal eigenvector columns, each signed so that its
     largest-magnitude entry is positive."""
-    return _descending(*np.linalg.eigh(_as_symmetric(A)))
+    eig, V = np.linalg.eigh(_as_symmetric(A))
+    return eig[::-1], _signed(V[:, ::-1])
 
 
 def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
@@ -151,46 +151,48 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
     and NotSeparableError when none is positive.
     """
     # Q̃ is symmetric as built: qc.Q is symmetrised by QuadraticConstraint.
-    eig, V = _descending(*np.linalg.eigh(lift(qc.Q, qc.b, qc.c)))
-    max_abs = float(max(eig[0], -eig[-1]))
+    eig, V = np.linalg.eigh(lift(qc.Q, qc.b, qc.c))
+    max_abs = float(max(eig[-1], -eig[0]))
     if max_abs <= zero_tol:
         raise DegenerateQuadraticError("all lifted eigenvalues vanish")
 
-    # eig descends: n positive values lead, m negative trail, l zero between
+    # eig ascends: m negative values lead, n positive trail, l zero between
     k, thresh = eig.size, zero_tol * max_abs
-    n, m = int(np.count_nonzero(eig > thresh)), int(np.count_nonzero(eig < -thresh))
+    n, m = k - int(eig.searchsorted(thresh, "right")), int(eig.searchsorted(-thresh))
     if n == 0:
         raise NotSeparableError("quadratic has no positive directions; q ≤ 0 cannot be violated")
 
-    # Rows of M: scaled eigenvector rows permuted to (x, y, z) order.
-    sigma = np.sqrt(np.abs(eig))
-    sigma[n : k - m] = 1.0
-    perm = np.array([*range(n), *range(k - m, k), *range(n, k - m)])
-    M0 = M = (sigma[:, None] * V.T)[perm]
+    # Rows of M: scaled eigenvector rows in (x, y, z) order, each part descending.
+    xyz = np.array([*range(k - 1, k - n - 1, -1), *range(m - 1, -1, -1), *range(k - n - 1, m - 1, -1)])
+    V = _signed(V[:, xyz])
+    sigma = np.sqrt(np.abs(eig[xyz]))
+    sigma[n + m :] = 1.0
+    M0 = M = sigma[:, None] * V.T
 
     # The lifted slice e_{p+1}ᵀ(s,1) = 1 becomes gᵀw = 1; negate for rhs -1.
-    g = -(V[-1] / sigma)[perm]
+    g = -(V[-1] / sigma)
     a, d, h = g[:n], g[n : n + m], g[n + m :]
 
     mu = None  # the case-2 rescaling factor
     if m == 0:
         case = CASE_EMPTY_S
-    elif _norm(h) > zero_tol * (1.0 + _norm(g)):
+    elif h.size and _norm(h) > zero_tol * (1.0 + _norm(g)):  # an empty h has norm 0
         case = CASE_HOMOG_H_NONZERO
-    elif _norm(a) <= _norm(d):
+    elif (norm_a := _norm(a)) <= _norm(d):
         case = CASE_CASE1_CGLAMBDA if m > 1 else CASE_CONVEX_M1
     else:
         # ‖a‖ > ‖d‖: rescale variables so ‖a‖ = 1 (then ‖d‖ < 1).
-        mu = _norm(a)
+        mu = norm_a
         M, a, d, h = mu * M, a / mu, d / mu, h / mu
         case = CASE_CASE2_CR
 
     def at(point: np.ndarray) -> CanonicalForm:
         """The canonical form at ``point``: q(point) > zero_tol, w̄ = M(point, 1),
         λ = x̄/‖x̄‖ and, in case 2, the λ = −a test."""
-        point = np.asarray(point, dtype=float)
-        if point.shape != (qc.dim,) or not np.isfinite(point).all():
-            raise ValueError(f"point must be {qc.dim} finite numbers")
+        if point is not qc.point:  # QuadraticConstraint checked its own point
+            point = np.asarray(point, dtype=float)
+            if point.shape != (qc.dim,) or not np.isfinite(point).all():
+                raise ValueError(f"point must be {qc.dim} finite numbers")
         q_bar = qc(point)
         if q_bar <= zero_tol:
             raise NotSeparableError(f"q(point) = {q_bar} is not positive")
@@ -203,7 +205,7 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
                 case_at = CASE_CASE2_CR_LAMBDA_NEG_A
         return CanonicalForm(
             n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam,
-            case=case_at, eigenvalues=eig, quad_scale=1.0 if mu is None else mu * mu,
+            case=case_at, eigenvalues=eig[::-1], quad_scale=1.0 if mu is None else mu * mu,
             case2_rescale=mu,
         )
 

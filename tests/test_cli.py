@@ -487,7 +487,7 @@ def test_verify_wedge_passes(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "mu",
-    [1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300]
+    [1e-307, 1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300]
     + [pytest.param((1.0, m), id=f"1,{m:g}") for m in (1e-300, 1e-11, 1e11, 1e155)],
 )
 def test_verify_passes_whatever_the_rays_length(tmp_path, capsys, mu):
@@ -504,6 +504,17 @@ def test_verify_passes_whatever_the_rays_length(tmp_path, capsys, mu):
     base, scaled = reports
     assert scaled["passed"] and scaled["samples"] == base["samples"]
     assert scaled["worst_residual"] == pytest.approx(base["worst_residual"], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rays", [[[1e-308, 0.0], [0.0, 1e-308]], [[1e-320, 0.0], [0.0, 1e-320]], [[1e-308, 0.0], [0.0, 1.0]]])
+def test_a_step_too_long_for_a_float_exits_13(tmp_path, capsys, rays):
+    # the wedge's steps along these rays exceed the largest float: each
+    # such ray is named and refused, never given a weight of 0
+    path = write_instance(tmp_path, **wedge_fields(cone={"rays": rays}))
+    assert main(["cut", path]) == 13
+    err = capsys.readouterr().err
+    assert "UncertifiedStepError" in err and "do not fit a float" in err and "Traceback" not in err
 
 
 def test_verify_forced_cglambda_fails(tmp_path, capsys):
@@ -787,8 +798,8 @@ def test_loop_converges_at_a_tolerance_above_its_floor(capsys):
 def test_uncertified_step_exit_13(tmp_path, capsys, monkeypatch):
     # a norm cone whose pieces miss the root leaves its rays uncertified
     class _NoRoots(freesets.CLambda):
-        def _pieces(self, w0, R):
-            return []
+        def _piece_table(self, W):
+            return [], []
 
     monkeypatch.setattr(freesets, "CLambda", _NoRoots)
     path = write_instance(

@@ -21,9 +21,10 @@ from quadfree.freesets import (
 S2 = math.sqrt(2.0)
 
 
-def _linear_pieces(w0, R, coords):
-    """The margin's pieces ±w_i − 1 along the rays w0 + t·R, for i in coords."""
-    return [((0.0,) * 3 + (-s * R[:, i], 1.0 - s * w0[0, i]), None) for i in coords for s in (1.0, -1.0)]
+def _linear_pieces(W, coords):
+    """The margin's pieces ±w_i − 1 along the rays of W (``_piece_table``), for i in coords."""
+    zero, k = np.zeros(len(W)), len(W) // 2
+    return [(zero, zero, np.r_[-s * W[:k, i], 1.0 - s * W[k:, i]]) for i in coords for s in (1.0, -1.0)], []
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class _BoxSet(FreeSetDescriptor):
         w = np.asarray(w, dtype=float)
         return np.max(np.abs(w[..., :2]), axis=-1) - 1.0
 
-    def _pieces(self, w0, R):
-        return _linear_pieces(w0, R, (0, 1))
+    def _piece_table(self, W):
+        return _linear_pieces(W, (0, 1))
 
 
 def _identity_cf(p):
@@ -105,8 +106,8 @@ def test_infinite_step_zeroes_coefficient():
             w = np.asarray(w, dtype=float)
             return np.abs(w[..., 0]) - 1.0
 
-        def _pieces(self, w0, R):
-            return _linear_pieces(w0, R, (0,))
+        def _piece_table(self, W):
+            return _linear_pieces(W, (0,))
 
     slab = _Slab(3, 0, 0)
     cert = intersection_cut(cone, cf, slab)
@@ -124,8 +125,8 @@ def test_all_rays_recession_raises():
             w = np.asarray(w, dtype=float)
             return np.full(w.shape[:-1], -1.0)
 
-        def _pieces(self, w0, R):
-            return []  # the margin has no zero
+        def _piece_table(self, W):
+            return [], []  # the margin has no zero
 
     with pytest.raises(AllRaysRecessionError):
         intersection_cut(
@@ -310,14 +311,15 @@ def test_scaling_a_ray_by_a_power_of_two_divides_its_step(data):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "mu",
-    [1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300]
+    [1e-307, 1e-300, 1e-150, 1e-13, 1e-12, 1e12, 1e155, 1e300]
     + [pytest.param((1.0, m), id=f"1,{m:g}") for m in (1e-300, 1e-11, 1e11, 1e155)],
 )
 def test_a_cut_does_not_depend_on_the_rays_length(mu):
     # the wedge's rays scaled by mu, or each by its entry of mu: with the
     # 1e12 recession test in ray lengths, 1e-12 gave ray 1 weight 0 and a
     # cut that removes s = (8, −2), 1e-13 left no finite step, and 1e155
-    # overflowed a piece's root; cond of the raw rays rejected (1, 1e11)
+    # overflowed a piece's root; cond of the raw rays rejected (1, 1e11);
+    # at 1e-307 the steps, 3.41e307 and 8.69e306, nearly fill a float
     qc = wedge_constraint()
     base = separate(qc, SimplicialCone(apex=qc.point, R=np.eye(2)))
     cert = separate(qc, SimplicialCone(apex=qc.point, R=np.diag(np.broadcast_to(mu, 2))))

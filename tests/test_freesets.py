@@ -391,6 +391,19 @@ def test_boundary_step_requires_interior_apex():
         boundary_steps(fs, np.array([1.0, 1.0]), np.array([[0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "apex, ray",
+    [((3.0, 0.0), (np.nan, 1.0)), ((3.0, 0.0), (0.0, np.inf)), ((3.0, 0.0), (0.0, 0.0)),
+     ((np.inf, 0.0), (0.0, 1.0)), ((3.0, np.nan), (0.0, 1.0))],
+)
+def test_boundary_steps_rejects_a_bad_ray_or_apex(apex, ray):
+    # a NaN entry once read "every ray must be nonzero", and (0, inf) died
+    # on a RuntimeWarning; each is one ValueError, with no warning
+    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    with pytest.raises(ValueError, match="finite, and every ray nonzero"):
+        boundary_steps(fs, np.array(apex), np.array([[0.0, 1.0], ray]))
+
+
 def test_boundary_step_ray_scaling():
     fs = CLambda(1, 1, 0, lam=np.array([1.0]))
     apex = np.array([3.0, 0.5])
@@ -699,15 +712,15 @@ def test_rounding_past_the_boundary_is_certified_by_the_slope(monkeypatch):
 class _NoRoots(CLambda):
     """‖y‖ ≤ λᵀx whose pieces miss every root."""
 
-    def _pieces(self, w0, R):
-        return []
+    def _piece_table(self, W):
+        return [], []
 
 
 class _FarRoots(CLambda):
     """‖y‖ ≤ λᵀx whose pieces are those of ‖y‖ ≤ 2λᵀx, with later roots."""
 
-    def _pieces(self, w0, R):
-        return CLambda(self.n, self.m, self.l, lam=2.0 * self.lam)._pieces(w0, R)
+    def _piece_table(self, W):
+        return CLambda(self.n, self.m, self.l, lam=2.0 * self.lam)._piece_table(W)
 
 
 def test_a_ray_with_no_certified_step_raises(monkeypatch):
@@ -870,3 +883,160 @@ def test_rows_match_points(name):
         assert np.array_equal(got, expect)
     else:
         assert np.allclose(got, expect, rtol=1e-14, atol=1e-14)
+
+
+# --- the one-pass coefficient table against the per-piece construction ---------
+#
+# The per-piece construction the table replaced, kept as the reference: each
+# piece's coefficients from ‖v0 + t·V1‖² and uᵀ(v0 + t·V1) with the apex v0
+# as one row, read into the table piece by piece.
+
+
+def _ref_rows(X):
+    return np.add.reduce(X, 1)
+
+
+def _ref_dot(u, v0, V1):
+    return _ref_rows(V1 * u), _ref_rows(v0 * u)[0]
+
+
+def _ref_sq_norm(v0, V1):
+    return _ref_rows(V1 * V1), 2.0 * _ref_rows(V1 * v0), _ref_rows(v0 * v0)[0]
+
+
+def _ref_sub(lin, D, scale):
+    return lin[0] - scale * D[0], lin[1] - scale * D[1]
+
+
+def _ref_phi_pieces(cd, N, D, lin):
+    (n2, n1, n0), (d1, d0) = N, D
+    lam_sq = max(1.0 - cd.lam_a**2, 0.0)
+    curved = (lam_sq * (n2 - d1 * d1), lam_sq * (n1 - 2.0 * d1 * d0), lam_sq * (n0 - d0 * d0))
+    return [
+        (N + lin, (cd.lam_a, N + D, True)),
+        (curved + _ref_sub(lin, D, -cd.lam_a), (cd.lam_a, N + D, False)),
+    ]
+
+
+def _ref_cap_pieces(cd, t0, T1, relaxed, lin):
+    c = -cd.lam_a
+    if cd.d.shape[0] == 1:
+        line = (T1[:, 0], t0[0, 0])
+        return [((0.0,) * 3 + _ref_sub(lin, line, s), None) for s in freesets._cap_slopes(cd, relaxed)]
+    nd = cd.d_norm
+    if (c > nd) if relaxed else (c < -nd):
+        return []
+    N = _ref_sq_norm(t0, T1)
+    if not relaxed and c >= nd:
+        return [(N + lin, None)]
+    D = _ref_dot(cd.d, t0, T1)
+    if relaxed and (c < -nd or nd == 0.0):
+        return _ref_phi_pieces(cd, N, D, lin)
+    (n2, n1, n0), (e1, e0) = N, (D[0] / nd, D[1] / nd)
+    h_sq = max(1.0 - (c / nd) ** 2, 0.0)
+    circle = (h_sq * (n2 - e1 * e1), h_sq * (n1 - 2.0 * e1 * e0), h_sq * (n0 - e0 * e0))
+    circle = (circle + _ref_sub(lin, D, c / nd**2), (cd.lam_a, N + D, relaxed))
+    if relaxed:
+        return [circle, _ref_phi_pieces(cd, N, D, lin)[1]]
+    return [(N + lin, (cd.lam_a, N + D, True)), circle]
+
+
+def _ref_pieces(fs, w0, R):
+    (x0, y0), (x1, y1) = fs._split(w0), fs._split(R)
+    if isinstance(fs, Halfspace):
+        l1, l0 = _ref_dot(fs.coef, w0, R)
+        return [((0.0,) * 3 + (-l1, fs.rhs - l0), None)]
+    if isinstance(fs, CLambda):
+        return [(_ref_sq_norm(y0, y1) + _ref_dot(fs.lam, x0, x1), None)]
+    cd, lin = fs.cd, _ref_dot(fs.cd.lam, x0, x1)
+    if isinstance(fs, CGLambda):
+        return _ref_cap_pieces(cd, y0, y1, False, lin)
+    if isinstance(fs, CRPhiLambda):
+        shift = 1.0 / (1.0 - cd.d_norm**2)
+        return _ref_cap_pieces(cd, y0, y1, False, lin) + _ref_cap_pieces(
+            cd, y0 - cd.d * shift, y1, True, (lin[0], lin[1] + cd.lam_a * shift)
+        )
+    return _ref_phi_pieces(cd, _ref_sq_norm(y0, y1), _ref_dot(cd.d, y0, y1), lin)
+
+
+def _ref_table(k, rows):
+    out = np.empty((len(rows[0]), len(rows), k))
+    for j, row in enumerate(rows):
+        for i, value in enumerate(row):
+            out[i, j] = value
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _cap_casedata(rng, n, m, branch):
+    """Unit λ and a with c = −λᵀa placed for the cap branch: the unrelaxed
+    cap full and the relaxed one empty (c > ‖d‖), both caps cut by the
+    circle (|c| < ‖d‖), or the unrelaxed cap empty and the relaxed one φ's
+    (c < −‖d‖, or d = 0)."""
+    if m == 1:
+        nd, c = rng.uniform(0.1, 0.9), rng.uniform(-0.99, 0.99)
+    else:
+        nd = 0.0 if branch == "zero_d" else rng.uniform(0.1, 0.9)
+        c = {"full": rng.uniform(nd + 0.02, 0.99), "circle": rng.uniform(-0.98, 0.98) * nd,
+             "phi": rng.uniform(-0.99, -nd - 0.02), "zero_d": rng.uniform(-0.99, 0.99)}[branch]
+    lam = random_unit(rng, n)
+    u = rng.standard_normal(n)
+    u = (u - (u @ lam) * lam) / np.linalg.norm(u - (u @ lam) * lam)
+    return CaseData(lam, -c * lam + math.sqrt(1.0 - c * c) * u, nd * random_unit(rng, m), unit_a=True)
+
+
+_TABLE_CASES = [("CLambda", None), ("Halfspace", None), ("CPhiLambda", "circle"), ("CPhiLambda", "zero_d")] + [
+    (family, branch)
+    for family in ("CGLambda", "CRPhiLambda")
+    for branch in ("lines", "full", "circle", "phi", "zero_d")
+]
+
+
+# pieces per case: the full cap 1; the circle 2 per cap; the unrelaxed cap
+# empty, so CGLambda has none and CRPhiLambda only the relaxed φ's 2
+_TABLE_PIECES = {("CGLambda", "full"): 1, ("CGLambda", "circle"): 2, ("CGLambda", "phi"): 0,
+                 ("CRPhiLambda", "full"): 1, ("CRPhiLambda", "circle"): 4, ("CRPhiLambda", "phi"): 2}
+
+
+@pytest.mark.parametrize("family, branch", _TABLE_CASES)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_pass_table_matches_the_per_piece_construction(family, branch, data):
+    # every coefficient and branch row of the one-pass table has the bits
+    # of the per-piece construction, in every family and cap branch: m = 1
+    # lines, the full cap, the circle, the relaxed φ branch, the empty cap
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n, m, l, k = 2 + int(rng.integers(3)), 1 if branch == "lines" else 2 + int(rng.integers(3)), 1, 1 + int(rng.integers(6))
+    cd = _cap_casedata(rng, n, m, branch or "circle")
+    fs = {
+        "CLambda": lambda: CLambda(n, m, l, lam=cd.lam),
+        "Halfspace": lambda: Halfspace(n, m, l, coef=rng.standard_normal(n + m + l), rhs=float(rng.standard_normal())),
+        "CPhiLambda": lambda: CPhiLambda(n, m, l, cd=cd),
+        "CGLambda": lambda: CGLambda(n, m, l, cd=cd, forced=True),
+        "CRPhiLambda": lambda: CRPhiLambda(n, m, l, cd=cd),
+    }[family]()
+    size = 10.0 ** rng.uniform(-3.0, 3.0, (k + 1, 1))
+    apex, rays = (rng.standard_normal((k + 1, n + m + l)) * size)[0], (rng.standard_normal((k + 1, n + m + l)) * size)[1:]
+
+    W = np.empty((2 * k, apex.size))
+    W[:k], W[k:] = rays, apex
+    pieces, branches = fs._piece_table(W)
+    ref = _ref_pieces(fs, apex[None, :], rays)
+    assert len(pieces) == len(ref) == _TABLE_PIECES.get((family, branch), len(ref))
+    if not ref:
+        return
+    coefs, ref_branches = zip(*ref)
+    table = np.array([(sq[:k], q1[:k], sq[k:], lin[:k], lin[k:]) for sq, q1, lin in pieces])
+    assert np.array_equal(_bits(table.transpose(1, 0, 2)), _bits(_ref_table(k, coefs)))
+    in_force = [None] * len(pieces)
+    for j, lam_a, (nn, n1, dy) in branches:
+        rows = np.array((nn[:k], n1[:k], nn[k:], dy[:k], dy[k:]))
+        in_force[j], in_force[j + 1] = (lam_a, rows, True), (lam_a, rows, False)
+    for got, want in zip(in_force, ref_branches):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(_bits(got[1]), _bits(_ref_table(k, [want[1]])[:, 0]))
