@@ -21,10 +21,10 @@ _RESIDUAL_CAP = 1e-6
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """Apex plus p linearly independent ray columns.  Rays alone must have
-    cond ≤ 1e10 once each is scaled by the power of two that brings its
-    largest entry into [1, 2); a cone read off an LP vertex carries its
-    tight rows A_N instead, and then R must be −A_N⁻¹."""
+    """Apex plus p linearly independent ray columns, all finite.  Rays
+    alone must have cond ≤ 1e10 once each is scaled by the power of two
+    that brings its largest entry into [1, 2); a cone read off an LP
+    vertex carries its tight rows A_N instead, and then R must be −A_N⁻¹."""
 
     apex: np.ndarray
     R: np.ndarray
@@ -36,6 +36,8 @@ class SimplicialCone:
         p = apex.shape[0]
         if R.shape != (p, p):
             raise ValueError("ray matrix must be p×p")
+        if not (np.isfinite(apex).all() and np.isfinite(R).all()):
+            raise ValueError("the apex and every ray must be finite")
         if self.tight_rows is None:
             if np.linalg.cond(np.ldexp(R, 1 - np.frexp(np.abs(R).max(axis=0))[1])) > _COND_CAP:
                 raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
@@ -73,13 +75,14 @@ def intersection_cut(
     # entry into [1, 2), so no step depends on the ray's length
     e = 1 - np.frexp(np.abs(rays).max(axis=1))[1]
     unit_steps, residuals = freesets.boundary_steps(fs, apex, np.ldexp(rays, e[:, None]))
-    with np.errstate(over="ignore"):
-        steps = np.ldexp(unit_steps, e)
-    if np.count_nonzero(inf := np.isinf(steps)):
-        if (lost := inf > np.isinf(unit_steps)).any():
-            raise UncertifiedStepError(f"the steps of rays {lost.nonzero()[0]} do not fit a float")
-        if inf.all():
-            raise AllRaysRecessionError("free set contains the whole cone")
+    # a finite step m·2ᵏ (m in [1/2, 1)) scaled back by 2ᵉ overflows iff
+    # k + e > 1024; an infinite one has k = 0 and stays infinite
+    over = np.frexp(unit_steps)[1] + e > 1024
+    if np.count_nonzero(over) and (lost := over & (unit_steps < np.inf)).any():
+        raise UncertifiedStepError(f"the steps of rays {lost.nonzero()[0]} do not fit a float")
+    steps = np.ldexp(unit_steps, e)
+    if np.count_nonzero(inf := np.isinf(steps)) and inf.all():
+        raise AllRaysRecessionError("free set contains the whole cone")
 
     weights = 1.0 / steps
     # Σ_j weights_j · (R⁻¹(s − apex))_j ≥ 1, rewritten as coefᵀs ≤ rhs.

@@ -38,6 +38,7 @@ _EPS = float(np.finfo(float).eps)
 # whose margin is > 0 by rounding is certified from a point just inside it.
 _TOWARD_APEX = 1.0 - np.array([0.0, 4.0 * _EPS, 2.0**-44])
 _SECOND = 1.0 - np.array([2.0**-38, 2.0**-32])
+_TOL = 1e-9  # a certified step's margin lies in [−_TOL, 0]
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,8 @@ def _roots(fs, apex, rays):
     W[:k], W[k:] = rays, apex
     pieces, branches = fs._piece_table(W)
     Q = np.array(pieces).reshape(len(pieces), 3, 2 * k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a root that overflows, divides by 0 or is NaN is invalid below or fails its margin
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         T, valid = _piece_roots(Q)
         for j, lam_a, (nn, n1, dy) in branches:
             Tj = T[:, j : j + 2]
@@ -400,14 +402,15 @@ def _first_certified(T, V, tol):
     return T.take(first), V.take(first), ok.take(first)
 
 
-def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def boundary_steps(fs, apex, rays) -> tuple[np.ndarray, np.ndarray]:
     """sup{t ≥ 0 : apex + t·r inside fs} for each row r of rays, for all
     rays together; returns the arrays (steps, residuals).
 
     Along a ray, f(t) = margin(apex + t·r) is convex (a support function
     minus a linear term) with f(0) < 0, so {f ≤ 0} is [0, t*], and t* is
     the least zero of a piece of f where it holds (``_piece_table``), as no
-    piece exceeds f.  A step is a t ≤ t* with residual f(t) in [−tol, 0].
+    piece exceeds f.  A step is a t ≤ t* with residual f(t) in [−tol, 0],
+    tol = 1e-9.
 
     One margin call takes the apex and, per ray, t* and t* moved 4 ulps
     and 2⁻⁴⁴ relative toward the apex, as rounding can put t* outside; the
@@ -434,9 +437,9 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
     points = [apex[None, :], _points(apex, rays, T)] + ([rays[rootless]] if rec is fs else [])
     v = fs.margin(np.concatenate(points))
     m0, V = v[0], v[1 : 1 + T.size].reshape(T.shape)
-    if not m0 < -tol:
+    if not m0 < -_TOL:
         raise ApexNotInteriorError(f"apex margin {m0} is not strictly negative")
-    steps, residuals, ok = _first_certified(T, V, tol)
+    steps, residuals, ok = _first_certified(T, V, _TOL)
     if rec is not None:
         v_rec = v[1 + T.size :] if rec is fs else rec.margin(rays[rootless])
         if not (v_rec <= 0.0).all():
@@ -445,9 +448,9 @@ def boundary_steps(fs, apex, rays, tol: float = 1e-9) -> tuple[np.ndarray, np.nd
         ok |= rootless
     i = (~ok).nonzero()[0]
     if i.size:
-        T = np.column_stack((t[i, None] * _SECOND, below(i, tol)))
+        T = np.column_stack((t[i, None] * _SECOND, below(i, _TOL)))
         V = fs.margin(_points(apex, rays[i], T)).reshape(T.shape)
-        steps[i], residuals[i], ok = _first_certified(T, V, tol)
+        steps[i], residuals[i], ok = _first_certified(T, V, _TOL)
         if not ok.all():
-            raise UncertifiedStepError(f"no step of rays {i[~ok]} (roots {t[i[~ok]]}) has margin in [{-tol}, 0]")
+            raise UncertifiedStepError(f"no step of rays {i[~ok]} (roots {t[i[~ok]]}) has margin in [{-_TOL}, 0]")
     return steps, residuals

@@ -18,7 +18,6 @@ batch into one array and scales the kept rows in place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,10 @@ from .errors import (
 )
 
 _MAX_ATTEMPTS = 10**6
+_FREENESS_TOL = 1e-7  # least margin a sample may have
+_FD_STEP = 1e-6  # central-difference step of the gradient check
+_BOX = 10.0  # half-width of the box sample_quadratic_region draws from
+_CUT_SAMPLES = 10**4  # points check_cut_validity draws beyond the vertices
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,29 @@ class VerificationReport:
             out["witness"] = list(map(float, np.atleast_1d(self.witness)))
         out.update(self.extra)
         return out
+
+
+def _least_report(name, values, points, tol, seed) -> VerificationReport:
+    """One report over rows: the least of ``values``, passing iff it is
+    ≥ −tol, with that value's row of ``points`` as the witness when it
+    fails; worst 0, samples 0 and no witness on zero rows."""
+    worst = float(np.min(values)) if values.size else 0.0
+    passed = worst >= -tol
+    witness = None if passed else points[int(np.argmin(values))]
+    return VerificationReport(name, len(points), worst, passed, tol, witness, seed)
+
+
+def _row_reports(name, worst, passed, tol, extras, witnesses=None, defined=None) -> list:
+    """One report per row from the arrays ``worst`` and ``passed`` and the
+    dicts ``extras``, with the row of ``witnesses`` when a row fails;
+    None for a row where ``defined`` is False."""
+    defined = [True] * len(extras) if defined is None else defined.tolist()
+    return [
+        VerificationReport(
+            name, 1, w, p, tol, None if p or witnesses is None else witnesses[i], extra=e
+        ) if ok else None
+        for i, (w, p, e, ok) in enumerate(zip(worst.tolist(), passed.tolist(), extras, defined))
+    ]
 
 
 def _unit_rows(rng, count, dim, out=None):
@@ -197,26 +223,11 @@ def structured_slice_points(
 
 
 def check_freeness(
-    fs: freesets.FreeSetDescriptor,
-    samples: np.ndarray,
-    tol: float = 1e-7,
-    seed: int | None = None,
+    fs: freesets.FreeSetDescriptor, samples: np.ndarray, seed: int | None = None
 ) -> VerificationReport:
-    """Pass iff no sample lies strictly inside the set (margin ≥ −tol)."""
+    """Pass iff no sample lies strictly inside the set (margin ≥ −1e-7)."""
     samples = np.asarray(samples, dtype=float)
-    margins = np.atleast_1d(fs.margin(samples))
-    worst = float(np.min(margins)) if margins.size else 0.0
-    passed = worst >= -tol
-    witness = None if passed else samples[int(np.argmin(margins))]
-    return VerificationReport(
-        name="freeness",
-        samples=int(samples.shape[0]),
-        worst_residual=worst,
-        passed=passed,
-        tolerance=tol,
-        witness=witness,
-        seed=seed,
-    )
+    return _least_report("freeness", np.atleast_1d(fs.margin(samples)), samples, _FREENESS_TOL, seed)
 
 
 def freeness_samples(
@@ -269,27 +280,13 @@ def exposing_witness(
     }
     if fs is not None:
         columns["margin"] = np.abs(fs.margin(Z))
+    cols = list(columns.values())
+    passed = np.maximum.reduce(cols[:3]) <= 1e-9  # NaN fails, as in an `and` of the three
+    if fs is not None:
+        passed &= cols[3] <= 1e-7
+    extras = [{"residuals": dict(zip(columns, row))} for row in zip(*(col.tolist() for col in cols))]
     tol = 1e-7 if fs is not None else 1e-9
-    reports = []
-    for i, values in enumerate(zip(*(col.tolist() for col in columns.values()))):
-        residuals = dict(zip(columns, values))
-        passed = (
-            residuals["membership_cone"] <= 1e-9
-            and residuals["membership_slice"] <= 1e-9
-            and residuals["tightness"] <= 1e-9
-            and residuals.get("margin", 0.0) <= 1e-7
-        )
-        reports.append(
-            VerificationReport(
-                name="exposing_witness",
-                samples=1,
-                worst_residual=float(max(residuals.values())),
-                passed=passed,
-                tolerance=tol,
-                witness=None if passed else Z[i],
-                extra={"residuals": residuals},
-            )
-        )
+    reports = _row_reports("exposing_witness", np.maximum.reduce(cols), passed, tol, extras, Z)
     return (Z, reports) if beta.ndim > 1 else (Z[0], reports[0])
 
 
@@ -406,22 +403,13 @@ def check_duality(cd: CaseData, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     Y = _rows_of(y)
     theta = theta_dual(cd, Y)
-    th = np.where(np.isinf(theta), 0.0, theta)  # the degenerate ray has no dual
+    ray = np.isinf(theta)  # the degenerate ray has no dual: it passes with worst 0
+    th = np.where(ray, 0.0, theta)
     V = cd.lam - th[:, None] * cd.a
     dual = np.sqrt(np.vecdot(V, V)) * np.sqrt(np.vecdot(Y, Y)) - th * np.vecdot(Y, cd.d)
     residual = np.abs(dual - phi_value(cd, Y))
-    reports = [
-        VerificationReport(
-            name="duality", samples=1, worst_residual=0.0, passed=True,
-            tolerance=1e-9, extra={"theta": "inf"},
-        )
-        if math.isinf(t)
-        else VerificationReport(
-            name="duality", samples=1, worst_residual=r,
-            passed=r <= 1e-9, tolerance=1e-9, extra={"theta": t},
-        )
-        for t, r in zip(theta.tolist(), residual.tolist())
-    ]
+    extras = [{"theta": "inf" if r else t} for r, t in zip(ray.tolist(), theta.tolist())]
+    reports = _row_reports("duality", np.where(ray, 0.0, residual), ray | (residual <= 1e-9), 1e-9, extras)
     return reports if y.ndim > 1 else reports[0]
 
 
@@ -440,31 +428,24 @@ def check_convexity(cd: CaseData, pairs) -> VerificationReport:
     )
 
 
-def check_gradient(cd: CaseData, y: np.ndarray, step: float = 1e-6):
-    """Central finite differences and the Euler identity for ∇φ, with φ
-    evaluated once on y ± step·I and y for every row.  One report for a
-    vector y (raising where ∇φ is undefined), a list for the rows of y
-    with None where it is undefined."""
+def check_gradient(cd: CaseData, y: np.ndarray):
+    """Central finite differences (step 1e-6) and the Euler identity for ∇φ,
+    with φ evaluated once on y ± step·I and y for every row.  One report
+    for a vector y (raising where ∇φ is undefined), a list for the rows
+    of y with None where it is undefined."""
     y = np.asarray(y, dtype=float)
     grad = np.atleast_2d(phi_gradient(cd, y))
     Y = _rows_of(y)
     k, m = Y.shape
-    E, Y1 = step * np.eye(m), Y[:, None]
+    E, Y1 = _FD_STEP * np.eye(m), Y[:, None]
     P = np.concatenate([Y1 + E, Y1 - E, Y1], axis=1)
     vals = phi_value(cd, P.reshape(-1, m)).reshape(k, 2 * m + 1)
-    fd = (vals[:, :m] - vals[:, m : 2 * m]) / (2.0 * step)
+    fd = (vals[:, :m] - vals[:, m : 2 * m]) / (2.0 * _FD_STEP)
     fd_res = np.max(np.abs(fd - grad), axis=1)
     euler_res = np.abs(np.vecdot(grad, Y) - vals[:, -1])
-    reports = [
-        None
-        if math.isnan(g)
-        else VerificationReport(
-            name="gradient", samples=1, worst_residual=f,
-            passed=f <= 1e-5 and e <= 1e-10, tolerance=1e-5,
-            extra={"euler_residual": e},
-        )
-        for g, f, e in zip(grad[:, 0].tolist(), fd_res.tolist(), euler_res.tolist())
-    ]
+    extras = [{"euler_residual": e} for e in euler_res.tolist()]
+    passed = (fd_res <= 1e-5) & (euler_res <= 1e-10)
+    reports = _row_reports("gradient", fd_res, passed, 1e-5, extras, defined=~np.isnan(grad[:, 0]))
     return reports if y.ndim > 1 else reports[0]
 
 
@@ -502,24 +483,17 @@ def case2_battery(
     return reports
 
 
-def sample_quadratic_region(
-    qc: spectral.QuadraticConstraint, count: int, seed: int, box: float = 10.0
-) -> np.ndarray:
-    """Rejection samples of {q ≤ 0} in the box [−box, box]ᵖ."""
+def sample_quadratic_region(qc: spectral.QuadraticConstraint, count: int, seed: int) -> np.ndarray:
+    """Rejection samples of {q ≤ 0} in the box [−10, 10]ᵖ."""
 
     def draw(rng, batch, need):
-        s = rng.uniform(-box, box, (batch, qc.dim))
+        s = rng.uniform(-_BOX, _BOX, (batch, qc.dim))
         return s[np.flatnonzero(qc(s) <= 0.0)[:need]]
 
     return _rejection_sample(draw, count, seed)
 
 
-def check_cut_validity(
-    qc: spectral.QuadraticConstraint,
-    cert,
-    count: int = 10**4,
-    seed: int = 0,
-) -> VerificationReport:
+def check_cut_validity(qc: spectral.QuadraticConstraint, cert, seed: int = 0) -> VerificationReport:
     """No point of S = {q ≤ 0} may lie in the region the cut removes.
 
     That region is conv{apex, apex + t_j r_j}, where ray r_j meets the
@@ -530,9 +504,12 @@ def check_cut_validity(
     rays that meet it, short rays included, capped at the largest float.
     It comes from the cut and the cone alone, not from ``cert.steps``, and
     lies in the S-free set, so q(s)/(‖Q̃‖₂(1 + ‖s‖²)) ≥ −1e-9 must hold at
-    each finite vertex, at ``count // 2`` seeded points of the far face and
-    at the rest inside; the worst residual is the least such value.  A cut
-    that keeps its apex fails with no samples.
+    each finite vertex, at 5,000 seeded points of the far face and at
+    5,000 inside; the worst residual is the least such value.  Where that
+    quotient overflows it is taken as ŵᵀQ̃ŵ/‖Q̃‖₂ on the lifted unit point
+    ŵ = (s, 1)/‖(s, 1)‖, with (s, 1) first scaled by the power of two that
+    brings its largest entry into [1, 2).  A cut that keeps its apex fails
+    with no samples.
     """
     apex, R = cert.cone.apex, cert.cone.R
     excess = float(cert.coef @ apex - cert.rhs)
@@ -541,7 +518,7 @@ def check_cut_validity(
     slope = cert.coef @ R
     noise = 16.0 * np.finfo(float).eps * np.linalg.norm(cert.coef) * np.hypot.reduce(R, axis=0)
     meets = slope < -noise
-    k = int(meets.sum())
+    k, count = int(meets.sum()), _CUT_SAMPLES
     rng = np.random.default_rng(seed)
     face = rng.dirichlet(np.ones(k), count // 2)
     inner = rng.dirichlet(np.ones(k + 1), count - count // 2)[:, :k]
@@ -552,12 +529,13 @@ def check_cut_validity(
         far = 10.0 * max(1.0, float(t.max(initial=0.0)))  # a Python float: inf, not a warning
         U[k:, ~meets] = rng.uniform(0.0, min(far, np.finfo(float).max), (count, len(apex) - k))
     samples = apex + U @ R.T
-    scale = np.linalg.norm(spectral.lift(qc.Q, qc.b, qc.c), 2)
-    rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))
-    worst = float(np.min(rel))
-    passed = worst >= -1e-9
-    witness = None if passed else samples[int(np.argmin(rel))]
-    return VerificationReport(
-        name="cut_validity", samples=k + count, worst_residual=worst,
-        passed=passed, tolerance=1e-9, witness=witness, seed=seed,
-    )
+    Qt = spectral.lift(qc.Q, qc.b, qc.c)
+    scale = np.linalg.norm(Qt, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the rows that overflow are redone below
+        rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))
+        if not (done := np.isfinite(rel)).all():
+            W = np.column_stack([samples[~done], np.ones(len(done) - int(done.sum()))])
+            W = np.ldexp(W, 1 - np.frexp(np.abs(W).max(axis=1))[1][:, None])
+            W /= np.sqrt(np.vecdot(W, W))[:, None]
+            rel[~done] = np.vecdot(W @ (Qt / scale), W)
+    return _least_report("cut_validity", rel, samples, 1e-9, seed)

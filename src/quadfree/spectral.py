@@ -12,6 +12,7 @@ constraint and returns the map from a point to its canonical form, and
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -197,7 +198,10 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
         if q_bar <= zero_tol:
             raise NotSeparableError(f"q(point) = {q_bar} is not positive")
         wbar = M0 @ np.concatenate([point, [1.0]])
-        lam = wbar[:n] / _norm(wbar[:n])
+        # x̄ scaled by the power of two that brings its largest entry into
+        # [1, 2): exact, and ‖x̄‖² then neither overflows nor underflows
+        x = np.ldexp(wbar[:n], 1 - math.frexp(np.abs(wbar[:n]).max())[1])
+        lam = x / _norm(x)
         case_at = case
         if mu is not None:
             wbar = mu * wbar

@@ -381,6 +381,22 @@ def test_cut_validity_ignores_the_sign_of_a_recession_slope():
         assert oracle.check_cut_validity(qc, nudged).as_dict() == report
 
 
+def test_cut_validity_takes_an_overflowing_quotient_on_the_lifted_unit_point():
+    # s₁² − s₂² ≤ 1 cut at (1e154, 0) by s₂ ≥ 1e154: the samples along the
+    # receding ray reach 1e155, where q(s) and 1 + ‖s‖² overflow; those rows
+    # are taken as ŵᵀQ̃ŵ/‖Q̃‖₂, with no warning, so the valid cut passes and
+    # a step moved into S still fails
+    qc = spectral.QuadraticConstraint(
+        Q=np.diag([1.0, -1.0]), b=np.zeros(2), c=-1.0, point=np.array([1e154, 0.0])
+    )
+    cert = separate(qc, SimplicialCone(apex=qc.point, R=np.eye(2)))
+    assert np.isinf(cert.steps[0]) and cert.steps[1] == 1e154
+    rep = oracle.check_cut_validity(qc, cert)
+    assert rep.passed and rep.worst_residual == 0.0 and rep.samples == 10**4 + 1
+    rep = oracle.check_cut_validity(qc, _cut(qc.point, np.eye(2), [np.inf, 2e154]))
+    assert not rep.passed and -1.0 < rep.worst_residual < -0.1
+
+
 def test_cut_validity_fails_a_cut_that_keeps_its_apex():
     qc = spectral.QuadraticConstraint(
         Q=np.eye(2), b=np.zeros(2), c=-1.0, point=np.array([3.0, 0.0])
