@@ -22,9 +22,9 @@ _RESIDUAL_CAP = 1e-6
 @dataclass(frozen=True)
 class SimplicialCone:
     """Apex plus p linearly independent ray columns, all finite.  Rays
-    alone must have cond ≤ 1e10 once each is scaled by the power of two
-    that brings its largest entry into [1, 2); a cone read off an LP
-    vertex carries its tight rows A_N instead, and then R must be −A_N⁻¹."""
+    alone must have cond ≤ 1e10 once each is scaled by
+    ``spectral._unit_exponents``; a cone read off an LP vertex carries its
+    tight rows A_N instead, and then R must be −A_N⁻¹."""
 
     apex: np.ndarray
     R: np.ndarray
@@ -39,7 +39,7 @@ class SimplicialCone:
         if not (np.isfinite(apex).all() and np.isfinite(R).all()):
             raise ValueError("the apex and every ray must be finite")
         if self.tight_rows is None:
-            if np.linalg.cond(np.ldexp(R, 1 - np.frexp(np.abs(R).max(axis=0))[1])) > _COND_CAP:
+            if np.linalg.cond(np.ldexp(R, spectral._unit_exponents(R, axis=0))) > _COND_CAP:
                 raise ValueError("cone is not simplicial (ray matrix ill-conditioned)")
         elif not lp.ray_residual(self.tight_rows, R) <= _RESIDUAL_CAP:
             # an LP cone keeps this gate: about 3× cheaper per cut than a
@@ -71,10 +71,10 @@ def intersection_cut(
 ) -> CutCertificate:
     """Assemble the intersection cut for one cone and free set."""
     apex, rays = cf.map_point(cone.apex), cf.map_direction(cone.R.T)
-    # step each ray scaled by the power of two that brings its largest
-    # entry into [1, 2), so no step depends on the ray's length
-    e = 1 - np.frexp(np.abs(rays).max(axis=1))[1]
-    unit_steps, residuals = freesets.boundary_steps(fs, apex, np.ldexp(rays, e[:, None]))
+    # step each ray scaled to unit exponents, so no step depends on its length
+    e = spectral._unit_exponents(rays)
+    unit_steps, residuals = freesets.boundary_steps(fs, apex, np.ldexp(rays, e))
+    e = e[:, 0]
     # a finite step m·2ᵏ (m in [1/2, 1)) scaled back by 2ᵉ overflows iff
     # k + e > 1024; an infinite one has k = 0 and stays infinite
     over = np.frexp(unit_steps)[1] + e > 1024

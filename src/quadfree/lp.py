@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import DegenerateVertexError, InfeasibleLPError, UnboundedLPError
 
 _EPS = 1e-9
@@ -123,10 +124,14 @@ class Basis:
 
     def add_cut(self, coef, rhs):
         """Add the row coefᵀs ≤ rhs, on which an s_i no row fixed becomes
-        basic if it can, and re-optimise by dual simplex.  Raises
+        basic if it can, and re-optimise by dual simplex.  The row is
+        stored scaled by ``spectral._unit_exponents`` of coef, so its
+        length does not enter the pivot tests.  Raises
         ``InfeasibleLPError`` when no point satisfies the rows."""
-        self.A = np.concatenate((self.A, np.asarray(coef, dtype=float).reshape(1, -1)))
-        self.b = np.concatenate((self.b, [rhs]))
+        coef = np.asarray(coef, dtype=float).reshape(1, -1)
+        e = spectral._unit_exponents(coef)
+        self.A = np.concatenate((self.A, np.ldexp(coef, e)))
+        self.b = np.concatenate((self.b, np.ldexp(rhs, e[0])))
         self.open = np.concatenate((self.open, [True]))
         self._pivot_in_free()
         self._dual_loop(self.c)

@@ -367,7 +367,6 @@ def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
     if gap_plus <= 1e-12:  # λ = a: objective equals the constrained form
         return min(ny, -dy)
 
-    u1 = cd.lam
     u2 = cd.a - cd.lam_a * cd.lam
     u2 = u2 / np.linalg.norm(u2)
     s2 = float(cd.a @ u2)
@@ -507,9 +506,9 @@ def check_cut_validity(qc: spectral.QuadraticConstraint, cert, seed: int = 0) ->
     each finite vertex, at 5,000 seeded points of the far face and at
     5,000 inside; the worst residual is the least such value.  Where that
     quotient overflows it is taken as ŵᵀQ̃ŵ/‖Q̃‖₂ on the lifted unit point
-    ŵ = (s, 1)/‖(s, 1)‖, with (s, 1) first scaled by the power of two that
-    brings its largest entry into [1, 2).  A cut that keeps its apex fails
-    with no samples.
+    ŵ = (s, 1)/‖(s, 1)‖, with (s, 1) first scaled by
+    ``spectral._unit_exponents``.  A cut that keeps its apex fails with no
+    samples.
     """
     apex, R = cert.cone.apex, cert.cone.R
     excess = float(cert.coef @ apex - cert.rhs)
@@ -535,7 +534,7 @@ def check_cut_validity(qc: spectral.QuadraticConstraint, cert, seed: int = 0) ->
         rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))
         if not (done := np.isfinite(rel)).all():
             W = np.column_stack([samples[~done], np.ones(len(done) - int(done.sum()))])
-            W = np.ldexp(W, 1 - np.frexp(np.abs(W).max(axis=1))[1][:, None])
+            W = np.ldexp(W, spectral._unit_exponents(W))
             W /= np.sqrt(np.vecdot(W, W))[:, None]
             rel[~done] = np.vecdot(W @ (Qt / scale), W)
     return _least_report("cut_validity", rel, samples, 1e-9, seed)

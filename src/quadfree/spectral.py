@@ -12,7 +12,6 @@ constraint and returns the map from a point to its canonical form, and
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -78,6 +77,16 @@ class QuadraticConstraint:
         return float(vals) if s.ndim == 1 else vals
 
 
+def _unit_exponents(X: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The exponent e of each slice of X along ``axis``, with that axis
+    kept, for which ``np.ldexp(X, e)`` has its largest |entry| in [1, 2);
+    a zero slice gets e = 1.  Only the direction of a row or ray then
+    matters, never its length.  A power of two changes no mantissa bit,
+    so the scaling is exact and ``np.ldexp(·, −e)`` undoes it, unless an
+    entry far below its slice's largest leaves the normal range."""
+    return 1 - np.frexp(np.abs(X).max(axis=axis, keepdims=True))[1]
+
+
 def _signed(V: np.ndarray) -> np.ndarray:
     """V with each column signed so that its largest-magnitude entry is positive."""
     return V * np.sign(V[np.abs(V).argmax(0), np.arange(V.shape[1])])
@@ -109,8 +118,8 @@ def lift(Q: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
 class CanonicalForm:
     """Result of canonicalize: coordinates w = M(s,1), a case tag and
     the hyperplane data (a, d, h) with right-hand side -1, the lifted
-    eigenvalues (descending), the factor with ‖x‖² − ‖y‖² = quad_scale·q(s),
-    and μ = ‖a‖ when case 2 rescaled M by it (else None)."""
+    eigenvalues (descending), and μ = ‖a‖ when case 2 rescaled M by it
+    (else None)."""
 
     n: int
     m: int
@@ -123,8 +132,13 @@ class CanonicalForm:
     lam: np.ndarray
     case: str
     eigenvalues: np.ndarray | None = None
-    quad_scale: float = 1.0
     case2_rescale: float | None = None
+
+    @property
+    def quad_scale(self) -> float:
+        """The factor with ‖x‖² − ‖y‖² = quad_scale·q(s): μ², or 1 unrescaled."""
+        mu = self.case2_rescale
+        return 1.0 if mu is None else mu * mu
 
     def map_point(self, s: np.ndarray) -> np.ndarray:
         """w = M(s, 1) for a point or for each row of s."""
@@ -198,9 +212,8 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
         if q_bar <= zero_tol:
             raise NotSeparableError(f"q(point) = {q_bar} is not positive")
         wbar = M0 @ np.concatenate([point, [1.0]])
-        # x̄ scaled by the power of two that brings its largest entry into
-        # [1, 2): exact, and ‖x̄‖² then neither overflows nor underflows
-        x = np.ldexp(wbar[:n], 1 - math.frexp(np.abs(wbar[:n]).max())[1])
+        # x̄ at unit exponents: ‖x̄‖² neither overflows nor underflows
+        x = np.ldexp(wbar[:n], _unit_exponents(wbar[:n]))
         lam = x / _norm(x)
         case_at = case
         if mu is not None:
@@ -209,8 +222,7 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
                 case_at = CASE_CASE2_CR_LAMBDA_NEG_A
         return CanonicalForm(
             n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam,
-            case=case_at, eigenvalues=eig[::-1], quad_scale=1.0 if mu is None else mu * mu,
-            case2_rescale=mu,
+            case=case_at, eigenvalues=eig[::-1], case2_rescale=mu,
         )
 
     return at

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfree import lp
+from quadfree import lp, spectral
 from quadfree.lp import Basis, InfeasibleLPError, optimal_basis
 
 
@@ -127,12 +127,14 @@ def test_cuts_reoptimised_by_dual_simplex_match_a_cold_solve(p, seed, n_cuts, de
 
 
 def _rays_invert_the_nonbasic_rows(basis, A):
-    """cone_rays() against −inv(A_N), N the tight rows as indices of A."""
+    """cone_rays() against −inv(A_N), N the tight rows as indices of A,
+    which the basis holds scaled by their unit exponents."""
     R = basis.cone_rays()
     rows = basis.N - basis.p
     assert len(np.unique(rows)) == basis.p and rows.min() >= 0
-    assert np.array_equal(basis.A[basis.N], A[rows])
-    ref = -np.linalg.inv(A[rows])
+    A_N = np.ldexp(A[rows], spectral._unit_exponents(A[rows]))
+    assert np.array_equal(basis.A[basis.N], A_N)
+    ref = -np.linalg.inv(A_N)
     assert np.max(np.abs(R - ref)) <= 1e-9 * np.max(np.abs(ref))
     return np.sort(rows)
 
@@ -152,6 +154,28 @@ def test_basis_rays_are_minus_the_inverse_of_the_nonbasic_rows(p, seed, n_cuts):
             return
         A, b = np.vstack([A, coef]), np.append(b, rhs)
         _rays_invert_the_nonbasic_rows(basis, A)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(-30, 30))
+def test_a_cut_scaled_by_a_power_of_two_changes_no_pivot_and_no_vertex_bit(p, seed, n_cuts, k):
+    rng = np.random.default_rng(seed)
+    c, A, b = _box_lp(rng, p)
+    basis, scaled = optimal_basis(c, A, b), optimal_basis(c, A, b)
+    for _ in range(n_cuts):
+        coef, rhs = _next_cut(rng, basis, A, b)
+        try:
+            basis.add_cut(coef, rhs)
+        except InfeasibleLPError:
+            with pytest.raises(InfeasibleLPError):
+                scaled.add_cut(np.ldexp(coef, k), np.ldexp(rhs, k))
+            return
+        scaled.add_cut(np.ldexp(coef, k), np.ldexp(rhs, k))
+        A, b = np.vstack([A, coef]), np.append(b, rhs)
+        assert np.array_equal(scaled.N, basis.N)
+        s, value = basis.vertex()
+        s_scaled, value_scaled = scaled.vertex()
+        assert s_scaled.tobytes() == s.tobytes() and value_scaled == value
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

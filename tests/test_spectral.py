@@ -35,6 +35,63 @@ from quadfree.spectral import (
 S2 = math.sqrt(2.0)
 
 
+# --- _unit_exponents ---------------------------------------------------------
+
+
+def _spread_entries(rng, shape, spread):
+    """Entries ±(1 + u)·2^(k − j), u in [0, 1), j in [0, spread] per entry
+    and k uniform over [−1074, 1023] per row: subnormals, zeros by
+    underflow and entries up to 1.8e308."""
+    k = rng.integers(-1074, 1024, (shape[0], 1))
+    j = rng.integers(0, spread + 1, shape)
+    return rng.choice([-1.0, 1.0], shape) * np.ldexp(1.0 + rng.random(shape), k - j)
+
+
+def _largest_in_one_to_two(Y, axis):
+    top = np.abs(Y).max(axis=axis)
+    return np.all((top >= 1.0) & (top < 2.0))
+
+
+@pytest.mark.parametrize("spread", [0, 60, 2100])
+def test_unit_exponents_bring_each_slice_largest_entry_into_one_to_two(spread):
+    rng = np.random.default_rng(spread)
+    X = np.vstack([_spread_entries(rng, (400, 6), spread),
+                   [1.7e308, -1.7e308, 1.0, 0.0, -5e-324, 1e-320],
+                   [5e-324, -1e-320, 2.2e-308, 0.0, -0.0, 1e-310]])
+    X = X[np.abs(X).max(axis=1) > 0.0]
+    for axis, Z in ((-1, X), (0, X.T)):
+        e = spectral._unit_exponents(Z, axis=axis)
+        assert e.shape == (len(X), 1) if axis == -1 else e.shape == (1, len(X))
+        assert _largest_in_one_to_two(np.ldexp(Z, e), axis)
+
+
+def test_unit_exponents_are_undone_exactly():
+    # exact whenever no entry falls out of the normal range once scaled:
+    # here every entry is within 2⁻⁶⁰ of its slice's largest
+    rng = np.random.default_rng(5)
+    X = _spread_entries(rng, (2000, 5), 60)
+    for axis, Z in ((-1, X), (0, X.T)):
+        e = spectral._unit_exponents(Z, axis=axis)
+        assert np.array_equal(np.ldexp(np.ldexp(Z, e), -e), Z)
+
+
+def test_a_zero_slice_gets_exponent_one_and_stays_zero():
+    X = np.array([[0.0, -0.0, 0.0], [3.0, 0.0, -0.5]])
+    e = spectral._unit_exponents(X)
+    assert e.tolist() == [[1], [-1]]
+    Y = np.ldexp(X, e)
+    assert Y[0].tobytes() == X[0].tobytes() and Y[1].tolist() == [1.5, 0.0, -0.25]
+    assert spectral._unit_exponents(X, axis=0).tolist() == [[-1, 1, 1]]
+    assert spectral._unit_exponents(np.zeros(4)).tolist() == [1]
+
+
+def test_unit_exponents_of_a_vector_keep_its_axis():
+    x = np.array([3.0, -6.5, 1e-3])
+    e = spectral._unit_exponents(x)
+    assert e.shape == (1,) and np.ldexp(x, e).tolist() == [0.75, -1.625, 0.00025]
+    assert spectral._unit_exponents(x, axis=0).tolist() == e.tolist()
+
+
 # --- eigen ------------------------------------------------------------------
 
 
