@@ -210,8 +210,7 @@ def cmd_verify(inst, args) -> int:
         )
     samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
-    if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
-        reports.extend(oracle.case2_battery(cf, fs, args.seed))
+    reports.extend(oracle.case2_battery(cf, fs, args.seed))
     if "cone" in inst:
         cert = cuts.intersection_cut(inst["cone"], cf, fs)
         reports.append(oracle.check_cut_validity(inst["qc"], cert, seed=args.seed))
@@ -279,7 +278,7 @@ def _plot_layer_2d(f, box, grid=200):
 
 
 def cmd_plot(inst, args) -> int:
-    wanted = [s for s in (args.layers or "S,freeset").split(",") if s]
+    wanted = [s for s in args.layers.split(",") if s]
     unknown = sorted(set(wanted) - set(_PLOT_LAYERS))
     if unknown:
         raise ParseError(f"unknown plot layers {unknown}; choose from {list(_PLOT_LAYERS)}")

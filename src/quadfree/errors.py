@@ -73,4 +73,6 @@ class DegenerateVertexError(QuadfreeError):
 
 
 class ParseError(QuadfreeError):
-    """An instance file violates the expected schema."""
+    """An instance file violates the expected schema, or describes a
+    constraint floats cannot represent: its lifted matrix has no
+    eigendecomposition, or its mapped point w̄ = M(s̄, 1) is not finite."""

@@ -7,13 +7,11 @@ the defining maximum, witnesses are checked against their defining
 identities, and a cut is checked by evaluating q on the region it
 removes, rebuilt from the cut and its cone alone.
 
-The per-point checks (duality, gradient, exposing witness) take one
-vector or a batch of rows, and ``case2_battery`` runs each of them once
-over its rows.  Each row gets the bits the one-vector call gives it: the
-row code takes its norms and dot products with ``np.vecdot`` over
-C-ordered rows, which matches the 1-D ``np.linalg.norm`` and ``@`` bit
-for bit, where a matrix-vector ``@`` would not.  ``sample_S`` draws each
-batch into one array and scales the kept rows in place.
+The per-point checks (duality, gradient, exposing witness) take rows, a
+1-D input being one row, and return a list with one report per row;
+``case2_battery`` runs each of them once over its rows.  A row gets the
+same report, bit for bit, in any batch and memory layout.  ``sample_S`` draws each batch
+into one array and scales the kept rows in place.
 """
 
 from __future__ import annotations
@@ -98,12 +96,6 @@ def _unit_rows(rng, count, dim, out=None):
     norms = np.sqrt(np.add.reduce(g * g, axis=1))
     norms[norms == 0.0] = 1.0
     return np.divide(g, norms[:, None], out=out)
-
-
-def _rows_of(v: np.ndarray) -> np.ndarray:
-    """A vector as one row, or rows, in C order: ``np.vecdot`` over C-ordered
-    rows gives each row the bits of the 1-D ``@`` and ``np.linalg.norm``."""
-    return np.ascontiguousarray(np.atleast_2d(v))
 
 
 def _rejection_sample(
@@ -252,18 +244,12 @@ def freeness_samples(
 
 
 def exposing_witness(
-    cd: CaseData,
-    beta: np.ndarray,
-    fs: freesets.FreeSetDescriptor | None = None,
-):
-    """Boundary point −(λ, β)/(aᵀλ + dᵀβ) exposing the inequality at β.
-
-    For a vector β, the point and its report; for each row of beta, the
-    points as rows and a list of reports, with ``fs.margin`` taken once
-    over all of them.
-    """
-    beta = np.asarray(beta, dtype=float)
-    B = _rows_of(beta)
+    cd: CaseData, beta: np.ndarray, fs: freesets.FreeSetDescriptor
+) -> tuple[np.ndarray, list[VerificationReport]]:
+    """Boundary points −(λ, β)/(aᵀλ + dᵀβ) exposing the inequality at each
+    row β of beta: the points as rows and a report for each, with
+    ``fs.margin`` taken once over all of them."""
+    B = np.atleast_2d(np.ascontiguousarray(beta, dtype=float))
     n = len(cd.lam)
     denom = float(cd.a @ cd.lam) + np.vecdot(B, cd.d)
     if not np.all(denom < -1e-9):
@@ -277,17 +263,13 @@ def exposing_witness(
         "membership_cone": np.maximum(np.sqrt(np.vecdot(X, X)) - np.sqrt(np.vecdot(Y, Y)), 0.0),
         "membership_slice": np.abs(np.vecdot(X, cd.a) + np.vecdot(Y, cd.d) + 1.0),
         "tightness": np.abs(np.vecdot(X, -cd.lam) + np.vecdot(Y, B) - r_coefficient(cd, B)),
+        "margin": np.abs(fs.margin(Z)),
     }
-    if fs is not None:
-        columns["margin"] = np.abs(fs.margin(Z))
     cols = list(columns.values())
-    passed = np.maximum.reduce(cols[:3]) <= 1e-9  # NaN fails, as in an `and` of the three
-    if fs is not None:
-        passed &= cols[3] <= 1e-7
+    # NaN fails, as in an `and` of the four
+    passed = (np.maximum.reduce(cols[:3]) <= 1e-9) & (cols[3] <= 1e-7)
     extras = [{"residuals": dict(zip(columns, row))} for row in zip(*(col.tolist() for col in cols))]
-    tol = 1e-7 if fs is not None else 1e-9
-    reports = _row_reports("exposing_witness", np.maximum.reduce(cols), passed, tol, extras, Z)
-    return (Z, reports) if beta.ndim > 1 else (Z[0], reports[0])
+    return Z, _row_reports("exposing_witness", np.maximum.reduce(cols), passed, 1e-7, extras, Z)
 
 
 def asymptote_sequence(
@@ -396,11 +378,10 @@ def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
     return best
 
 
-def check_duality(cd: CaseData, y: np.ndarray):
-    """Strong duality: the dual objective at θ(y) equals φ(y).  One report
-    for a vector y, a list of them for the rows of y."""
-    y = np.asarray(y, dtype=float)
-    Y = _rows_of(y)
+def check_duality(cd: CaseData, y: np.ndarray) -> list[VerificationReport]:
+    """Strong duality at each row of y: the dual objective at θ(y) equals
+    φ(y).  A report per row."""
+    Y = np.atleast_2d(np.ascontiguousarray(y, dtype=float))
     theta = theta_dual(cd, Y)
     ray = np.isinf(theta)  # the degenerate ray has no dual: it passes with worst 0
     th = np.where(ray, 0.0, theta)
@@ -408,8 +389,7 @@ def check_duality(cd: CaseData, y: np.ndarray):
     dual = np.sqrt(np.vecdot(V, V)) * np.sqrt(np.vecdot(Y, Y)) - th * np.vecdot(Y, cd.d)
     residual = np.abs(dual - phi_value(cd, Y))
     extras = [{"theta": "inf" if r else t} for r, t in zip(ray.tolist(), theta.tolist())]
-    reports = _row_reports("duality", np.where(ray, 0.0, residual), ray | (residual <= 1e-9), 1e-9, extras)
-    return reports if y.ndim > 1 else reports[0]
+    return _row_reports("duality", np.where(ray, 0.0, residual), ray | (residual <= 1e-9), 1e-9, extras)
 
 
 def check_convexity(cd: CaseData, pairs) -> VerificationReport:
@@ -427,14 +407,12 @@ def check_convexity(cd: CaseData, pairs) -> VerificationReport:
     )
 
 
-def check_gradient(cd: CaseData, y: np.ndarray):
+def check_gradient(cd: CaseData, y: np.ndarray) -> list[VerificationReport | None]:
     """Central finite differences (step 1e-6) and the Euler identity for ∇φ,
-    with φ evaluated once on y ± step·I and y for every row.  One report
-    for a vector y (raising where ∇φ is undefined), a list for the rows
-    of y with None where it is undefined."""
-    y = np.asarray(y, dtype=float)
-    grad = np.atleast_2d(phi_gradient(cd, y))
-    Y = _rows_of(y)
+    with φ evaluated once on y ± step·I and y for every row.  A report per
+    row of y, None where ∇φ is undefined."""
+    Y = np.atleast_2d(np.ascontiguousarray(y, dtype=float))
+    grad = phi_gradient(cd, Y)
     k, m = Y.shape
     E, Y1 = _FD_STEP * np.eye(m), Y[:, None]
     P = np.concatenate([Y1 + E, Y1 - E, Y1], axis=1)
@@ -444,15 +422,14 @@ def check_gradient(cd: CaseData, y: np.ndarray):
     euler_res = np.abs(np.vecdot(grad, Y) - vals[:, -1])
     extras = [{"euler_residual": e} for e in euler_res.tolist()]
     passed = (fd_res <= 1e-5) & (euler_res <= 1e-10)
-    reports = _row_reports("gradient", fd_res, passed, 1e-5, extras, defined=~np.isnan(grad[:, 0]))
-    return reports if y.ndim > 1 else reports[0]
+    return _row_reports("gradient", fd_res, passed, 1e-5, extras, defined=~np.isnan(grad[:, 0]))
 
 
 def case2_battery(
     cf: spectral.CanonicalForm, fs: freesets.FreeSetDescriptor, seed: int
 ) -> list[VerificationReport]:
     """The φ identities and maximality witnesses of a case-2 set, each
-    check run once over its rows.
+    check run once over its rows; none outside case 2.
 
     From ``seed + 1``: 50 normal y (a duality report and, where ∇φ is
     defined, a gradient report for each, in turn; y with ‖y‖ < 1e-9 is
@@ -460,6 +437,8 @@ def case2_battery(
     The first 25 with λᵀa + dᵀβ < −1e-6 get an exposing witness and,
     unless λ = −a, the first 10 with λᵀa + dᵀβ ≥ 0 an asymptote sequence.
     """
+    if cf.case not in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
+        return []
     cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
     rng = np.random.default_rng(seed + 1)
     Y = rng.standard_normal((50, cf.m))

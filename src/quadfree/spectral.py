@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuadraticError, NonSymmetricError, NotSeparableError
+from .errors import DegenerateQuadraticError, NonSymmetricError, NotSeparableError, ParseError
 
 # Case tags, one per downstream free-set construction.
 CASE_EMPTY_S = "EMPTY_S"
@@ -162,11 +162,15 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
     maps a point to its canonical form, so many points are separated from
     one constraint with one eigendecomposition.
 
-    Raises DegenerateQuadraticError when every lifted eigenvalue vanishes
-    and NotSeparableError when none is positive.
+    Raises DegenerateQuadraticError when every lifted eigenvalue vanishes,
+    NotSeparableError when none is positive and ParseError when ``eigh``
+    does not converge; ``at`` raises ParseError where w̄ is not finite.
     """
     # Q̃ is symmetric as built: qc.Q is symmetrised by QuadraticConstraint.
-    eig, V = np.linalg.eigh(lift(qc.Q, qc.b, qc.c))
+    try:
+        eig, V = np.linalg.eigh(lift(qc.Q, qc.b, qc.c))
+    except np.linalg.LinAlgError as exc:
+        raise ParseError(f"the lifted matrix has no eigendecomposition: {exc}") from exc
     max_abs = float(max(eig[-1], -eig[0]))
     if max_abs <= zero_tol:
         raise DegenerateQuadraticError("all lifted eigenvalues vanish")
@@ -212,16 +216,17 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
         if q_bar <= zero_tol:
             raise NotSeparableError(f"q(point) = {q_bar} is not positive")
         wbar = M0 @ np.concatenate([point, [1.0]])
+        mapped = wbar if mu is None else mu * wbar
+        if np.count_nonzero(np.isfinite(mapped)) < k:  # the cheapest all()
+            raise ParseError("w̄ = M(point, 1) is not finite")
         # x̄ at unit exponents: ‖x̄‖² neither overflows nor underflows
         x = np.ldexp(wbar[:n], _unit_exponents(wbar[:n]))
         lam = x / _norm(x)
         case_at = case
-        if mu is not None:
-            wbar = mu * wbar
-            if _norm(lam + a) <= zero_tol:
-                case_at = CASE_CASE2_CR_LAMBDA_NEG_A
+        if mu is not None and _norm(lam + a) <= zero_tol:
+            case_at = CASE_CASE2_CR_LAMBDA_NEG_A
         return CanonicalForm(
-            n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=wbar, lam=lam,
+            n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=mapped, lam=lam,
             case=case_at, eigenvalues=eig[::-1], case2_rescale=mu,
         )
 

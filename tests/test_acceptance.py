@@ -22,7 +22,7 @@ from quadfree.corefns import (
 )
 from quadfree.cuts import SimplicialCone, intersection_cut, separate
 from quadfree.errors import SamplingExhaustedError
-from quadfree.freesets import CGLambda, CLambda, CPhiLambda, build_free_set
+from quadfree.freesets import CGLambda, CLambda, CPhiLambda, CRPhiLambda, build_free_set
 
 S2 = math.sqrt(2.0)
 
@@ -184,7 +184,7 @@ def test_maximality_certificates():
         beta = random_unit(rng, len(cd.d))
         if float(cd.a @ cd.lam + cd.d @ beta) >= -1e-3:
             continue
-        _, rep = oracle.exposing_witness(cd, beta)
+        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(len(cd.lam), len(beta), 0, cd=cd))
         assert rep.passed, rep.extra
         done += 1
 

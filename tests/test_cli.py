@@ -311,6 +311,55 @@ def test_canon_q_whose_symmetrisation_overflows_exit_3(tmp_path, capsys, Q, mess
     assert captured.err.startswith(f"ParseError: {message}")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # the 39th draw of p ≤ 5, Q, b, c and the point, each scaled by
+        # 10^U(−300, 300): finite, with Q ~1e-96, b ~1e182 and the point
+        # ~1e94; the LAPACK bundled with numpy does not converge on its
+        # lifted matrix (one that converges fails this case, not the code:
+        # the next test holds the mapping to ParseError on any LAPACK)
+        (json.loads((Path(__file__).parent / "data" / "eigh_039.json").read_text(encoding="utf-8")),
+         "the lifted matrix has no eigendecomposition"),
+        # q(point) overflows here too (the problem-scale item of ROADMAP.md):
+        # that warning, and w̄'s own, are the only ones let through
+        pytest.param(
+            {"dim": 2, "Q": [[1.0, 1.0], [1.0, -1.0]], "b": [0.0, 0.0], "c": -1.0,
+             "point": [1.5e308, 1.5e308], "cone": {"rays": [[1.0, 0.0], [0.0, 1.0]]}},
+            "w̄ = M(point, 1) is not finite",
+            marks=pytest.mark.filterwarnings(
+                "ignore:overflow encountered in (multiply|matmul):RuntimeWarning:quadfree.spectral"
+            ),
+        ),
+    ],
+)
+def test_an_instance_floats_cannot_represent_exits_3(tmp_path, capsys, fields, message):
+    # every entry is finite, but the lifted matrix has no eigendecomposition
+    # or the mapped point overflows: a ParseError, never a traceback
+    path = write_instance(tmp_path, **fields)
+    for command in ("canon", "cut", "verify"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"ParseError: {message}")
+
+
+def test_an_eigh_that_does_not_converge_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError from eigh becomes a ParseError whatever LAPACK numpy uses
+    def no_convergence(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    path = write_instance(tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [0.0, 1.0]]}))
+    for command in ("canon", "cut", "verify"):
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (
+            "ParseError: the lifted matrix has no eigendecomposition: Eigenvalues did not converge\n"
+        )
+
+
 # --- cut ---------------------------------------------------------------------
 
 
@@ -428,9 +477,9 @@ _CANNOT_REACH_MAIN = {
     NonSymmetricError,
     # λ, a and β are normalized before CaseData or a unit check sees them
     NotUnitError,
-    # oracle.case2_battery checks the gradient on rows, where an undefined
-    # ∇φ gives no report; asymptote_sequence takes φ's gradient only off
-    # the excluded ray, where ‖d‖ < 1 holds
+    # oracle.check_gradient gives no report where ∇φ is undefined, and
+    # asymptote_sequence takes φ's gradient only off the excluded ray,
+    # where ‖d‖ < 1 holds
     UndefinedGradientError,
     # oracle.case2_battery passes exposing_witness only β with
     # aᵀλ + dᵀβ < −1e-6
@@ -619,6 +668,13 @@ def test_plot_refuses_high_dimension(tmp_path):
 def test_plot_rejects_unknown_layer(tmp_path):
     path = write_instance(tmp_path, **wedge_fields())
     assert main(["plot", path, "--layers", "S,cut"]) == 3
+
+
+@pytest.mark.parametrize("layers", ["", ","])
+def test_plot_with_no_layer_named_prints_none(tmp_path, capsys, layers):
+    path = write_instance(tmp_path, **wedge_fields())
+    assert main(["plot", path, "--layers", layers]) == 0
+    assert json.loads(capsys.readouterr().out)["layers"] == {}
 
 
 def _marching_squares_loop(F, xs, ys):

@@ -21,6 +21,7 @@ from quadfree.corefns import (
     phi_gradient,
     phi_value,
     r_coefficient,
+    theta_dual,
     x_beta,
 )
 from quadfree.cuts import SimplicialCone, separate
@@ -29,7 +30,6 @@ from quadfree.errors import (
     NotInStrictRegionError,
     PreconditionViolatedError,
     SamplingExhaustedError,
-    UndefinedGradientError,
 )
 from quadfree.freesets import CGLambda, CLambda, CPhiLambda, CRPhiLambda, build_free_set
 
@@ -505,7 +505,7 @@ def test_forced_cglambda_fails_on_wedge_but_cphilambda_passes(cd_wedge):
 
 
 def test_exposing_witness_wedge_unrelaxed(cd_wedge):
-    z, rep = oracle.exposing_witness(cd_wedge, np.array([-1.0]))
+    (z,), (rep,) = oracle.exposing_witness(cd_wedge, np.array([-1.0]), CRPhiLambda(2, 1, 0, cd=cd_wedge))
     assert rep.passed, rep.extra
     # −(λ, β)/(aᵀλ + dᵀβ) with denominator −1/√2: a negative multiple of
     # (1/√2, 1/√2, √2)
@@ -516,7 +516,7 @@ def test_exposing_witness_wedge_unrelaxed(cd_wedge):
 
 def test_exposing_witness_requires_strict_region(cd_wedge):
     with pytest.raises(NotInStrictRegionError):
-        oracle.exposing_witness(cd_wedge, np.array([1.0]))
+        oracle.exposing_witness(cd_wedge, np.array([1.0]), CRPhiLambda(2, 1, 0, cd=cd_wedge))
 
 
 def test_exposing_witness_d_zero_scaling():
@@ -527,7 +527,7 @@ def test_exposing_witness_d_zero_scaling():
         a = random_unit(rng, 3)
     cd = CaseData(lam=lam, a=a, d=np.zeros(2), unit_a=True)
     beta = random_unit(rng, 2)
-    z, rep = oracle.exposing_witness(cd, beta)
+    (z,), (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(3, 2, 0, cd=cd))
     assert rep.passed
     assert np.allclose(z, -np.concatenate([lam, beta]) / float(a @ lam), atol=1e-12)
 
@@ -540,7 +540,7 @@ def test_exposing_witness_random_strict_region():
         beta = random_unit(rng, len(cd.d))
         if float(cd.a @ cd.lam + cd.d @ beta) >= -1e-3:
             continue
-        _, rep = oracle.exposing_witness(cd, beta)
+        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(len(cd.lam), len(beta), 0, cd=cd))
         assert rep.passed, rep.extra
         done += 1
 
@@ -624,7 +624,7 @@ def test_check_duality_reports():
     for _ in range(100):
         cd = random_casedata(rng, 2, 2)
         y = rng.standard_normal(2)
-        rep = oracle.check_duality(cd, y)
+        (rep,) = oracle.check_duality(cd, y)
         assert rep.passed, rep.worst_residual
 
 
@@ -645,7 +645,7 @@ def test_check_gradient_reports():
         ny = np.linalg.norm(y)
         if ny < 0.3 or abs(cd.lam_a * ny + float(cd.d @ y)) < 1e-3:
             continue
-        rep = oracle.check_gradient(cd, y)
+        (rep,) = oracle.check_gradient(cd, y)
         assert rep.passed, rep.worst_residual
         assert rep.extra["euler_residual"] <= 1e-10
         done += 1
@@ -805,7 +805,7 @@ def test_batched_phi_checks_match_loops(convex, monkeypatch):
         y = rng.standard_normal(m)
         for rep, ref in (
             (oracle.check_convexity(cd, pairs), _convexity_loop(cd, pairs)),
-            (oracle.check_gradient(cd, y), _gradient_loop(cd, y)),
+            (*oracle.check_gradient(cd, y), _gradient_loop(cd, y)),
         ):
             assert rep.as_dict() == ref.as_dict()
             failed[rep.name] += not rep.passed
@@ -851,22 +851,69 @@ def test_case2_battery_on_the_wedges(point):
     ]
 
 
-def test_row_checks_skip_or_raise_where_the_gradient_is_undefined():
+def test_row_checks_skip_where_the_gradient_is_undefined():
     # ∇φ is undefined at 0 and, for ‖d‖ = 1 off the flat branch, on the ray
-    # through d: a row there gets no gradient report, a vector there raises
+    # through d: a row there gets no gradient report
     cd = CaseData(lam=np.array([1.0, 0.0]), a=np.array([0.0, 1.0]), d=np.array([1.0, 0.0]))
     Y = np.array([[0.0, 0.0], [2.0, 0.0], [-1.0, 0.5]])
     assert [r is None for r in oracle.check_gradient(cd, Y)] == [True, True, False]
-    for y in Y[:2]:
-        with pytest.raises(UndefinedGradientError):
-            oracle.check_gradient(cd, y)
     assert [r.extra["theta"] for r in oracle.check_duality(cd, Y)] == [0.0, "inf", 0.0]
+
+
+def _layouts(X):
+    """X in C order, in Fortran order and as a view with a column stride."""
+    wide = np.zeros((len(X), 2 * X.shape[1]))
+    wide[:, ::2] = X
+    return X, np.asfortranarray(X), wide[:, ::2]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    unit_d=st.booleans(),
+    seed=st.integers(0, 2**16),
+    subset=st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True),
+)
+def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
+    # the reports for any rows of a batch, in any order and memory layout,
+    # are the batch's reports for those rows, floats bit for bit; with d a unit coordinate
+    # vector, the rows t·d (t > 0) have θ = ∞ and no gradient, and the zero
+    # row has no gradient in any case
+    rng = np.random.default_rng(seed)
+    cd = random_casedata(rng, n, m)
+    Y = rng.standard_normal((16, m))
+    if unit_d:
+        d = np.zeros(m)
+        d[seed % m] = 1.0
+        cd_ray = CaseData(cd.lam, cd.a, d, unit_a=True)
+        Y[:3] = np.array([[2.0], [0.5], [-1.0]]) * d
+        Y[3] = 0.0
+        assert n == 1 or np.isinf(theta_dual(cd_ray, Y[0]))  # n = 1 has λ = −a: flat, θ = 0
+    else:
+        cd_ray = cd
+    for check in (oracle.check_duality, oracle.check_gradient):
+        whole = [None if r is None else _bits(r.as_dict()) for r in check(cd_ray, Y)]
+        for part in _layouts(Y[subset]):
+            alone = [None if r is None else _bits(r.as_dict()) for r in check(cd_ray, part)]
+            assert alone == [whole[i] for i in subset]
+
+    fs = CRPhiLambda(n, m, 0, cd=cd)
+    B = _unit_rows_loop(rng, 40, m)
+    B = B[cd.lam_a + B @ cd.d < -1e-6][:16]
+    rows = [i for i in subset if i < len(B)]
+    if rows:
+        Z, whole = oracle.exposing_witness(cd, B, fs)
+        for part in _layouts(B[rows]):
+            Z_part, alone = oracle.exposing_witness(cd, part, fs)
+            assert Z_part.tobytes() == Z[rows].tobytes()
+            assert [_bits(r.as_dict()) for r in alone] == [_bits(whole[i].as_dict()) for i in rows]
 
 
 def test_report_serialization():
     rng = np.random.default_rng(15)
     cd = random_casedata(rng, 2, 2)
-    rep = oracle.check_duality(cd, np.array([1.0, 0.5]))
+    (rep,) = oracle.check_duality(cd, np.array([1.0, 0.5]))
     payload = rep.as_dict()
     assert payload["name"] == "duality"
     assert payload["passed"] is True
