@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -137,6 +138,8 @@ def emit_json(obj) -> str:
 
 
 def _plain(obj):
+    if type(obj) is float:  # the most common leaf, tested first
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -145,7 +148,7 @@ def _plain(obj):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return v if np.isfinite(v) else repr(v)
+        return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

@@ -8,10 +8,12 @@ x-space, the hyperplane data (a, d), and the sublinear gauge
 together with its gradient, the dual multiplier θ, the maximizer x(β)
 and the asymptotic relaxation amount r(β), which is θ(β) on the unit
 sphere and vanishes on the index set G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
-All of them read one decomposition of y (``_gauge_parts``).  ``phi_value``,
-``phi_gradient``, ``theta_dual`` and ``r_coefficient`` take a vector or a
-batch of rows, and a row gives the same bits alone or in a batch;
-``x_beta`` takes one vector.
+All of them read one decomposition of y (``_gauge_parts``), whose ‖y‖
+and dᵀy are each one ``np.vecdot``: one BLAS dot per row, where ``@``
+(gemv) may block rows together.  ``phi_value``, ``phi_gradient``,
+``theta_dual`` and ``r_coefficient`` take a vector or a batch of rows, read
+C-contiguous, so a row gives the same bits alone or in a batch of any
+memory layout; ``x_beta`` takes one vector.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def _gauge_parts(cd: CaseData, y: np.ndarray):
     """‖y‖, dᵀy, the flat-branch mask λᵀa‖y‖ + dᵀy ≤ 0 (where φ(y) = ‖y‖)
     and the clamped radicands (‖y‖² − (dᵀy)²)₊ and (1 − (λᵀa)²)₊, for a
     vector or for each row of y."""
-    ny = np.sqrt(np.add.reduce(y * y, -1))
-    dy = np.add.reduce(y * cd.d, -1)
+    ny = np.sqrt(np.vecdot(y, y))
+    dy = np.vecdot(y, cd.d)
     flat = cd.lam_a * ny + dy <= 0.0
     return ny, dy, flat, np.maximum(ny * ny - dy * dy, 0.0), max(1.0 - cd.lam_a**2, 0.0)
 
@@ -89,7 +91,7 @@ def _phi(cd: CaseData, parts):
 def phi_value(cd: CaseData, y: np.ndarray):
     """Evaluate the gauge φ at a vector (a float) or at each row of y;
     positively homogeneous and total on Rᵐ."""
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     vals = _phi(cd, _gauge_parts(cd, y))
     return float(vals) if y.ndim == 1 else vals
 
@@ -98,7 +100,7 @@ def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
     """Gradient of φ at a vector, or at each row of y.  It is undefined at
     0 and on the excluded ray through d: a vector there raises, a row there
     is NaN."""
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     rows = np.atleast_2d(y)
     ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, rows)
     unit, curved = flat & (ny > 0.0), ~flat & (wsq > 0.0)
@@ -119,7 +121,7 @@ def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
 def theta_dual(cd: CaseData, y: np.ndarray):
     """Optimal dual multiplier for φ at a vector (a float) or at each row
     of y; 0 on the flat branch, +inf on the degenerate ray."""
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     _, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.atleast_2d(y))
     curved = ~flat & (wsq > 0.0)
     theta = np.where(flat, 0.0, np.inf)

@@ -15,11 +15,17 @@ Margins accept a single point or a batch of row points.  The families:
 Each descriptor also splits its margin along rays w₀ + t·r into pieces
 √(q₂t² + q₁t + q₀) − (ℓ₁t + ℓ₀) (‖y‖, a circle support or a branch of φ,
 minus λᵀx), and ``_piece_table`` writes all their coefficients and branch
-rows from one moment pass: ‖y‖², yᵀy₀, dᵀy and λᵀx are each one row sum
-over the rays stacked above copies of the apex.  A piece's zeros are roots
-of a quadratic (``_piece_roots``), so ``boundary_steps`` takes each ray's
-step in closed form and certifies it (margin in [−tol, 0]) in at most two
-margin calls; a ray with no root recedes iff its ``recession()`` margin is ≤ 0.
+rows from one moment pass: ‖y‖², yᵀy₀, dᵀy and λᵀx are each one
+``np.vecdot`` over the rays stacked above copies of the apex.  A
+``np.vecdot`` is one BLAS dot per row, so a row's sum never depends on the
+other rows; ``@`` (gemv) is not used for row sums, as it may block rows
+together and give a row other bits in another batch.  ``margin`` reads its
+points C-contiguous, since a strided row is summed in another order.
+
+A piece's zeros are roots of a quadratic (``_piece_roots``), so
+``boundary_steps`` takes each ray's step in closed form and certifies it
+(margin in [−tol, 0]) in at most two margin calls; a ray with no root
+recedes iff its ``recession()`` margin is ≤ 0.
 """
 
 from __future__ import annotations
@@ -51,8 +57,9 @@ class FreeSetDescriptor:
     l: int
 
     def margin(self, w):
-        """Margin at a point (a float) or at each row of w (an array)."""
-        w = np.asarray(w, dtype=float)
+        """Margin at a point (a float) or at each row of w (an array); a
+        row's margin has the same bits in any batch and memory layout."""
+        w = np.ascontiguousarray(w, dtype=float)
         if w.ndim == 1:
             return float(self._margin_rows(w[None, :])[0])
         return self._margin_rows(w)
@@ -69,7 +76,8 @@ class FreeSetDescriptor:
         """The margin along the rays w₀ + t·W[i], i < k, W the k rays over k
         copies of the apex w₀, as (pieces, branches).  A piece √(q₂t² + q₁t
         + q₀) − (ℓ₁t + ℓ₀) is three columns over the rows of W, (q₂; q₀),
-        (q₁; ·) and (ℓ₁; ℓ₀): row i < k holds its terms along ray i, row
+        (q₁; ·) and (ℓ₁; ℓ₀), from moments that are each one ``np.vecdot``
+        along the rows of W: row i < k holds its terms along ray i, row
         k + i the apex's.  A branch (j, λᵀa, (‖y‖², 2yᵀy₀, dᵀy) over the same
         rows) puts piece j in force where λᵀa‖y‖ + dᵀy ≤ 0 (``_gauge_parts``)
         and piece j + 1 elsewhere; a piece in no branch is the margin
@@ -81,16 +89,11 @@ class FreeSetDescriptor:
         return w[:, : self.n], w[:, self.n : self.n + self.m]
 
 
-def _rows(X):
-    """Sum along each row; a row's sum never depends on the other rows."""
-    return np.add.reduce(X, 1)
-
-
 def _moments(y, d):
-    """(‖y‖², 2yᵀy₀, dᵀy) over the rows of y, y₀ = y[-1] the apex's: the
-    columns (q₂; q₀) and (q₁; ·) of ‖y₀ + t·y_i‖², and (ℓ₁; ℓ₀) of
-    dᵀ(y₀ + t·y_i), for the rays y_i above the apex rows."""
-    return _rows(y * y), 2.0 * _rows(y * y[-1:]), _rows(y * d)
+    """(‖y‖², 2yᵀy₀, dᵀy) over the rows of y, y₀ = y[-1] the apex's, each
+    one ``np.vecdot``: the columns (q₂; q₀) and (q₁; ·) of ‖y₀ + t·y_i‖²,
+    and (ℓ₁; ℓ₀) of dᵀ(y₀ + t·y_i), for the rays y_i above the apex rows."""
+    return np.vecdot(y, y), 2.0 * np.vecdot(y, y[-1]), np.vecdot(y, d)
 
 
 def _phi_pieces(cd, M, lin):
@@ -135,11 +138,11 @@ class CLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return np.sqrt(_rows(y * y)) - _rows(x * self.lam)
+        return np.sqrt(np.vecdot(y, y)) - np.vecdot(x, self.lam)
 
     def _piece_table(self, W):
         x, y = self._split(W)
-        return [(_rows(y * y), 2.0 * _rows(y * y[-1:]), _rows(x * self.lam))], []
+        return [(np.vecdot(y, y), 2.0 * np.vecdot(y, y[-1]), np.vecdot(x, self.lam))], []
 
 
 @dataclass(frozen=True)
@@ -155,11 +158,11 @@ class CGLambda(FreeSetDescriptor):
         """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
         x, y = self._split(W)
         cd = self.cd
-        return _cap_support(cd, y, relaxed=False) - _rows(x * cd.lam)
+        return _cap_support(cd, y, relaxed=False) - np.vecdot(x, cd.lam)
 
     def _piece_table(self, W):
         x, y = self._split(W)
-        return _cap_pieces(self.cd, y, False, _rows(x * self.cd.lam))
+        return _cap_pieces(self.cd, y, False, np.vecdot(x, self.cd.lam))
 
 
 def _cap_slopes(cd: CaseData, relaxed: bool) -> list[float]:
@@ -244,12 +247,12 @@ class CPhiLambda(FreeSetDescriptor):
 
     def _margin_rows(self, W):
         x, y = self._split(W)
-        return phi_value(self.cd, y) - _rows(x * self.cd.lam)
+        return _phi(self.cd, _gauge_parts(self.cd, y)) - np.vecdot(x, self.cd.lam)
 
     def _piece_table(self, W):
         x, y = self._split(W)
         M = _moments(y, self.cd.d)
-        return _phi_pieces(self.cd, M, _rows(x * self.cd.lam)), [(0, self.cd.lam_a, M)]
+        return _phi_pieces(self.cd, M, np.vecdot(x, self.cd.lam)), [(0, self.cd.lam_a, M)]
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,7 @@ class CRPhiLambda(FreeSetDescriptor):
         """
         cd = self.cd
         x, y = self._split(W)
-        lam_x = _rows(x * cd.lam)
+        lam_x = np.vecdot(x, cd.lam)
         shift = 1.0 / (1.0 - cd.d_norm**2)
         unrelaxed = _cap_support(cd, y, relaxed=False)
         relaxed = _cap_support(cd, y - cd.d * shift, relaxed=True)
@@ -287,7 +290,7 @@ class CRPhiLambda(FreeSetDescriptor):
         which moves only the apex rows."""
         cd, k = self.cd, len(W) // 2
         x, y = self._split(W)
-        lin, shift = _rows(x * cd.lam), 1.0 / (1.0 - cd.d_norm**2)
+        lin, shift = np.vecdot(x, cd.lam), 1.0 / (1.0 - cd.d_norm**2)
         pieces, branches = _cap_pieces(cd, y, False, lin)
         y, lin = y.copy(), lin.copy()
         y[k:] -= cd.d * shift
@@ -302,13 +305,13 @@ class Halfspace(FreeSetDescriptor):
     rhs: float = 0.0
 
     def _margin_rows(self, W):
-        return _rows(W * self.coef) - self.rhs
+        return np.vecdot(W, self.coef) - self.rhs
 
     def recession(self):
         return Halfspace(self.n, self.m, self.l, coef=self.coef, rhs=0.0)
 
     def _piece_table(self, W):
-        lin = -_rows(W * self.coef)
+        lin = -np.vecdot(W, self.coef)
         lin[len(W) // 2 :] += self.rhs
         return [(np.zeros(len(W)),) * 2 + (lin,)], []
 

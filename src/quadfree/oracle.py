@@ -203,10 +203,11 @@ def structured_slice_points(
     keep = lam_in = float(a @ lam) <= c
     if na2 > 0.0:
         x0 = (c / na2)[:, None] * a
-        on_ball = np.linalg.norm(x0, axis=1) <= 1.0
+        x0_sq = np.vecdot(x0, x0)
+        on_ball = np.sqrt(x0_sq) <= 1.0
         lam_perp = lam - (float(a @ lam) / na2) * a
         npp = np.linalg.norm(lam_perp)
-        room = np.sqrt(np.maximum(1.0 - np.sum(x0 * x0, axis=1), 0.0))
+        room = np.sqrt(np.maximum(1.0 - x0_sq, 0.0))
         x = x0 + room[:, None] * lam_perp / npp if npp > 1e-14 else x0
         better = on_ball & ~(lam_in & (float(lam @ lam) >= x @ lam))
         X[better] = x[better]
@@ -500,17 +501,22 @@ def check_cut_validity(qc: spectral.QuadraticConstraint, cert, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     face = rng.dirichlet(np.ones(k), count // 2)
     inner = rng.dirichlet(np.ones(k + 1), count - count // 2)[:, :k]
-    U = np.zeros((k + count, len(apex)))
     t = -excess / slope[meets]
-    U[:, meets] = np.vstack([np.eye(k), face, inner]) * t
-    if k < len(apex):
+    V = np.concatenate([np.eye(k), face, inner])
+    V *= t
+    if k == len(apex):
+        U = V
+    else:
+        U = np.zeros((k + count, len(apex)))
+        U[:, meets] = V
         far = 10.0 * max(1.0, float(t.max(initial=0.0)))  # a Python float: inf, not a warning
         U[k:, ~meets] = rng.uniform(0.0, min(far, np.finfo(float).max), (count, len(apex) - k))
-    samples = apex + U @ R.T
+    samples = U @ R.T
+    samples += apex
     Qt = spectral.lift(qc.Q, qc.b, qc.c)
     scale = np.linalg.norm(Qt, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # the rows that overflow are redone below
-        rel = qc(samples) / (scale * (1.0 + np.sum(samples * samples, axis=1)))
+        rel = qc(samples) / (scale * (1.0 + np.vecdot(samples, samples)))
         if not (done := np.isfinite(rel)).all():
             W = np.column_stack([samples[~done], np.ones(len(done) - int(done.sum()))])
             W = np.ldexp(W, spectral._unit_exponents(W))

@@ -166,7 +166,7 @@ def _crphi_two_pass(fs, W):
     second ``_gauge_parts`` pass inside ``phi_value``."""
     cd, n, m = fs.cd, fs.n, fs.m
     x, y = W[:, :n], W[:, n : n + m]
-    lam_x = np.add.reduce(x * cd.lam, 1)
+    lam_x = np.vecdot(x, cd.lam)
     shift = 1.0 / (1.0 - cd.d_norm**2)
     t, c = y - cd.d * shift, -cd.lam_a
     if abs(c) > cd.d_norm or cd.d_norm == 0.0:  # the branches with one pass
@@ -457,10 +457,8 @@ def test_a_far_exit_gets_a_finite_step(eps):
     assert -1e-9 <= residuals[0] <= 0.0
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.data())
-def test_boundary_steps_of_any_subset_match_the_batch(data):
-    p = data.draw(st.integers(4, 16), label="p")
+def _subset_steps_match_the_batch(data, p_min, p_max):
+    p = data.draw(st.integers(p_min, p_max), label="p")
     n = data.draw(st.integers(1, p), label="n")
     m = data.draw(st.integers(1, p + 1 - n), label="m")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -479,6 +477,19 @@ def test_boundary_steps_of_any_subset_match_the_batch(data):
     for step, residual, ray in zip(steps, residuals, rays):
         if math.isfinite(step):  # the residual is the margin at the step
             assert fs.margin(apex + step * ray) == residual <= 0.0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_boundary_steps_of_any_subset_match_the_batch(data):
+    _subset_steps_match_the_batch(data, 4, 16)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.data())
+def test_boundary_steps_of_any_subset_match_the_batch_on_long_rows(data):
+    # rows of 32 or more are where a BLAS dot may switch to a vector kernel
+    _subset_steps_match_the_batch(data, 32, 80)
 
 
 def _bracket(fs, apex, rays, m0, lo, v_lo, hi, v_hi, tol):
@@ -892,16 +903,12 @@ def test_rows_match_points(name):
 # as one row, read into the table piece by piece.
 
 
-def _ref_rows(X):
-    return np.add.reduce(X, 1)
-
-
 def _ref_dot(u, v0, V1):
-    return _ref_rows(V1 * u), _ref_rows(v0 * u)[0]
+    return np.vecdot(V1, u), np.vecdot(v0, u)[0]
 
 
 def _ref_sq_norm(v0, V1):
-    return _ref_rows(V1 * V1), 2.0 * _ref_rows(V1 * v0), _ref_rows(v0 * v0)[0]
+    return np.vecdot(V1, V1), 2.0 * np.vecdot(V1, v0), np.vecdot(v0, v0)[0]
 
 
 def _ref_sub(lin, D, scale):

@@ -31,7 +31,7 @@ from quadfree.errors import (
     PreconditionViolatedError,
     SamplingExhaustedError,
 )
-from quadfree.freesets import CGLambda, CLambda, CPhiLambda, CRPhiLambda, build_free_set
+from quadfree.freesets import CGLambda, CLambda, CPhiLambda, CRPhiLambda, Halfspace, build_free_set
 
 S2 = math.sqrt(2.0)
 
@@ -908,6 +908,38 @@ def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
             Z_part, alone = oracle.exposing_witness(cd, part, fs)
             assert Z_part.tobytes() == Z[rows].tobytes()
             assert [_bits(r.as_dict()) for r in alone] == [_bits(whole[i].as_dict()) for i in rows]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 30),
+    l=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    subset=st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+)
+def test_a_margin_row_has_the_same_bits_in_any_batch_and_layout(n, m, l, seed, subset):
+    # every family's margin, and φ, ∇φ and θ, at any rows of a batch, in any
+    # order and memory layout, and at each row as a vector, are the batch's
+    # values for those rows, bit for bit; the batch of y rows is itself a
+    # column slice of the points
+    rng = np.random.default_rng(seed)
+    cd = random_casedata(rng, n, m)
+    W = rng.standard_normal((12, n + m + l)) * rng.uniform(0.1, 10.0)
+    families = [
+        CLambda(n, m, l, lam=cd.lam),
+        CGLambda(n, m, l, cd=cd, forced=True),
+        CPhiLambda(n, m, l, cd=cd),
+        CRPhiLambda(n, m, l, cd=cd),
+        Halfspace(n, m, l, coef=rng.standard_normal(n + m + l), rhs=float(rng.standard_normal())),
+    ]
+    gauge = [lambda Y, f=f: f(cd, Y) for f in (phi_value, phi_gradient, theta_dual)]
+    for f, X in [(fs.margin, W) for fs in families] + [(g, W[:, n : n + m]) for g in gauge]:
+        whole = f(X)
+        for part in _layouts(X[subset]):
+            assert f(part).tobytes() == whole[subset].tobytes()
+        for i in subset:
+            assert np.asarray(f(X[i])).tobytes() == whole[i].tobytes()
 
 
 def test_report_serialization():
