@@ -10,10 +10,10 @@ and the asymptotic relaxation amount r(β), which is θ(β) on the unit
 sphere and vanishes on the index set G(λ) = {β : ‖β‖ = 1, aᵀλ + dᵀβ ≤ 0}.
 All of them read one decomposition of y (``_gauge_parts``), whose ‖y‖
 and dᵀy are each one ``np.vecdot``: one BLAS dot per row, where ``@``
-(gemv) may block rows together.  ``phi_value``, ``phi_gradient``,
-``theta_dual`` and ``r_coefficient`` take a vector or a batch of rows, read
-C-contiguous, so a row gives the same bits alone or in a batch of any
-memory layout; ``x_beta`` takes one vector.
+(gemv) may block rows together.  Each function takes a batch of rows, a
+1-D input being one row, and returns a value or a vector per row; rows are
+read C-contiguous, so a row gives the same bits alone or in a batch of any
+memory layout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotUnitError, UndefinedGradientError
+from .errors import NotUnitError
 from .spectral import _norm
 
 _UNIT_TOL = 1e-10
@@ -74,12 +74,17 @@ def _check_unit(beta: np.ndarray) -> np.ndarray:
 
 def _gauge_parts(cd: CaseData, y: np.ndarray):
     """‖y‖, dᵀy, the flat-branch mask λᵀa‖y‖ + dᵀy ≤ 0 (where φ(y) = ‖y‖)
-    and the clamped radicands (‖y‖² − (dᵀy)²)₊ and (1 − (λᵀa)²)₊, for a
-    vector or for each row of y."""
+    and the clamped radicands (‖y‖² − (dᵀy)²)₊ and (1 − (λᵀa)²)₊, for
+    each row of y."""
     ny = np.sqrt(np.vecdot(y, y))
     dy = np.vecdot(y, cd.d)
     flat = cd.lam_a * ny + dy <= 0.0
     return ny, dy, flat, np.maximum(ny * ny - dy * dy, 0.0), max(1.0 - cd.lam_a**2, 0.0)
+
+
+def _rows(y: np.ndarray) -> np.ndarray:
+    """y as C-contiguous float rows, a 1-D y being one row."""
+    return np.atleast_2d(np.ascontiguousarray(y, dtype=float))
 
 
 def _phi(cd: CaseData, parts):
@@ -88,20 +93,15 @@ def _phi(cd: CaseData, parts):
     return np.where(flat, ny, np.sqrt(wsq * lam_sq) - dy * cd.lam_a)
 
 
-def phi_value(cd: CaseData, y: np.ndarray):
-    """Evaluate the gauge φ at a vector (a float) or at each row of y;
-    positively homogeneous and total on Rᵐ."""
-    y = np.ascontiguousarray(y, dtype=float)
-    vals = _phi(cd, _gauge_parts(cd, y))
-    return float(vals) if y.ndim == 1 else vals
+def phi_value(cd: CaseData, y: np.ndarray) -> np.ndarray:
+    """The gauge φ at each row of y; positively homogeneous and total on Rᵐ."""
+    return _phi(cd, _gauge_parts(cd, _rows(y)))
 
 
 def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
-    """Gradient of φ at a vector, or at each row of y.  It is undefined at
-    0 and on the excluded ray through d: a vector there raises, a row there
-    is NaN."""
-    y = np.ascontiguousarray(y, dtype=float)
-    rows = np.atleast_2d(y)
+    """∇φ at each row of y, as rows; NaN where it is undefined: at 0 and
+    on the excluded ray through d."""
+    rows = _rows(y)
     ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, rows)
     unit, curved = flat & (ny > 0.0), ~flat & (wsq > 0.0)
     grad = np.full(rows.shape, np.nan)
@@ -109,37 +109,30 @@ def phi_gradient(cd: CaseData, y: np.ndarray) -> np.ndarray:
     grad[curved] = (np.sqrt(lam_sq) / np.sqrt(wsq[curved]))[:, None] * (
         rows[curved] - cd.d * dy[curved, None]
     ) - cd.lam_a * cd.d
-    if y.ndim > 1:
-        return grad
-    if ny[0] == 0.0:
-        raise UndefinedGradientError("φ is not differentiable at y = 0")
-    if not (unit[0] or curved[0]):
-        raise UndefinedGradientError("φ is not differentiable along the ray through d")
-    return grad[0]
+    return grad
 
 
-def theta_dual(cd: CaseData, y: np.ndarray):
-    """Optimal dual multiplier for φ at a vector (a float) or at each row
-    of y; 0 on the flat branch, +inf on the degenerate ray."""
-    y = np.ascontiguousarray(y, dtype=float)
-    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.atleast_2d(y))
+def theta_dual(cd: CaseData, y: np.ndarray) -> np.ndarray:
+    """Optimal dual multiplier for φ at each row of y; 0 on the flat
+    branch, +inf on the degenerate ray."""
+    _, dy, flat, wsq, lam_sq = _gauge_parts(cd, _rows(y))
     curved = ~flat & (wsq > 0.0)
     theta = np.where(flat, 0.0, np.inf)
     theta[curved] = cd.lam_a + dy[curved] * np.sqrt(lam_sq) / np.sqrt(wsq[curved])
-    return float(theta[0]) if y.ndim == 1 else theta
+    return theta
 
 
-def r_coefficient(cd: CaseData, beta: np.ndarray):
-    """Asymptotic relaxation amount r(β) for a unit index β, or for each
-    unit row of beta; on the unit sphere it is the dual multiplier θ(β),
-    and 0 on G(λ)."""
+def r_coefficient(cd: CaseData, beta: np.ndarray) -> np.ndarray:
+    """Asymptotic relaxation amount r(β) for each unit row β of beta; on
+    the unit sphere it is the dual multiplier θ(β), and 0 on G(λ)."""
     return theta_dual(cd, _check_unit(beta))
 
 
 def x_beta(cd: CaseData, y: np.ndarray) -> np.ndarray:
-    """Maximizer of λᵀx over {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0}, for one vector."""
-    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, np.asarray(y, dtype=float).reshape(-1))
-    if flat:
-        return cd.lam * ny
-    s = np.sqrt(wsq / lam_sq)
-    return s * cd.lam - (dy + cd.lam_a * s) * cd.a
+    """Maximizer of λᵀx over {‖x‖ ≤ ‖y‖, aᵀx + dᵀy ≤ 0} for each row of
+    y, as rows."""
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, _rows(y))
+    X = ny[:, None] * cd.lam
+    s = np.sqrt(wsq[~flat] / lam_sq)
+    X[~flat] = s[:, None] * cd.lam - (dy[~flat] + cd.lam_a * s)[:, None] * cd.a
+    return X

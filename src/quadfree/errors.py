@@ -19,10 +19,6 @@ class DegenerateQuadraticError(QuadfreeError):
     tolerance, so the quadratic has no canonical form."""
 
 
-class UndefinedGradientError(QuadfreeError):
-    """The gauge is not differentiable at the requested point."""
-
-
 class NotUnitError(QuadfreeError):
     """A direction that must lie on the unit sphere does not."""
 
@@ -48,11 +44,6 @@ class EmptySError(QuadfreeError):
 
 class SamplingExhaustedError(QuadfreeError):
     """Rejection sampling hit its attempt budget without enough points."""
-
-
-class NotInStrictRegionError(QuadfreeError):
-    """The index β is not strictly inside G(λ), so no exposing point of
-    this kind exists."""
 
 
 class PreconditionViolatedError(QuadfreeError):

@@ -7,11 +7,12 @@ the defining maximum, witnesses are checked against their defining
 identities, and a cut is checked by evaluating q on the region it
 removes, rebuilt from the cut and its cone alone.
 
-The per-point checks (duality, gradient, exposing witness) take rows, a
-1-D input being one row, and return a list with one report per row;
-``case2_battery`` runs each of them once over its rows.  A row gets the
-same report, bit for bit, in any batch and memory layout.  ``sample_S`` draws each batch
-into one array and scales the kept rows in place.
+The per-point checks (duality, gradient, exposing witness, asymptote
+sequence) take rows, a 1-D input being one row, and return a list with
+one report per row; ``case2_battery`` runs each of them once over its
+rows.  A row gets the same report, bit for bit, in any batch and memory
+layout.  ``sample_S`` draws each batch into one array and scales the kept
+rows in place.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import freesets, spectral
-from .corefns import CaseData, phi_gradient, phi_value, r_coefficient, theta_dual, x_beta
-from .errors import (
-    NotInStrictRegionError,
-    PreconditionViolatedError,
-    SamplingExhaustedError,
-)
+from .corefns import CaseData, _rows, phi_gradient, phi_value, r_coefficient, theta_dual, x_beta
+from .errors import PreconditionViolatedError, SamplingExhaustedError
 
 _MAX_ATTEMPTS = 10**6
 _FREENESS_TOL = 1e-7  # least margin a sample may have
@@ -73,16 +70,18 @@ def _least_report(name, values, points, tol, seed) -> VerificationReport:
     return VerificationReport(name, len(points), worst, passed, tol, witness, seed)
 
 
-def _row_reports(name, worst, passed, tol, extras, witnesses=None, defined=None) -> list:
+def _row_reports(name, worst, passed, tol, extras, witnesses=None, defined=None, samples=1):
     """One report per row from the arrays ``worst`` and ``passed`` and the
-    dicts ``extras``, with the row of ``witnesses`` when a row fails;
-    None for a row where ``defined`` is False."""
+    dicts ``extras``, with the row of ``witnesses`` when a row fails and
+    the row's count of ``samples``; None for a row where ``defined`` is False."""
     defined = [True] * len(extras) if defined is None else defined.tolist()
+    samples = np.broadcast_to(samples, len(extras)).tolist()
+    rows = zip(worst.tolist(), passed.tolist(), extras, defined, samples)
     return [
         VerificationReport(
-            name, 1, w, p, tol, None if p or witnesses is None else witnesses[i], extra=e
+            name, k, w, p, tol, None if p or witnesses is None else witnesses[i], extra=e
         ) if ok else None
-        for i, (w, p, e, ok) in enumerate(zip(worst.tolist(), passed.tolist(), extras, defined))
+        for i, (w, p, e, ok, k) in enumerate(rows)
     ]
 
 
@@ -105,11 +104,12 @@ def _rejection_sample(
     first ``need`` accepted rows among ``batch`` attempts (fewer if fewer
     are accepted).  A batch is ``attempts_per_row`` attempts for each row
     still missing, the inverse of the acceptance rate the sampler expects,
-    plus 64; raises after max(``_MAX_ATTEMPTS``, 2·attempts_per_row·count)."""
+    plus 64; raises after max(``_MAX_ATTEMPTS``, 2·attempts_per_row·count).
+    A count of 0 still draws one batch, which gives the rows their width."""
     budget = max(_MAX_ATTEMPTS, 2 * attempts_per_row * count)
     rng = np.random.default_rng(seed)
     rows, have, attempts = [], 0, 0
-    while have < count and attempts < budget:
+    while not rows or have < count and attempts < budget:
         batch = min(attempts_per_row * (count - have) + 64, budget - attempts)
         attempts += batch
         rows.append(draw(rng, batch, count - have))
@@ -250,11 +250,11 @@ def exposing_witness(
     """Boundary points −(λ, β)/(aᵀλ + dᵀβ) exposing the inequality at each
     row β of beta: the points as rows and a report for each, with
     ``fs.margin`` taken once over all of them."""
-    B = np.atleast_2d(np.ascontiguousarray(beta, dtype=float))
+    B = _rows(beta)
     n = len(cd.lam)
     denom = float(cd.a @ cd.lam) + np.vecdot(B, cd.d)
     if not np.all(denom < -1e-9):
-        raise NotInStrictRegionError("aᵀλ + dᵀβ must be strictly negative")
+        raise PreconditionViolatedError("aᵀλ + dᵀβ must be strictly negative")
     Z = np.empty((len(B), n + B.shape[1]))
     X, Y = Z[:, :n], Z[:, n:]
     X[...] = cd.lam
@@ -275,60 +275,62 @@ def exposing_witness(
 
 def asymptote_sequence(
     cd: CaseData, beta: np.ndarray, N: int
-) -> tuple[np.ndarray, np.ndarray, VerificationReport]:
-    """Divergent points certifying the relaxed inequality at β.
+) -> tuple[np.ndarray, np.ndarray, list[VerificationReport]]:
+    """Divergent points certifying the relaxed inequality at each row β.
 
-    Rotates the slice maximizer x(β) within span{λ, a} by angles 1/k
-    toward decreasing aᵀx, scales onto the slice, and checks that the
-    inequality violation converges to r(β) at an O(1/N) rate.
+    Rotates the slice maximizer x(β) within span{λ, a} by angles 1/k,
+    k = 1…N, toward decreasing aᵀx, scales onto the slice, and checks that
+    the inequality violation converges to r(β) at an O(1/N) rate.  Returns
+    the points and violations over (row, k), NaN at the angles whose
+    rotated point is not on the slice's side, and a report per row.
     """
-    beta = np.asarray(beta, dtype=float).reshape(-1)
+    B = _rows(beta)
     if not cd.unit_a or not cd.d_norm < 1.0:
         raise PreconditionViolatedError("needs ‖a‖ = 1 > ‖d‖")
-    if cd.lam_a + float(cd.d @ beta) < 0.0:
+    dB = np.vecdot(B, cd.d)
+    if np.any(cd.lam_a + dB < 0.0):
         raise PreconditionViolatedError("β must satisfy λᵀa + dᵀβ ≥ 0")
     if min(np.linalg.norm(cd.lam - cd.a), np.linalg.norm(cd.lam + cd.a)) <= 1e-12:
         raise PreconditionViolatedError("λ = ±a excluded")
 
-    xb = x_beta(cd, beta)
-    nb = np.linalg.norm(xb)
-    if nb == 0.0:
+    XB = x_beta(cd, B)
+    nb = np.sqrt(np.vecdot(XB, XB))
+    if np.any(nb == 0.0):
         raise PreconditionViolatedError("slice maximizer vanishes")
-    e1 = xb / nb
-    perp = cd.a - float(cd.a @ e1) * e1
-    if np.linalg.norm(perp) <= 1e-12:
-        perp = cd.lam - float(cd.lam @ e1) * e1
-    if np.linalg.norm(perp) <= 1e-12:
+    E1 = XB / nb[:, None]
+    P = cd.a - np.vecdot(E1, cd.a)[:, None] * E1
+    small = np.sqrt(np.vecdot(P, P)) <= 1e-12
+    P[small] = cd.lam - np.vecdot(E1[small], cd.lam)[:, None] * E1[small]
+    norms = np.sqrt(np.vecdot(P, P))
+    if np.any(norms <= 1e-12):
         raise PreconditionViolatedError("span{λ, a} degenerates at x(β)")
-    e2 = perp / np.linalg.norm(perp)
-    if float(cd.a @ e2) > 0.0:
-        e2 = -e2
+    E2 = P / norms[:, None]
+    E2[np.vecdot(E2, cd.a) > 0.0] *= -1.0
 
-    ks = np.arange(1, N + 1)
-    eps = 1.0 / ks
-    xk = np.cos(eps)[:, None] * e1 + np.sin(eps)[:, None] * e2
-    form = xk @ cd.a + float(cd.d @ beta)
+    eps = 1.0 / np.arange(1, N + 1)
+    Xk = np.cos(eps)[:, None] * E1[:, None] + np.sin(eps)[:, None] * E2[:, None]
+    # the angle sums are one gemv per β over its N angles (``@`` on the
+    # stack), so a β's sums do not depend on the other rows; np.vecdot, a
+    # dot per angle, rounds them otherwise and moves verify's
+    # final_violation by about 1e-13
+    form = Xk @ cd.a + dB[:, None]
     ok = form < 0.0
-    ks, xk, form = ks[ok], xk[ok], form[ok]
-    if len(ks) == 0:
+    samples = ok.sum(axis=1)
+    if np.any(samples == 0):
         raise PreconditionViolatedError("no admissible rotation angles")
-    scale = -1.0 / form
-    zs = scale[:, None] * np.hstack([xk, np.tile(beta, (len(ks), 1))])
+    scale = np.divide(-1.0, form, out=np.full(form.shape, np.nan), where=ok)
+    Z = np.concatenate([Xk, np.broadcast_to(B[:, None], (len(B), N, B.shape[1]))], axis=2)
+    Z *= scale[..., None]
 
-    grad = phi_gradient(cd, beta)
-    violations = scale * (-(xk @ cd.lam) + float(grad @ beta))
-    r = r_coefficient(cd, beta)
-    residual = abs(float(violations[-1]) - r)
-    bound = 10.0 / N
-    report = VerificationReport(
-        name="asymptote_sequence",
-        samples=len(ks),
-        worst_residual=residual,
-        passed=residual <= bound,
-        tolerance=bound,
-        extra={"r": r, "final_violation": float(violations[-1])},
+    G = phi_gradient(cd, B)
+    violations = scale * (-(Xk @ cd.lam) + np.vecdot(G, B)[:, None])
+    final = violations[np.arange(len(B)), N - 1 - np.argmax(ok[:, ::-1], axis=1)]
+    r = r_coefficient(cd, B)
+    residual, bound = np.abs(final - r), 10.0 / N
+    extras = [{"r": x, "final_violation": f} for x, f in zip(r.tolist(), final.tolist())]
+    return Z, violations, _row_reports(
+        "asymptote_sequence", residual, residual <= bound, bound, extras, samples=samples
     )
-    return zs, violations, report
 
 
 def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
@@ -382,7 +384,7 @@ def phi_bruteforce(cd: CaseData, y: np.ndarray, grid: int = 10**6) -> float:
 def check_duality(cd: CaseData, y: np.ndarray) -> list[VerificationReport]:
     """Strong duality at each row of y: the dual objective at θ(y) equals
     φ(y).  A report per row."""
-    Y = np.atleast_2d(np.ascontiguousarray(y, dtype=float))
+    Y = _rows(y)
     theta = theta_dual(cd, Y)
     ray = np.isinf(theta)  # the degenerate ray has no dual: it passes with worst 0
     th = np.where(ray, 0.0, theta)
@@ -412,7 +414,7 @@ def check_gradient(cd: CaseData, y: np.ndarray) -> list[VerificationReport | Non
     """Central finite differences (step 1e-6) and the Euler identity for ∇φ,
     with φ evaluated once on y ± step·I and y for every row.  A report per
     row of y, None where ∇φ is undefined."""
-    Y = np.atleast_2d(np.ascontiguousarray(y, dtype=float))
+    Y = _rows(y)
     grad = phi_gradient(cd, Y)
     k, m = Y.shape
     E, Y1 = _FD_STEP * np.eye(m), Y[:, None]
@@ -454,11 +456,9 @@ def case2_battery(
     betas = _unit_rows(rng, 200, cf.m)
     val = cd.lam_a + betas @ cd.d
     strict, loose = betas[val < -1e-6][:25], betas[val >= 0.0][:10]
-    if len(strict):
-        reports.extend(exposing_witness(cd, strict, fs)[1])
+    reports.extend(exposing_witness(cd, strict, fs)[1])
     if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
-        for beta in loose:
-            reports.append(asymptote_sequence(cd, beta, 1000)[2])
+        reports.extend(asymptote_sequence(cd, loose, 1000)[2])
     return reports
 
 

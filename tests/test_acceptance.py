@@ -79,14 +79,14 @@ def test_duality_and_r_theta_identities():
         cd = random_casedata(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         m = len(cd.d)
         y = rng.standard_normal(m)
-        th = theta_dual(cd, y)
+        (th,) = theta_dual(cd, y)
         if math.isfinite(th):
             dual = np.linalg.norm(cd.lam - th * cd.a) * np.linalg.norm(y) - th * float(
                 cd.d @ y
             )
             assert abs(dual - phi_value(cd, y)) <= 1e-9
         beta = random_unit(rng, m)
-        tb = theta_dual(cd, beta)
+        (tb,) = theta_dual(cd, beta)
         if math.isfinite(tb):
             assert abs(r_coefficient(cd, beta) - tb) <= 1e-10
     print("ACCEPT duality and r = θ identities: PASS")
@@ -121,7 +121,7 @@ def test_gradient_and_euler_identity():
         # differentiable and numerically FD-stable points only
         if ny < 0.3 or abs(cd.lam_a * ny + float(cd.d @ y)) < 1e-3:
             continue
-        grad = phi_gradient(cd, y)
+        (grad,) = phi_gradient(cd, y)
         step = 1e-6
         for j in range(m):
             e = np.zeros(m)
@@ -197,11 +197,11 @@ def test_maximality_certificates():
         beta = random_unit(rng, len(cd.d))
         if cd.lam_a + float(cd.d @ beta) < 0.0:
             continue
-        r = r_coefficient(cd, beta)
+        (r,) = r_coefficient(cd, beta)
         for N in (100, 1000, 10000):
-            _, viol, rep = oracle.asymptote_sequence(cd, beta, N)
+            _, _, (rep,) = oracle.asymptote_sequence(cd, beta, N)
             assert rep.passed
-            assert abs(float(viol[-1]) - r) <= 10.0 / N
+            assert abs(rep.extra["final_violation"] - r) <= 10.0 / N
         done += 1
     print("ACCEPT exposing witnesses and asymptote sequences: PASS")
 

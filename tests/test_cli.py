@@ -11,13 +11,11 @@ from quadfree import cuts, freesets, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
-    NotInStrictRegionError,
     NotUnitError,
     ParseError,
     PreconditionViolatedError,
     QuadfreeError,
     SamplingExhaustedError,
-    UndefinedGradientError,
 )
 
 S2 = math.sqrt(2.0)
@@ -477,13 +475,6 @@ _CANNOT_REACH_MAIN = {
     NonSymmetricError,
     # λ, a and β are normalized before CaseData or a unit check sees them
     NotUnitError,
-    # oracle.check_gradient gives no report where ∇φ is undefined, and
-    # asymptote_sequence takes φ's gradient only off the excluded ray,
-    # where ‖d‖ < 1 holds
-    UndefinedGradientError,
-    # oracle.case2_battery passes exposing_witness only β with
-    # aᵀλ + dᵀβ < −1e-6
-    NotInStrictRegionError,
 }
 
 
@@ -621,6 +612,26 @@ def test_verify_lambda_neg_a_instance_passes(tmp_path, capsys):
     code = main(["verify", path, "--samples", "2000"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["passed"] is True
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_verify_crphi_asymptote_reports_match_one_row_calls(seed, capsys, monkeypatch):
+    # tests/data/crphi.json (CASE2_CR, m = 2) is the console instance whose
+    # battery runs asymptote_sequence over two-coordinate β: verify's 10
+    # reports are, bit for bit, those of one-row calls on the same β
+    real, calls = oracle.asymptote_sequence, []
+    monkeypatch.setattr(
+        oracle, "asymptote_sequence", lambda *args: calls.append(args) or real(*args)
+    )
+    path = str(Path(__file__).parent / "data" / "crphi.json")
+    assert main(["verify", path, "--seed", str(seed)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ((cd, B, N),) = calls
+    one_row = [emit_json(real(cd, beta, N)[2][0].as_dict()) for beta in B]
+    assert len(one_row) == 10
+    assert [
+        emit_json(r) for r in out["reports"] if r["name"] == "asymptote_sequence"
+    ] == one_row
 
 
 def test_seed_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):

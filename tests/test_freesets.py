@@ -100,24 +100,19 @@ def test_crphilambda_dominates_every_inequality():
         cd = random_casedata(rng, n, m)
         fs = CRPhiLambda(n, m, 0, cd=cd)
         if m == 1:
-            betas = [np.array([-1.0]), np.array([1.0])]
+            B = np.array([[-1.0], [1.0]])
         else:
-            betas = [random_unit(rng, m) for _ in range(3000)]
-        rows = []
-        for b in betas:
-            if float(cd.a @ cd.lam + cd.d @ b) <= 1e-9:  # β ∈ G(λ)
-                rows.append((b.astype(float), 0.0))
-            else:
-                rows.append((phi_gradient(cd, b), r_coefficient(cd, b)))
+            B = np.array([random_unit(rng, m) for _ in range(3000)])
+        inside = float(cd.a @ cd.lam) + B @ cd.d <= 1e-9  # β ∈ G(λ)
+        G = np.where(inside[:, None], B, phi_gradient(cd, B))
+        R = np.where(inside, 0.0, r_coefficient(cd, B))
         W = np.hstack(
             [rng.standard_normal((40, n)) * 2, rng.standard_normal((40, m)) * 2]
         )
         margins = fs.margin(W)
         for i in range(W.shape[0]):
             x, y = W[i, :n], W[i, n:]
-            sampled = max(
-                -float(cd.lam @ x) + float(g @ y) - r for g, r in rows
-            )
+            sampled = float(np.max(-float(cd.lam @ x) + G @ y - R))
             assert margins[i] >= sampled - 1e-9
             if m == 1:
                 assert margins[i] <= sampled + 1e-9  # enumeration is exact
@@ -861,8 +856,13 @@ def _rows_cases():
         out = np.column_stack(boundary_steps(fs, cf.mapped_point, np.atleast_2d(rays)))
         return out if np.ndim(rays) == 2 else out[0]
 
+    def phi(Y):
+        # φ per row; one row is passed as a 1-D y, whose φ is the one entry
+        out = phi_value(cd, Y)
+        return out if np.ndim(Y) == 2 else out[0]
+
     return {
-        "phi_value": (lambda Y: phi_value(cd, Y), W[:, :2]),
+        "phi_value": (phi, W[:, :2]),
         "q": (qc, W[:, :4]),
         "map_point": (cf.map_point, W[:, :4]),
         "map_direction": (cf.map_direction, W[:, :4]),

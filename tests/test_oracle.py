@@ -27,7 +27,6 @@ from quadfree.corefns import (
 from quadfree.cuts import SimplicialCone, separate
 from quadfree.errors import (
     AllRaysRecessionError,
-    NotInStrictRegionError,
     PreconditionViolatedError,
     SamplingExhaustedError,
 )
@@ -56,6 +55,18 @@ def test_sample_S_exhausts_on_empty_region():
     cf = spectral.canonicalize(qc)
     with pytest.raises(SamplingExhaustedError):
         oracle.sample_S(cf, 10, seed=0)
+
+
+def test_the_samplers_return_an_empty_batch_for_zero_rows():
+    # a count of 0 gives (0, dim) rows, which the row checks take as they are
+    cf = wedge_canonical()
+    qc = wedge_constraint()
+    width = cf.n + cf.m + cf.l
+    assert oracle.sample_S(cf, 0, seed=0).shape == (0, width)
+    assert oracle.sample_S_homogeneous(cf.a, cf.d, 0, seed=0, l=1).shape == (0, width + 1)
+    assert oracle.sample_quadratic_region(qc, 0, seed=0).shape == (0, qc.dim)
+    rep = oracle.check_freeness(build_free_set(cf), oracle.sample_S(cf, 0, seed=0))
+    assert rep.passed and rep.samples == 0
 
 
 def _unit_rows_loop(rng, count, dim):
@@ -515,7 +526,7 @@ def test_exposing_witness_wedge_unrelaxed(cd_wedge):
 
 
 def test_exposing_witness_requires_strict_region(cd_wedge):
-    with pytest.raises(NotInStrictRegionError):
+    with pytest.raises(PreconditionViolatedError, match="strictly negative"):
         oracle.exposing_witness(cd_wedge, np.array([1.0]), CRPhiLambda(2, 1, 0, cd=cd_wedge))
 
 
@@ -556,15 +567,16 @@ def test_displayed_divergent_sequence_structure(cd_wedge):
     assert np.all(form < 0.0)
     assert np.allclose(xk[-1], [0.0, -1.0], atol=1e-2)
     # and the limit direction is exactly the slice maximizer x(β)
-    assert np.allclose(x_beta(cd_wedge, np.array([1.0])), [0.0, -1.0], atol=1e-12)
+    assert np.allclose(x_beta(cd_wedge, np.array([1.0])), [[0.0, -1.0]], atol=1e-12)
 
 
 def test_asymptote_sequence_converges_to_r(cd_wedge):
     beta = np.array([1.0])
     for N in (100, 1000, 10000):
-        zs, viol, rep = oracle.asymptote_sequence(cd_wedge, beta, N)
+        (zs,), (viol,), (rep,) = oracle.asymptote_sequence(cd_wedge, beta, N)
         assert rep.passed, rep.worst_residual
-        assert abs(float(viol[-1]) - 1.0) <= 10.0 / N  # r(1) = 1
+        assert rep.samples == N and viol[-1] == rep.extra["final_violation"]
+        assert abs(viol[-1] - 1.0) <= 10.0 / N  # r(1) = 1
     # membership of the sequence points in S ∩ H
     x, y = zs[:, :2], zs[:, 2:]
     assert np.max(np.linalg.norm(x, axis=1) - np.linalg.norm(y, axis=1)) <= 1e-9
@@ -578,15 +590,82 @@ def test_asymptote_sequence_polars(cd_polars):
         beta = random_unit(rng, 2)
         if cd_polars.lam_a + float(cd_polars.d @ beta) < 0.0:
             continue
-        _, viol, rep = oracle.asymptote_sequence(cd_polars, beta, 10**4)
+        _, _, (rep,) = oracle.asymptote_sequence(cd_polars, beta, 10**4)
         assert rep.passed
-        assert abs(float(viol[-1]) - r_coefficient(cd_polars, beta)) <= 1e-3
+        assert abs(rep.extra["final_violation"] - r_coefficient(cd_polars, beta)) <= 1e-3
         done += 1
+
+
+def _asymptote_one(cd, beta, N):
+    """One-β reference for ``oracle.asymptote_sequence``: x(β), ∇φ(β) and
+    r(β) from their formulas, vector dot products, and only the admissible
+    angles kept; the admissible points, their violations and the report."""
+    ny, dy, flat, wsq, lam_sq = _gauge_parts(cd, beta)
+    if flat:
+        xb, grad = cd.lam * ny, beta / ny
+    else:
+        s = np.sqrt(wsq / lam_sq)
+        xb = s * cd.lam - (dy + cd.lam_a * s) * cd.a
+        grad = np.sqrt(lam_sq) / np.sqrt(wsq) * (beta - cd.d * dy) - cd.lam_a * cd.d
+    e1 = xb / np.linalg.norm(xb)
+    perp = cd.a - float(cd.a @ e1) * e1
+    if np.linalg.norm(perp) <= 1e-12:
+        perp = cd.lam - float(cd.lam @ e1) * e1
+    e2 = perp / np.linalg.norm(perp)
+    if float(cd.a @ e2) > 0.0:
+        e2 = -e2
+    eps = 1.0 / np.arange(1, N + 1)
+    xk = np.cos(eps)[:, None] * e1 + np.sin(eps)[:, None] * e2
+    form = xk @ cd.a + float(cd.d @ beta)
+    xk, scale = xk[form < 0.0], -1.0 / form[form < 0.0]
+    violations = scale * (-(xk @ cd.lam) + float(grad @ beta))
+    r, final = _theta_one(cd, beta), float(violations[-1])
+    report = oracle.VerificationReport(
+        name="asymptote_sequence", samples=len(scale), worst_residual=abs(final - r),
+        passed=abs(final - r) <= 10.0 / N, tolerance=10.0 / N,
+        extra={"r": r, "final_violation": final},
+    )
+    return scale[:, None] * np.hstack([xk, np.tile(beta, (len(scale), 1))]), violations, report
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    m=st.integers(1, 5),
+    d_scale=st.sampled_from([0.5, 0.95, 0.999]),
+    seed=st.integers(0, 2**16),
+)
+def test_asymptote_rows_match_the_one_beta_formula(n, m, d_scale, seed):
+    # each row's admissible points and violations, and its report, are bit
+    # for bit those of the one-β formulas; the angle sums are gemvs in both
+    rng = np.random.default_rng(seed)
+    cd = random_casedata(rng, n, m, d_scale=d_scale)
+    B = _unit_rows_loop(rng, 40, m)
+    B = B[cd.lam_a + B @ cd.d >= 0.0][:8]
+    Z, V, reports = oracle.asymptote_sequence(cd, B, 300)
+    for beta, z, v, rep in zip(B, Z, V, reports):
+        z_ref, v_ref, ref = _asymptote_one(cd, beta, 300)
+        ok = ~np.isnan(v)
+        assert z[ok].tobytes() == z_ref.tobytes() and v[ok].tobytes() == v_ref.tobytes()
+        assert np.isnan(z[~ok]).all() and _bits(rep.as_dict()) == _bits(ref.as_dict())
 
 
 def test_asymptote_sequence_rejects_strict_region(cd_wedge):
     with pytest.raises(PreconditionViolatedError):
         oracle.asymptote_sequence(cd_wedge, np.array([-1.0]), 100)
+
+
+def test_asymptote_sequence_takes_zero_rows():
+    # λᵀa = −0.8 < −‖d‖ = −0.5 leaves no β with λᵀa + dᵀβ ≥ 0: the
+    # sequence takes zero rows, and the battery gives no asymptote report
+    cd = CaseData(
+        lam=np.array([1.0, 0.0]), a=np.array([-0.8, 0.6]), d=np.array([0.3, -0.4]), unit_a=True
+    )
+    Z, V, reports = oracle.asymptote_sequence(cd, np.empty((0, 2)), 100)
+    assert Z.shape == (0, 100, 4) and V.shape == (0, 100) and reports == []
+    cf, fs = _case2_form(cd, False)
+    names = [r.name for r in oracle.case2_battery(cf, fs, 0)]
+    assert "asymptote_sequence" not in names and names.count("exposing_witness") == 25
 
 
 # --- phi_bruteforce -------------------------------------------------------------
@@ -655,8 +734,8 @@ def _convexity_loop(cd, pairs):
     """Pair-by-pair reference for ``oracle.check_convexity``."""
     worst, witness = 0.0, None
     for y1, y2 in pairs:
-        lhs = oracle.phi_value(cd, 0.5 * (y1 + y2))
-        gap = lhs - 0.5 * (oracle.phi_value(cd, y1) + oracle.phi_value(cd, y2))
+        lhs = oracle.phi_value(cd, 0.5 * (y1 + y2))[0]
+        gap = lhs - 0.5 * (oracle.phi_value(cd, y1)[0] + oracle.phi_value(cd, y2)[0])
         if gap > worst:
             worst, witness = gap, np.concatenate([y1, y2])
     passed = worst <= 1e-10
@@ -685,7 +764,7 @@ def _duality_one(cd, y):
             tolerance=1e-9, extra={"theta": "inf"},
         )
     dual = np.linalg.norm(cd.lam - th * cd.a) * np.linalg.norm(y) - th * float(cd.d @ y)
-    residual = abs(float(dual) - phi_value(cd, y))
+    residual = abs(float(dual) - phi_value(cd, y)[0])
     return oracle.VerificationReport(
         name="duality", samples=1, worst_residual=residual,
         passed=residual <= 1e-9, tolerance=1e-9, extra={"theta": th},
@@ -707,9 +786,9 @@ def _gradient_loop(cd, y, step=1e-6):
     for i in range(len(y)):
         e = np.zeros_like(y)
         e[i] = step
-        fd[i] = (oracle.phi_value(cd, y + e) - oracle.phi_value(cd, y - e)) / (2.0 * step)
+        fd[i] = (oracle.phi_value(cd, y + e)[0] - oracle.phi_value(cd, y - e)[0]) / (2.0 * step)
     fd_res = float(np.max(np.abs(fd - grad)))
-    euler_res = abs(float(grad @ y) - float(oracle.phi_value(cd, y)))
+    euler_res = abs(float(grad @ y) - oracle.phi_value(cd, y)[0])
     return oracle.VerificationReport(
         name="gradient", samples=1, worst_residual=fd_res,
         passed=fd_res <= 1e-5 and euler_res <= 1e-10, tolerance=1e-5,
@@ -764,7 +843,7 @@ def _case2_loop(cf, fs, seed):
         reports.append(_witness_one(cd, beta, fs))
     if cf.case != spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
         for beta in loose:
-            reports.append(oracle.asymptote_sequence(cd, beta, 1000)[2])
+            reports.extend(oracle.asymptote_sequence(cd, beta, 1000)[2])
     return reports
 
 
@@ -795,7 +874,9 @@ def test_batched_phi_checks_match_loops(convex, monkeypatch):
     # the checks evaluate φ once on stacked rows; a row gives the same bits
     # alone or in a batch, so each report equals its loop's, field by field
     if not convex:
-        monkeypatch.setattr(oracle, "phi_value", lambda cd, y: np.cos(3.0 * (y * y).sum(axis=-1)))
+        monkeypatch.setattr(
+            oracle, "phi_value", lambda cd, y: np.atleast_1d(np.cos(3.0 * (y * y).sum(axis=-1)))
+        )
     rng = np.random.default_rng(16)
     failed = {"convexity": 0, "gradient": 0}
     for trial in range(80):
@@ -899,14 +980,19 @@ def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
             assert alone == [whole[i] for i in subset]
 
     fs = CRPhiLambda(n, m, 0, cd=cd)
-    B = _unit_rows_loop(rng, 40, m)
-    B = B[cd.lam_a + B @ cd.d < -1e-6][:16]
-    rows = [i for i in subset if i < len(B)]
-    if rows:
-        Z, whole = oracle.exposing_witness(cd, B, fs)
-        for part in _layouts(B[rows]):
-            Z_part, alone = oracle.exposing_witness(cd, part, fs)
-            assert Z_part.tobytes() == Z[rows].tobytes()
+    B = _unit_rows_loop(rng, 80, m)
+    strict, loose = B[cd.lam_a + B @ cd.d < -1e-6][:16], B[cd.lam_a + B @ cd.d >= 0.0][:16]
+    # the witness points, and the sequences' points and violations, by bytes;
+    # n = 1 has λ = −a, where no asymptote sequence exists
+    witnesses = [(lambda X: oracle.exposing_witness(cd, X, fs), strict)]
+    if n > 1:
+        witnesses.append((lambda X: oracle.asymptote_sequence(cd, X, 50), loose))
+    for check, X in witnesses:
+        rows = [i for i in subset if i < len(X)]
+        *arrays, whole = check(X)
+        for part in _layouts(X[rows]):
+            *arrays_part, alone = check(part)
+            assert [a.tobytes() for a in arrays_part] == [a[rows].tobytes() for a in arrays]
             assert [_bits(r.as_dict()) for r in alone] == [_bits(whole[i].as_dict()) for i in rows]
 
 
@@ -919,10 +1005,10 @@ def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
     subset=st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
 )
 def test_a_margin_row_has_the_same_bits_in_any_batch_and_layout(n, m, l, seed, subset):
-    # every family's margin, and φ, ∇φ and θ, at any rows of a batch, in any
-    # order and memory layout, and at each row as a vector, are the batch's
-    # values for those rows, bit for bit; the batch of y rows is itself a
-    # column slice of the points
+    # every family's margin, and φ, ∇φ, θ and x(β), at any rows of a batch,
+    # in any order and memory layout, and at each row passed alone as a 1-D
+    # input, are the batch's values for those rows, bit for bit; the batch
+    # of y rows is itself a column slice of the points
     rng = np.random.default_rng(seed)
     cd = random_casedata(rng, n, m)
     W = rng.standard_normal((12, n + m + l)) * rng.uniform(0.1, 10.0)
@@ -933,7 +1019,7 @@ def test_a_margin_row_has_the_same_bits_in_any_batch_and_layout(n, m, l, seed, s
         CRPhiLambda(n, m, l, cd=cd),
         Halfspace(n, m, l, coef=rng.standard_normal(n + m + l), rhs=float(rng.standard_normal())),
     ]
-    gauge = [lambda Y, f=f: f(cd, Y) for f in (phi_value, phi_gradient, theta_dual)]
+    gauge = [lambda Y, f=f: f(cd, Y) for f in (phi_value, phi_gradient, theta_dual, x_beta)]
     for f, X in [(fs.margin, W) for fs in families] + [(g, W[:, n : n + m]) for g in gauge]:
         whole = f(X)
         for part in _layouts(X[subset]):
