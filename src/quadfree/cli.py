@@ -37,6 +37,10 @@ _TOP_KEYS = {"dim", "Q", "b", "c", "point", "cone", "objective", "linear_constra
 _REQUIRED = {"dim", "Q", "b", "c", "point"}
 _SENSES = {"<=": (1.0,), "=": (1.0, -1.0), ">=": (-1.0,)}  # signs of the ≤ rows
 _PLOT_LAYERS = ("S", "freeset")
+_PLOT_GRID = 200  # grid points per axis of a plot layer
+_PROJECT_TOL = 1e-8  # |f| at which a Newton projection stops
+_PROJECT_ITERS = 30  # Newton steps a projection takes at most
+_PROJECT_FD = 1e-5  # central-difference step of its gradient
 
 
 def _numbers(value) -> bool:
@@ -227,15 +231,15 @@ def cmd_verify(inst, args) -> int:
 # --- plotting ---------------------------------------------------------------
 
 
-def _newton_project(f, v, target=1e-8, iters=30, fd=1e-5):
+def _newton_project(f, v):
     v = np.asarray(v, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(_PROJECT_ITERS):
         val = f(v)
-        if abs(val) <= target:
+        if abs(val) <= _PROJECT_TOL:
             return v
         grad = np.array(
             [
-                (f(v + fd * e) - f(v - fd * e)) / (2 * fd)
+                (f(v + _PROJECT_FD * e) - f(v - _PROJECT_FD * e)) / (2 * _PROJECT_FD)
                 for e in np.eye(len(v))
             ]
         )
@@ -266,14 +270,13 @@ def _marching_squares(F, xs, ys):
     return np.stack(points, axis=2).reshape(-1, 2)[hits].reshape(-1, 2, 2)
 
 
-def _plot_layer_2d(f, box, grid=200):
+def _plot_layer_2d(f, box):
     """Zero-level polylines of f, which maps a point or rows of points."""
-    xs = np.linspace(-box, box, grid)
-    ys = np.linspace(-box, box, grid)
-    F = f(np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
-    F = F.reshape(grid, grid)
+    xs = np.linspace(-box, box, _PLOT_GRID)
+    F = f(np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2))
+    F = F.reshape(_PLOT_GRID, _PLOT_GRID)
     polylines = []
-    for seg in _marching_squares(F, xs, ys):
+    for seg in _marching_squares(F, xs, xs):
         proj = [_newton_project(f, v) for v in seg]
         if all(v is not None for v in proj):
             polylines.append([list(map(float, v)) for v in proj])

@@ -88,8 +88,6 @@ def _row_reports(name, worst, passed, tol, extras, witnesses=None, defined=None,
 def _unit_rows(rng, count, dim, out=None):
     """``count`` uniformly distributed unit rows of R^dim, written into
     ``out`` if given."""
-    if dim == 0:
-        return np.zeros((count, 0)) if out is None else out
     g = rng.standard_normal((count, dim))
     # the sum np.linalg.norm takes, bit for bit, without its dispatch
     norms = np.sqrt(np.add.reduce(g * g, axis=1))

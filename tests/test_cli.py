@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import console_cases
 from quadfree import cuts, freesets, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
@@ -107,6 +108,29 @@ def test_each_command_takes_only_its_flags(tmp_path):
     for command, own in takes.items():
         for flag in set(flags) - own:
             assert _usage_exit([command, path, flag, flags[flag]]) == 3, (command, flag)
+
+
+# --- console cases -----------------------------------------------------------
+
+_CONSOLE_ROWS = console_cases.load()
+
+# Exit codes that no row of tests/data/console.json reaches, each with the
+# reason no plain instance does.
+_NO_ROW = {
+    12: "case2_battery draws its β inside each witness's preconditions",
+}
+
+
+@pytest.mark.parametrize("row", _CONSOLE_ROWS, ids=[row["name"] for row in _CONSOLE_ROWS])
+def test_console_row(tmp_path, row):
+    assert main(console_cases.argv(row, tmp_path)) == row["exit"], row["why"]
+
+
+def test_every_exit_code_is_a_console_row():
+    reached = {row["exit"] for row in _CONSOLE_ROWS}
+    assert not reached & set(_NO_ROW)
+    assert reached | set(_NO_ROW) == {0, 1} | {code for _, code in _EXIT_CODES}
+    assert len({row["name"] for row in _CONSOLE_ROWS}) == len(_CONSOLE_ROWS)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -371,20 +395,6 @@ def test_cut_wedge(tmp_path, capsys):
     viol = float(np.array(out["coef"]) @ [-2.0, -2.0]) - out["rhs"]
     assert viol >= 1e-9
     assert len(out["steps"]) == 2
-
-
-def test_cut_all_rays_recession_exit_4(tmp_path):
-    # convex unit-disk instance with rays pointing away from the disk
-    path = write_instance(
-        tmp_path,
-        dim=2,
-        Q=[[1.0, 0.0], [0.0, 1.0]],
-        b=[0.0, 0.0],
-        c=-1.0,
-        point=[3.0, 0.0],
-        cone={"rays": [[1.0, 0.0], [0.0, 1.0]]},
-    )
-    assert main(["cut", path]) == 4
 
 
 def test_cut_empty_s_exit_5(tmp_path):
