@@ -212,9 +212,7 @@ def cmd_verify(inst, args) -> int:
     cf = spectral.canonicalize(inst["qc"], zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
     if args.force_free_set:  # the parser admits CGLAMBDA only
-        fs = freesets.CGLambda(
-            cf.n, cf.m, cf.l, cd=CaseData(cf.lam, cf.a, cf.d), forced=True
-        )
+        fs = freesets.CGLambda(CaseData(cf.lam, cf.a, cf.d))
     samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
     reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
     reports.extend(oracle.case2_battery(cf, fs, args.seed))

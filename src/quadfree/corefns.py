@@ -32,14 +32,15 @@ _UNIT_TOL = 1e-10
 class CaseData:
     """Parameters (λ, a, d) of one canonical instance.
 
-    ``unit_a`` marks instances on the ‖a‖ = 1 branch of the pipeline,
-    where the φ machinery applies; it is enforced at construction.
+    ``unit_a`` is derived, ‖a‖ = 1 to within 1e-10: the branch where the φ
+    machinery applies, whose hypotheses ``CRPhiLambda`` and
+    ``oracle.asymptote_sequence`` check where they use them.
     """
 
     lam: np.ndarray
     a: np.ndarray
     d: np.ndarray
-    unit_a: bool = False
+    unit_a: bool = field(init=False)
     lam_a: float = field(init=False)
     d_norm: float = field(init=False)
 
@@ -51,16 +52,10 @@ class CaseData:
             raise ValueError("λ and a must have the same dimension")
         if abs(_norm(lam) - 1.0) > 1e-12:
             raise NotUnitError("λ must be a unit vector")
-        if self.unit_a:
-            if abs(_norm(a) - 1.0) > _UNIT_TOL:
-                raise NotUnitError("‖a‖ = 1 required on this branch")
-            if _norm(d) > 1.0 + 1e-12:
-                raise ValueError("‖d‖ ≤ 1 required on this branch")
-            if _norm(lam - a) <= 1e-12:
-                raise ValueError("λ = a is excluded on this branch")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "unit_a", bool(abs(_norm(a) - 1.0) <= _UNIT_TOL))
         object.__setattr__(self, "lam_a", float(lam @ a))
         object.__setattr__(self, "d_norm", float(_norm(d)))
 

@@ -99,6 +99,7 @@ def intersection_cut(
 def separate(
     qc: spectral.QuadraticConstraint, cone: SimplicialCone, zero_tol: float = 1e-9
 ) -> CutCertificate:
-    """End to end: canonicalize, build the free set, cut."""
-    cf = spectral.canonicalize(qc, zero_tol=zero_tol)
+    """End to end: the canonical form at the cone's apex, the free set, the
+    cut.  The apex is the point cut off, whatever ``qc.point`` is."""
+    cf = spectral.decompose(qc, zero_tol)(cone.apex)
     return intersection_cut(cone, cf, freesets.build_free_set(cf))

@@ -47,14 +47,12 @@ _SECOND = 1.0 - np.array([2.0**-38, 2.0**-32])
 _TOL = 1e-9  # a certified step's margin lies in [−_TOL, 0]
 
 
-@dataclass(frozen=True)
 class FreeSetDescriptor:
-    """Base for all free-set variants; concrete classes implement
-    ``_margin_rows`` over a batch of row points and ``_piece_table`` along rays."""
-
-    n: int
-    m: int
-    l: int
+    """Base for all free-set variants, each a frozen dataclass of only the
+    parameters its margin reads.  A point is w = (x, y, z) with x as long
+    as λ and y as long as d (or ``m`` for ``CLambda``); z is never read.
+    Concrete classes implement ``_margin_rows`` over a batch of row points
+    and ``_piece_table`` along rays."""
 
     def margin(self, w):
         """Margin at a point (a float) or at each row of w (an array); a
@@ -85,8 +83,9 @@ class FreeSetDescriptor:
         holds, and no piece exceeds the margin where it holds."""
         raise NotImplementedError
 
-    def _split(self, w):
-        return w[:, : self.n], w[:, self.n : self.n + self.m]
+    def _split(self, W):
+        n = self.cd.lam.size
+        return W[:, :n], W[:, n : n + self.cd.d.size]
 
 
 def _moments(y, d):
@@ -134,7 +133,12 @@ def _piece_roots(Q):
 
 @dataclass(frozen=True)
 class CLambda(FreeSetDescriptor):
-    lam: np.ndarray = None
+    lam: np.ndarray
+    m: int
+
+    def _split(self, W):
+        n = self.lam.size
+        return W[:, :n], W[:, n : n + self.m]
 
     def _margin_rows(self, W):
         x, y = self._split(W)
@@ -147,12 +151,9 @@ class CLambda(FreeSetDescriptor):
 
 @dataclass(frozen=True)
 class CGLambda(FreeSetDescriptor):
-    cd: CaseData = None
-    forced: bool = False
+    """Free for ‖a‖ ≤ ‖d‖ and m > 1, ``decompose``'s case 1; not checked."""
 
-    def __post_init__(self):
-        if not self.forced and (spectral._norm(self.cd.a) > self.cd.d_norm + 1e-12 or self.m <= 1):
-            raise ValueError("CGLambda needs ‖a‖ ≤ ‖d‖ and m > 1 (pass forced=True to bypass)")
+    cd: CaseData
 
     def _margin_rows(self, W):
         """Support of G(λ) = {‖β‖ = 1, dᵀβ ≤ −λᵀa} at y, minus λᵀx."""
@@ -243,7 +244,7 @@ def _circle_support(cd: CaseData, nt: np.ndarray, dt: np.ndarray, c: float) -> n
 
 @dataclass(frozen=True)
 class CPhiLambda(FreeSetDescriptor):
-    cd: CaseData = None
+    cd: CaseData
 
     def _margin_rows(self, W):
         x, y = self._split(W)
@@ -257,9 +258,10 @@ class CPhiLambda(FreeSetDescriptor):
 
 @dataclass(frozen=True)
 class CRPhiLambda(FreeSetDescriptor):
-    """Hyperplane-relative set: relaxed by r(β) on indices outside G(λ)."""
+    """Hyperplane-relative set: relaxed by r(β) on indices outside G(λ).
+    Needs ‖a‖ = 1 > ‖d‖, else ``ValueError``: its cap moves by d/(1 − ‖d‖²)."""
 
-    cd: CaseData = None
+    cd: CaseData
 
     def __post_init__(self):
         if not (self.cd.unit_a and self.cd.d_norm < 1.0):
@@ -283,7 +285,7 @@ class CRPhiLambda(FreeSetDescriptor):
         return np.maximum(unrelaxed - lam_x, relaxed - lam_x - cd.lam_a * shift)
 
     def recession(self):
-        return CPhiLambda(self.n, self.m, self.l, cd=self.cd)  # without r(β), the caps' supports have max φ(y)
+        return CPhiLambda(self.cd)  # without r(β), the caps' supports have max φ(y)
 
     def _piece_table(self, W):
         """The unrelaxed cap's pieces in y and the relaxed cap's in y − y₀,
@@ -301,14 +303,14 @@ class CRPhiLambda(FreeSetDescriptor):
 
 @dataclass(frozen=True)
 class Halfspace(FreeSetDescriptor):
-    coef: np.ndarray = None
-    rhs: float = 0.0
+    coef: np.ndarray
+    rhs: float
 
     def _margin_rows(self, W):
         return np.vecdot(W, self.coef) - self.rhs
 
     def recession(self):
-        return Halfspace(self.n, self.m, self.l, coef=self.coef, rhs=0.0)
+        return Halfspace(self.coef, 0.0)
 
     def _piece_table(self, W):
         lin = -np.vecdot(W, self.coef)
@@ -319,21 +321,21 @@ class Halfspace(FreeSetDescriptor):
 def build_free_set(cf: spectral.CanonicalForm) -> FreeSetDescriptor:
     """Pick the maximal free set matching the canonical case tag; an empty
     feasible region raises ``EmptySError``."""
-    n, m, l, case = cf.n, cf.m, cf.l, cf.case
+    case = cf.case
     if case == spectral.CASE_EMPTY_S:
         raise EmptySError("the feasible region is empty; there is nothing to cut")
     if case == spectral.CASE_HOMOG_H_NONZERO:
         # CLambda reads only x and y, so it is a cylinder over z already.
-        return CLambda(n, m, l, lam=cf.lam)
+        return CLambda(cf.lam, cf.m)
     if case == spectral.CASE_CASE1_CGLAMBDA:
-        return CGLambda(n, m, l, cd=CaseData(cf.lam, cf.a, cf.d))
+        return CGLambda(CaseData(cf.lam, cf.a, cf.d))
     if case == spectral.CASE_CONVEX_M1:
         return _convex_m1_halfspace(cf)
     if case == spectral.CASE_CASE2_CR_LAMBDA_NEG_A:
         # λ = −a makes φ(y) = ‖y‖, so C_φ(λ) is the norm cone C_λ.
-        return CLambda(n, m, l, lam=cf.lam)
+        return CLambda(cf.lam, cf.m)
     if case == spectral.CASE_CASE2_CR:
-        return CRPhiLambda(n, m, l, cd=CaseData(cf.lam, cf.a, cf.d, unit_a=True))
+        return CRPhiLambda(CaseData(cf.lam, cf.a, cf.d))
     raise ValueError(f"unknown case tag {case!r}")
 
 
@@ -353,7 +355,7 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
     y_b = (-1.0 - a @ x_b) / d1
     grad = 2.0 * x_b + (2.0 * y_b / d1) * a
     coef = np.concatenate([-grad, np.zeros(cf.m + cf.l)])
-    return Halfspace(cf.n, cf.m, cf.l, coef=coef, rhs=float(-grad @ x_b))
+    return Halfspace(coef, float(-grad @ x_b))
 
 
 _IN_FORCE = np.array([[True], [False]])  # a branch's two pieces: where its test holds, and fails

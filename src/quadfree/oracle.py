@@ -440,7 +440,7 @@ def case2_battery(
     """
     if cf.case not in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
         return []
-    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
+    cd = CaseData(cf.lam, cf.a, cf.d)
     rng = np.random.default_rng(seed + 1)
     Y = rng.standard_normal((50, cf.m))
     Y = Y[~(np.sqrt(np.vecdot(Y, Y)) < 1e-9)]

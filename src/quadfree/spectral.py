@@ -71,7 +71,9 @@ class QuadraticConstraint:
         return self.Q.shape[0]
 
     def __call__(self, s: np.ndarray):
-        """q at a point (a float) or at each row of s (an array)."""
+        """q at a point (a float) or at each row of s (an array).  A row's q
+        may differ in its last bits alone and in a batch: (s @ Q)·s is a gemv
+        for one point and a gemm, which blocks rows together, for a batch."""
         s = np.asarray(s, dtype=float)
         vals = np.add.reduce((s @ self.Q) * s, -1) + s @ self.b + self.c
         return float(vals) if s.ndim == 1 else vals

@@ -31,7 +31,6 @@ def cd_wedge() -> CaseData:
         lam=np.array([-1.0, -1.0]) / S2,
         a=np.array([-1.0, 1.0]) / S2,
         d=np.array([1.0 / S2]),
-        unit_a=True,
     )
 
 
@@ -50,8 +49,15 @@ def cd_polars() -> CaseData:
         lam=np.array([63.0, 16.0]) / 65.0,
         a=np.array([3.0 / 5.0, -4.0 / 5.0]),
         d=np.array([3.0 / 10.0, 2.0 / 5.0]),
-        unit_a=True,
     )
+
+
+# (λ, a, d) just off the branch ‖a‖ = 1 > ‖d‖, by name: CRPhiLambda and
+# oracle.asymptote_sequence must refuse each
+OFF_UNIT_BRANCH = {
+    name: CaseData(lam=np.array([1.0, 0.0]), a=np.array([0.0, a2]), d=np.array([d1, 0.0]))
+    for name, a2, d1 in (("a_norm_1+1e-9", 1.0 + 1e-9, 0.3), ("d_norm_1", 1.0, 1.0), ("d_norm_1.1", 1.0, 1.1))
+}
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -67,7 +73,6 @@ def random_casedata(
     rng: np.random.Generator,
     n: int,
     m: int,
-    unit_a: bool = True,
     d_scale: float = 0.95,
 ) -> CaseData:
     """Random valid (λ, a, d) with ‖a‖ = 1 and ‖d‖ ≤ d_scale."""
@@ -83,7 +88,7 @@ def random_casedata(
     nd = np.linalg.norm(d)
     if nd > 0:
         d *= rng.uniform(0.0, d_scale) / nd
-    return CaseData(lam=lam, a=a, d=d, unit_a=unit_a)
+    return CaseData(lam=lam, a=a, d=d)
 
 
 def random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:

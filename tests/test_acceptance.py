@@ -32,7 +32,6 @@ def _wedge_cd():
         lam=np.array([-1.0, -1.0]) / S2,
         a=np.array([-1.0, 1.0]) / S2,
         d=np.array([1.0 / S2]),
-        unit_a=True,
     )
 
 
@@ -67,7 +66,7 @@ def test_closed_form_reference_values():
     a = random_unit(rng, 3)
     while float(a @ lam) >= -0.1:
         a = random_unit(rng, 3)
-    cd0 = CaseData(lam=lam, a=a, d=np.zeros(2), unit_a=True)
+    cd0 = CaseData(lam=lam, a=a, d=np.zeros(2))
     for _ in range(1000):
         assert float(cd0.a @ cd0.lam + cd0.d @ random_unit(rng, 2)) <= 1e-9
     print("ACCEPT closed-form reference values: PASS")
@@ -98,7 +97,6 @@ def test_phi_matches_bruteforce_oracle():
         lam=np.array([63.0, 16.0]) / 65.0,
         a=np.array([3.0 / 5.0, -4.0 / 5.0]),
         d=np.array([3.0 / 10.0, 2.0 / 5.0]),
-        unit_a=True,
     )
     cases = [(polars, np.array([0.0, 1.0]))]
     while len(cases) < 100:
@@ -156,7 +154,7 @@ def test_freeness_of_built_sets_and_counterexamples():
     hom = oracle.sample_S_homogeneous(cd3.a, cd3.d, 4000, seed=1)
     extra = oracle.structured_slice_points(cd3.lam, cd3.a, cd3.d)
     rep = oracle.check_freeness(
-        CGLambda(2, 1, 0, cd=cd3, forced=True), np.vstack([hom, extra])
+        CGLambda(cd3), np.vstack([hom, extra])
     )
     assert not rep.passed and rep.witness is not None
 
@@ -165,7 +163,7 @@ def test_freeness_of_built_sets_and_counterexamples():
     hom = oracle.sample_S_homogeneous(cd4.a, cd4.d, 4000, seed=2)
     extra = oracle.structured_slice_points(cd4.lam, cd4.a, cd4.d)
     rep = oracle.check_freeness(
-        CGLambda(2, 1, 0, cd=cd4, forced=True), np.vstack([hom, extra])
+        CGLambda(cd4), np.vstack([hom, extra])
     )
     assert not rep.passed and rep.witness is not None
     target = np.array([3.0, -4.0, 5.0])
@@ -184,7 +182,7 @@ def test_maximality_certificates():
         beta = random_unit(rng, len(cd.d))
         if float(cd.a @ cd.lam + cd.d @ beta) >= -1e-3:
             continue
-        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(len(cd.lam), len(beta), 0, cd=cd))
+        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(cd))
         assert rep.passed, rep.extra
         done += 1
 
@@ -213,8 +211,8 @@ def test_containment_and_step_monotonicity():
     for _ in range(10):
         cd = random_casedata(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         n, m = len(cd.lam), len(cd.d)
-        small = CLambda(n, m, 0, lam=cd.lam)
-        big = CPhiLambda(n, m, 0, cd=cd)
+        small = CLambda(cd.lam, m)
+        big = CPhiLambda(cd)
         W = rng.standard_normal((10**4, n + m))
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
@@ -225,8 +223,8 @@ def test_containment_and_step_monotonicity():
         a = rng.standard_normal(n) * 0.4
         d = random_unit(rng, m) * (np.linalg.norm(a) + rng.uniform(0.05, 0.5))
         cd = CaseData(lam=lam, a=a, d=d)
-        small = CLambda(n, m, 0, lam=lam)
-        big = CGLambda(n, m, 0, cd=cd)
+        small = CLambda(lam, m)
+        big = CGLambda(cd)
         W = rng.standard_normal((10**4, n + m))
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
@@ -240,9 +238,9 @@ def test_containment_and_step_monotonicity():
             spectral.CASE_CASE2_CR_LAMBDA_NEG_A,
         ):
             continue
-        cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
-        small = CLambda(cf.n, cf.m, cf.l, lam=cf.lam)
-        big = CPhiLambda(cf.n, cf.m, cf.l, cd=cd)
+        cd = CaseData(cf.lam, cf.a, cf.d)
+        small = CLambda(cf.lam, cf.m)
+        big = CPhiLambda(cd)
         p = qc.dim
         cone = SimplicialCone(
             apex=qc.point, R=np.linalg.qr(rng.standard_normal((p, p)))[0]

@@ -489,9 +489,12 @@ _CANNOT_REACH_MAIN = {
 
 
 def test_readme_library_example_runs():
+    # every ```python block, so that no API change leaves one broken
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
-    exec(compile(example, "README.md", "exec"), {})
+    examples = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert examples
+    for i, example in enumerate(examples):
+        exec(compile(example, f"README.md, block {i}", "exec"), {})
 
 
 def test_exit_codes_match_the_readme():
@@ -865,7 +868,7 @@ def test_loop_025_certifies_a_step_by_its_slope_in_two_margin_calls(capsys, monk
     # 4.4e-16 > 0 by rounding; the point its slope places is certified
     with open(Path(__file__).parent / "data" / "loop_025_slope_ray.json", encoding="utf-8") as fh:
         rec = json.load(fh)
-    fs = freesets.CLambda(rec["n"], rec["m"], rec["l"], lam=np.array(rec["lam"]))
+    fs = freesets.CLambda(np.array(rec["lam"]), rec["m"])
     apex, rays = np.array(rec["apex"]), np.array(rec["rays"])
     calls, margin = [], freesets.FreeSetDescriptor.margin
 

@@ -36,7 +36,7 @@ def test_phi_lambda_equals_minus_a_gives_norm():
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a = random_unit(rng, n)
         d = 0.3 * random_unit(rng, m) * rng.uniform(0.0, 1.0)
-        cd = CaseData(lam=-a, a=a, d=d, unit_a=True)
+        cd = CaseData(lam=-a, a=a, d=d)
         y = rng.standard_normal(m)
         assert abs(phi_value(cd, y) - np.linalg.norm(y)) <= 1e-12
 
@@ -85,7 +85,7 @@ def test_gradient_piecewise_slopes(cd_wedge):
 def test_gradient_lambda_minus_a_is_direction():
     rng = np.random.default_rng(4)
     a = random_unit(rng, 3)
-    cd = CaseData(lam=-a, a=a, d=np.array([0.2, -0.1]), unit_a=True)
+    cd = CaseData(lam=-a, a=a, d=np.array([0.2, -0.1]))
     y = rng.standard_normal(2)
     assert np.allclose(phi_gradient(cd, y), y / np.linalg.norm(y), atol=1e-12)
 
@@ -134,9 +134,9 @@ def test_gradient_undefined_on_excluded_ray():
     while np.linalg.norm(lam - a) < 1e-3 or np.linalg.norm(lam + a) < 1e-3:
         a = random_unit(rng, 2)
     d = random_unit(rng, 2)  # ‖d‖ = 1 makes φ nondifferentiable along d
-    cd = CaseData(lam=lam, a=a, d=d, unit_a=True)
+    cd = CaseData(lam=lam, a=a, d=d)
     if cd.lam_a * 1.0 + float(cd.d @ d) <= 0.0:
-        cd = CaseData(lam=-lam, a=a, d=d, unit_a=True)
+        cd = CaseData(lam=-lam, a=a, d=d)
     assert np.isnan(phi_gradient(cd, 2.0 * d)).all()
 
 
@@ -154,9 +154,9 @@ def test_theta_infinite_on_unit_d_ray():
     if np.linalg.norm(lam - a) < 1e-3 or np.linalg.norm(lam + a) < 1e-3:
         lam = np.array([1.0, 0.0])
     d = np.array([1.0, 0.0])
-    cd = CaseData(lam=lam, a=a, d=d, unit_a=True)
+    cd = CaseData(lam=lam, a=a, d=d)
     if cd.lam_a <= 0.0:
-        cd = CaseData(lam=-lam, a=a, d=d, unit_a=True)
+        cd = CaseData(lam=-lam, a=a, d=d)
     assert theta_dual(cd, d) == math.inf
 
 

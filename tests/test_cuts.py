@@ -10,7 +10,7 @@ from conftest import random_instance, random_orthogonal, wedge_canonical, wedge_
 from quadfree import oracle, spectral
 from quadfree.corefns import CaseData
 from quadfree.cuts import CutCertificate, SimplicialCone, intersection_cut, separate
-from quadfree.errors import AllRaysRecessionError, EmptySError
+from quadfree.errors import AllRaysRecessionError, EmptySError, NotSeparableError
 from quadfree.freesets import (
     CLambda,
     CPhiLambda,
@@ -97,7 +97,7 @@ def test_simplicial_cone_rejects_a_non_finite_apex_or_ray(apex, R, tight_rows):
 
 def test_unit_steps_give_unit_sum_cut():
     cf = _identity_cf(2)
-    fs = _BoxSet(3, 0, 0)
+    fs = _BoxSet()
     cone = SimplicialCone(apex=np.zeros(2), R=np.eye(2))
     cert = intersection_cut(cone, cf, fs)
     assert np.allclose(cert.steps, 1.0, rtol=0.0, atol=1e-8)
@@ -109,7 +109,7 @@ def test_unit_steps_give_unit_sum_cut():
 
 def test_infinite_step_zeroes_coefficient():
     cf = _identity_cf(2)
-    fs = _BoxSet(3, 0, 0)
+    fs = _BoxSet()
 
     # rotate one ray into the third (ignored) coordinate: such a ray
     # never reaches the box boundary, so its weight is zero
@@ -125,7 +125,7 @@ def test_infinite_step_zeroes_coefficient():
         def _piece_table(self, W):
             return _linear_pieces(W, (0,))
 
-    slab = _Slab(3, 0, 0)
+    slab = _Slab()
     cert = intersection_cut(cone, cf, slab)
     assert cert.steps[0] == pytest.approx(1.0, abs=1e-8)
     assert cert.steps[1] == math.inf
@@ -146,7 +146,7 @@ def test_all_rays_recession_raises():
 
     with pytest.raises(AllRaysRecessionError):
         intersection_cut(
-            SimplicialCone(apex=np.zeros(2), R=np.eye(2)), cf, _Everything(3, 0, 0)
+            SimplicialCone(apex=np.zeros(2), R=np.eye(2)), cf, _Everything()
         )
 
 
@@ -219,7 +219,7 @@ def test_lambda_neg_a_cuts_with_the_norm_cone():
         cf = spectral.canonicalize(qc)
         fs = build_free_set(cf)
         assert isinstance(fs, CLambda)
-        phi_set = CPhiLambda(cf.n, cf.m, cf.l, cd=CaseData(cf.lam, cf.a, cf.d, unit_a=True))
+        phi_set = CPhiLambda(CaseData(cf.lam, cf.a, cf.d))
         W = 3.0 * rng.standard_normal((200, cf.n + cf.m + cf.l))
         assert np.array_equal(fs.margin(W), phi_set.margin(W))
         cone = SimplicialCone(apex=qc.point, R=random_orthogonal(rng, qc.dim))
@@ -237,6 +237,40 @@ def test_wedge_end_to_end_cut():
     assert float(cert.coef @ qc.point) - cert.rhs >= 1e-9
     rep = oracle.check_cut_validity(qc, cert, seed=1)
     assert rep.passed, rep.worst_residual
+
+
+def _with_point(qc, point):
+    return spectral.QuadraticConstraint(Q=qc.Q, b=qc.b, c=qc.c, point=np.asarray(point, dtype=float))
+
+
+def _assert_same_cut(cert, ref):
+    for field in ("steps", "residuals", "coef", "rhs"):
+        assert np.array_equal(getattr(cert, field), getattr(ref, field)), field
+
+
+def test_separate_cuts_off_the_cone_apex():
+    # a cone at (0, −3) under the wedge's constraint, whose point is (−2, −2)
+    # or the feasible (0, 0): the cut is, bit for bit, the one with the
+    # constraint's point at the apex
+    qc = wedge_constraint()
+    cone = SimplicialCone(apex=np.array([0.0, -3.0]), R=np.eye(2))
+    ref = separate(_with_point(qc, cone.apex), cone)
+    for point in (qc.point, [0.0, 0.0]):
+        _assert_same_cut(separate(_with_point(qc, point), cone), ref)
+    v = np.r_[ref.coef, ref.rhs]
+    assert v / np.linalg.norm(v) == pytest.approx([-0.756738, -0.527225, 0.386498], abs=1e-6)
+    # a feasible apex is not separable, whatever the constraint's point
+    with pytest.raises(NotSeparableError, match=r"q\(point\) = -2.0"):
+        separate(qc, SimplicialCone(apex=np.zeros(2), R=np.eye(2)))
+
+
+def test_separate_reads_the_apex_not_the_constraint_point():
+    rng = np.random.default_rng(5)
+    for n, m, l in [(1, 1, 1), (2, 1, 0), (2, 2, 0), (3, 2, 1), (2, 3, 0), (1, 3, 1)]:
+        apex_qc, other = random_instance(rng, n, m, l), random_instance(rng, n, m, l)
+        qc = _with_point(apex_qc, other.point)  # of the same dimension, feasible or not
+        cone = SimplicialCone(apex=apex_qc.point, R=random_orthogonal(rng, qc.dim))
+        _assert_same_cut(separate(qc, cone), separate(apex_qc, cone))
 
 
 def test_convex_instance_matches_gradient_cut():
@@ -363,9 +397,9 @@ def test_step_monotonicity_under_set_enlargement():
     # only grow when the set is enlarged.
     rng = np.random.default_rng(2)
     cf = wedge_canonical()
-    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
-    small = CLambda(cf.n, cf.m, cf.l, lam=cf.lam)
-    big = CPhiLambda(cf.n, cf.m, cf.l, cd=cd)
+    cd = CaseData(cf.lam, cf.a, cf.d)
+    small = CLambda(cf.lam, cf.m)
+    big = CPhiLambda(cd)
     apex = cf.mapped_point
     assert small.margin(apex) < 0.0 and big.margin(apex) < 0.0
     cone = SimplicialCone(apex=np.array([-2.0, -2.0]), R=np.eye(2))

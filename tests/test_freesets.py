@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OFF_UNIT_BRANCH,
     random_casedata,
     random_instance,
     random_orthogonal,
@@ -35,28 +37,21 @@ S2 = math.sqrt(2.0)
 
 
 def wedge_crphi(cd_wedge) -> CRPhiLambda:
-    return CRPhiLambda(2, 1, 0, cd=cd_wedge)
+    return CRPhiLambda(cd_wedge)
 
 
 # --- margins of the individual families ---------------------------------------
 
 
 def test_clambda_margin():
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     assert fs.margin(np.array([3.0, 2.0])) == pytest.approx(-1.0)
     assert fs.margin(np.array([1.0, 2.0])) == pytest.approx(1.0)
 
 
 def test_cglambda_interior_witness_margin(cd_scaled):
-    fs = CGLambda(2, 1, 0, cd=cd_scaled, forced=True)
+    fs = CGLambda(cd_scaled)
     assert fs.margin(np.array([3.0, -4.0, 5.0])) == pytest.approx(-5.0, abs=1e-12)
-
-
-def test_cglambda_requires_case1_shape(cd_wedge):
-    # ‖a‖ = 1 > ‖d‖ violates the CASE1 precondition unless forced
-    with pytest.raises(ValueError):
-        CGLambda(2, 1, 0, cd=cd_wedge)
-    CGLambda(2, 1, 0, cd=cd_wedge, forced=True)
 
 
 def test_cglambda_zero_d_reduces_to_norm():
@@ -65,13 +60,13 @@ def test_cglambda_zero_d_reduces_to_norm():
         a=np.array([0.0, 0.0]),
         d=np.zeros(2),
     )
-    fs = CGLambda(2, 2, 0, cd=cd, forced=True)
+    fs = CGLambda(cd)
     w = np.array([0.5, 2.0, 3.0, 4.0])
     assert fs.margin(w) == pytest.approx(5.0 - 2.0)
 
 
 def test_cphilambda_margin_matches_phi(cd_polars):
-    fs = CPhiLambda(2, 2, 0, cd=cd_polars)
+    fs = CPhiLambda(cd_polars)
     rng = np.random.default_rng(0)
     for _ in range(100):
         w = rng.standard_normal(4)
@@ -98,7 +93,7 @@ def test_crphilambda_dominates_every_inequality():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         cd = random_casedata(rng, n, m)
-        fs = CRPhiLambda(n, m, 0, cd=cd)
+        fs = CRPhiLambda(cd)
         if m == 1:
             B = np.array([[-1.0], [1.0]])
         else:
@@ -134,7 +129,7 @@ def test_cglambda_margin_is_support_of_G():
         for _ in range(5):
             n = int(rng.integers(1, 4))
             cd = _case1_casedata(rng, n, m)
-            fs = CGLambda(n, m, 0, cd=cd)
+            fs = CGLambda(cd)
             if m == 2:
                 angles = np.linspace(0.0, 2.0 * np.pi, 8000, endpoint=False)
                 betas = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -153,13 +148,29 @@ def test_cglambda_margin_is_support_of_G():
 
 def test_crphilambda_requires_unit_a(cd_scaled):
     with pytest.raises(ValueError):
-        CRPhiLambda(2, 1, 0, cd=cd_scaled)
+        CRPhiLambda(cd_scaled)
+
+
+@pytest.mark.parametrize("name", OFF_UNIT_BRANCH)
+def test_crphilambda_refuses_data_off_the_unit_branch(name):
+    # its own check is the only one before the relaxed cap divides by 1 − ‖d‖²
+    with pytest.raises(ValueError, match="‖a‖ = 1 > ‖d‖"):
+        CRPhiLambda(OFF_UNIT_BRANCH[name])
+
+
+def test_each_family_is_built_from_its_own_parameters(cd_wedge):
+    # x is as long as λ, y as long as d (m for CLambda); ‖a‖ = 1 is derived
+    families = (CLambda, CGLambda, CPhiLambda, CRPhiLambda, Halfspace, CaseData)
+    init = [[f.name for f in dataclasses.fields(cls) if f.init] for cls in families]
+    assert init == [["lam", "m"], ["cd"], ["cd"], ["cd"], ["coef", "rhs"], ["lam", "a", "d"]]
+    assert cd_wedge.unit_a and not CaseData(cd_wedge.lam, 2.0 * cd_wedge.a, cd_wedge.d).unit_a
 
 
 def _crphi_two_pass(fs, W):
     """CRPhiLambda's margin with the relaxed cap's curved branch from a
     second ``_gauge_parts`` pass inside ``phi_value``."""
-    cd, n, m = fs.cd, fs.n, fs.m
+    cd = fs.cd
+    n, m = cd.lam.size, cd.d.size
     x, y = W[:, :n], W[:, n : n + m]
     lam_x = np.vecdot(x, cd.lam)
     shift = 1.0 / (1.0 - cd.d_norm**2)
@@ -180,7 +191,7 @@ def test_crphilambda_margin_matches_the_two_pass_composition(n, m, seed):
     # branch, which reads one decomposition of y − y₀ for both
     rng = np.random.default_rng(seed)
     cd = random_casedata(rng, n, m)
-    fs = CRPhiLambda(n, m, 0, cd=cd)
+    fs = CRPhiLambda(cd)
     W = rng.standard_normal((200, n + m)) * rng.uniform(0.1, 10.0)
     expected = _crphi_two_pass(fs, W)
     assert fs.margin(W).tobytes() == expected.tobytes()
@@ -194,8 +205,8 @@ def test_relaxation_consistency_unrelaxed_directions():
     for _ in range(50):
         n, m = 2, int(rng.integers(1, 4))
         cd = random_casedata(rng, n, m)
-        fs_r = CRPhiLambda(n, m, 0, cd=cd)
-        fs_p = CPhiLambda(n, m, 0, cd=cd)
+        fs_r = CRPhiLambda(cd)
+        fs_p = CPhiLambda(cd)
         beta = random_unit(rng, m)
         if cd.lam_a * 1.0 + float(cd.d @ beta) > 0.0:
             continue
@@ -210,12 +221,12 @@ def test_relaxation_consistency_unrelaxed_directions():
 
 
 def test_halfspace_margin():
-    fs = Halfspace(1, 1, 0, coef=np.array([1.0, -2.0]), rhs=3.0)
+    fs = Halfspace(np.array([1.0, -2.0]), 3.0)
     assert fs.margin(np.array([1.0, 1.0])) == pytest.approx(-4.0)
 
 
 def test_cylinder_lift_ignores_free_coordinates():
-    fs = CLambda(1, 1, 2, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     assert fs.margin(np.array([3.0, 2.0, 9.0, -9.0])) == pytest.approx(-1.0)
 
 
@@ -313,9 +324,9 @@ def test_margin_convexity_along_segments():
     rng = np.random.default_rng(5)
     cd = random_casedata(rng, 3, 2)
     sets = [
-        CLambda(3, 2, 0, lam=cd.lam),
-        CPhiLambda(3, 2, 0, cd=cd),
-        CRPhiLambda(3, 2, 0, cd=cd),
+        CLambda(cd.lam, 2),
+        CPhiLambda(cd),
+        CRPhiLambda(cd),
     ]
     for fs in sets:
         hits = 0
@@ -334,8 +345,8 @@ def test_containment_clambda_in_cphilambda():
     rng = np.random.default_rng(6)
     for _ in range(10):
         cd = random_casedata(rng, 2, 2)
-        small = CLambda(2, 2, 0, lam=cd.lam)
-        big = CPhiLambda(2, 2, 0, cd=cd)
+        small = CLambda(cd.lam, 2)
+        big = CPhiLambda(cd)
         W = rng.standard_normal((10**4, 4))
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
@@ -348,8 +359,8 @@ def test_containment_clambda_in_cglambda():
         a = rng.standard_normal(n) * 0.3
         d = random_unit(rng, m) * (np.linalg.norm(a) + rng.uniform(0.1, 1.0))
         cd = CaseData(lam=lam, a=a, d=d)
-        small = CLambda(n, m, 0, lam=lam)
-        big = CGLambda(n, m, 0, cd=cd)
+        small = CLambda(lam, m)
+        big = CGLambda(cd)
         W = rng.standard_normal((10**4, n + m))
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
@@ -358,8 +369,8 @@ def test_containment_cphilambda_in_crphilambda():
     rng = np.random.default_rng(8)
     for _ in range(10):
         cd = random_casedata(rng, 2, 2)
-        small = CPhiLambda(2, 2, 0, cd=cd)
-        big = CRPhiLambda(2, 2, 0, cd=cd)
+        small = CPhiLambda(cd)
+        big = CRPhiLambda(cd)
         W = rng.standard_normal((10**4, 4))
         assert np.all(small.margin(W) >= big.margin(W) - 1e-10)
 
@@ -368,20 +379,20 @@ def test_containment_cphilambda_in_crphilambda():
 
 
 def test_boundary_step_clambda_finite():
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     steps, residuals = boundary_steps(fs, np.array([3.0, 0.0]), np.array([[0.0, 1.0]]))
     assert steps[0] == pytest.approx(3.0, abs=1e-8)
     assert abs(residuals[0]) <= 1e-9
 
 
 def test_boundary_step_recession_direction():
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     steps, _ = boundary_steps(fs, np.array([3.0, 0.0]), np.array([[1.0, 0.0]]))
     assert steps[0] == math.inf
 
 
 def test_boundary_step_requires_interior_apex():
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     with pytest.raises(ApexNotInteriorError):
         boundary_steps(fs, np.array([1.0, 1.0]), np.array([[0.0, 1.0]]))
 
@@ -394,13 +405,13 @@ def test_boundary_step_requires_interior_apex():
 def test_boundary_steps_rejects_a_bad_ray_or_apex(apex, ray):
     # a NaN entry once read "every ray must be nonzero", and (0, inf) died
     # on a RuntimeWarning; each is one ValueError, with no warning
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     with pytest.raises(ValueError, match="finite, and every ray nonzero"):
         boundary_steps(fs, np.array(apex), np.array([[0.0, 1.0], ray]))
 
 
 def test_boundary_step_ray_scaling():
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     apex = np.array([3.0, 0.5])
     ray = np.array([0.1, 1.0])
     t1, t2 = boundary_steps(fs, apex, np.array([ray, 4.0 * ray]))[0]
@@ -411,7 +422,7 @@ def test_boundary_steps_mixed_cone():
     # From (3, 0) inside |y| ≤ x: rays with a positive x part recede, the
     # others meet |y| = x at a closed-form step; (−1, 2) lands on it
     # exactly at t = 1, the first doubling point.
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     rays = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 2.0], [2.0, 1.0], [0.0, -0.5], [1.0, -1.0]])
     steps, residuals = boundary_steps(fs, np.array([3.0, 0.0]), rays)
     assert np.allclose(steps, [3.0, math.inf, 1.0, math.inf, 6.0, math.inf], rtol=1e-9)
@@ -423,11 +434,11 @@ def test_boundary_steps_root_near_the_cap():
     # Halfspace 1e-11·x ≤ 8 or ≤ 20 from the origin along (1, 0): the
     # roots 8e11 and 2e12 are far out, and each is the ray's step.
     rays = np.array([[1e-11, 0.0]])
-    near = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=8.0)
+    near = Halfspace(np.array([1.0, 0.0]), 8.0)
     steps, residuals = boundary_steps(near, np.zeros(2), rays)
     assert math.isfinite(steps[0]) and steps[0] == pytest.approx(8e11, rel=1e-9)
     assert near.margin(steps[0] * rays[0]) <= 0.0 and residuals[0] <= 0.0
-    far = Halfspace(1, 1, 0, coef=np.array([1.0, 0.0]), rhs=20.0)
+    far = Halfspace(np.array([1.0, 0.0]), 20.0)
     steps, residuals = boundary_steps(far, np.zeros(2), rays)
     assert math.isfinite(steps[0]) and steps[0] == pytest.approx(2e12, rel=1e-9)
     assert -1e-9 <= residuals[0] <= 0.0 and far.margin(steps[0] * rays[0]) == residuals[0]
@@ -440,7 +451,7 @@ def test_a_far_exit_gets_a_finite_step(eps):
     # There the point's coordinates round by about 2⁻⁵²·t, and the margin,
     # of slope ε', with them: the step may move by 2⁻⁵²/ε' relative, and
     # the bound allows 8 times that.
-    fs = CLambda(1, 1, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 1)
     apex, rays = np.array([1.0, 0.0]), np.array([[1.0, 1.0 + eps]])
     exit_at = 1.0 / (rays[0, 1] - 1.0)
     assert fs.recession().margin(rays[0]) > 0.0
@@ -550,14 +561,14 @@ def _bracketing_only(fs, apex, rays, tol):
 
 def _families(cf, apex):
     """The pipeline's free set for cf and, on case-2 data, every family
-    that can be built on it (CGLambda forced, so m = 1 takes its linear
+    that can be built on it (CGLambda too, so m = 1 takes its linear
     branch); only those with the apex inside."""
     sets = [build_free_set(cf)]
     if cf.case in (spectral.CASE_CASE2_CR, spectral.CASE_CASE2_CR_LAMBDA_NEG_A):
-        cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
-        sets += [CPhiLambda(cf.n, cf.m, cf.l, cd=cd), CGLambda(cf.n, cf.m, cf.l, cd=cd, forced=True)]
+        cd = CaseData(cf.lam, cf.a, cf.d)
+        sets += [CPhiLambda(cd), CGLambda(cd)]
         if cd.d_norm < 1.0:
-            sets.append(CRPhiLambda(cf.n, cf.m, cf.l, cd=cd))
+            sets.append(CRPhiLambda(cd))
     return [fs for fs in sets if fs.margin(apex) < -1e-9]
 
 
@@ -651,11 +662,11 @@ def _budget_cases():
             cd, cd1 = random_casedata(rng, n, m), _case1_casedata(rng, n, m)
             k = n + m + 1
             for fs in [
-                CLambda(n, m, 1, lam=cd.lam),
-                CPhiLambda(n, m, 1, cd=cd),
-                CRPhiLambda(n, m, 1, cd=cd),
-                CGLambda(n, m, 1, cd=cd1, forced=m == 1),
-                Halfspace(n, m, 1, coef=np.concatenate([-cd.lam, rng.standard_normal(m + 1)]), rhs=0.0),
+                CLambda(cd.lam, m),
+                CPhiLambda(cd),
+                CRPhiLambda(cd),
+                CGLambda(cd1),
+                Halfspace(np.concatenate([-cd.lam, rng.standard_normal(m + 1)]), 0.0),
             ]:
                 # the margin falls by s along (λ, 0, 0) in every family
                 lam = np.concatenate([getattr(fs, "cd", cd).lam, np.zeros(m + 1)])
@@ -701,7 +712,7 @@ def test_rounding_past_the_boundary_is_certified_by_the_slope(monkeypatch):
     # tried toward the apex by relative amounts have margin 4.4e-16 > 0.
     # The slope there is 5e-7, so t* − tol/(2f′) lies 1e-3 below t*, where
     # the margin is about −tol/2.
-    fs = CLambda(1, 2, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 2)
     apex = np.array([3.0, 3.0 * (1.0 - 1e-7), 0.0])
     rays = np.array([[-5e-7, 0.0, 1e-6]])
     T = _candidates(fs, apex, rays)[0]
@@ -726,14 +737,14 @@ class _FarRoots(CLambda):
     """‖y‖ ≤ λᵀx whose pieces are those of ‖y‖ ≤ 2λᵀx, with later roots."""
 
     def _piece_table(self, W):
-        return CLambda(self.n, self.m, self.l, lam=2.0 * self.lam)._piece_table(W)
+        return CLambda(2.0 * self.lam, self.m)._piece_table(W)
 
 
 def test_a_ray_with_no_certified_step_raises(monkeypatch):
     # from (1, 0) the ray (0, 1) leaves ‖y‖ ≤ x at t = 1, and (1, 0) recedes
     apex, rays = np.array([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
     counts = _count_calls(monkeypatch)
-    for fs in [_NoRoots(1, 1, 0, lam=np.array([1.0])), _FarRoots(1, 1, 0, lam=np.array([1.0]))]:
+    for fs in [_NoRoots(np.array([1.0]), 1), _FarRoots(np.array([1.0]), 1)]:
         counts.update(margin=0)
         with pytest.raises(UncertifiedStepError, match=r"rays \[0\]"):
             boundary_steps(fs, apex, rays)
@@ -784,7 +795,7 @@ def test_rays_certified_late_take_a_second_margin_call(monkeypatch):
     # where the first three candidates have margin 4.4e-16 > 0 by rounding:
     # one ray is certified 2⁻³⁸ toward the apex and one 2⁻³², each found by
     # a search over such rays.  A third ray is certified at its root.
-    fs = CLambda(1, 2, 0, lam=np.array([1.0]))
+    fs = CLambda(np.array([1.0]), 2)
     cases = [
         (5.01731372068164e-06, [-1.2313579663636926e-06, 7.798711114410413e-08, 4.413139492972284e-06], 3),
         (4.856772790399065e-07, [-5.011242852588721e-06, 8.514291544288374e-08, 3.136873509025925e-06], 4),
@@ -867,12 +878,12 @@ def _rows_cases():
         "map_point": (cf.map_point, W[:, :4]),
         "map_direction": (cf.map_direction, W[:, :4]),
         "boundary_steps": (steps, W),
-        "CLambda": (CLambda(3, 2, 0, lam=cd.lam).margin, W),
-        "CGLambda": (CGLambda(2, 3, 0, cd=cd1).margin, W),
-        "CPhiLambda": (CPhiLambda(3, 2, 0, cd=cd).margin, W),
-        "CRPhiLambda": (CRPhiLambda(3, 2, 0, cd=cd).margin, W),
+        "CLambda": (CLambda(cd.lam, 2).margin, W),
+        "CGLambda": (CGLambda(cd1).margin, W),
+        "CPhiLambda": (CPhiLambda(cd).margin, W),
+        "CRPhiLambda": (CRPhiLambda(cd).margin, W),
         "Halfspace": (
-            Halfspace(3, 2, 0, coef=rng.standard_normal(5), rhs=0.7).margin,
+            Halfspace(rng.standard_normal(5), 0.7).margin,
             W,
         ),
     }
@@ -949,10 +960,10 @@ def _ref_cap_pieces(cd, t0, T1, relaxed, lin):
 
 
 def _ref_pieces(fs, w0, R):
-    (x0, y0), (x1, y1) = fs._split(w0), fs._split(R)
     if isinstance(fs, Halfspace):
         l1, l0 = _ref_dot(fs.coef, w0, R)
         return [((0.0,) * 3 + (-l1, fs.rhs - l0), None)]
+    (x0, y0), (x1, y1) = fs._split(w0), fs._split(R)
     if isinstance(fs, CLambda):
         return [(_ref_sq_norm(y0, y1) + _ref_dot(fs.lam, x0, x1), None)]
     cd, lin = fs.cd, _ref_dot(fs.cd.lam, x0, x1)
@@ -992,7 +1003,7 @@ def _cap_casedata(rng, n, m, branch):
     lam = random_unit(rng, n)
     u = rng.standard_normal(n)
     u = (u - (u @ lam) * lam) / np.linalg.norm(u - (u @ lam) * lam)
-    return CaseData(lam, -c * lam + math.sqrt(1.0 - c * c) * u, nd * random_unit(rng, m), unit_a=True)
+    return CaseData(lam, -c * lam + math.sqrt(1.0 - c * c) * u, nd * random_unit(rng, m))
 
 
 _TABLE_CASES = [("CLambda", None), ("Halfspace", None), ("CPhiLambda", "circle"), ("CPhiLambda", "zero_d")] + [
@@ -1019,11 +1030,11 @@ def test_one_pass_table_matches_the_per_piece_construction(family, branch, data)
     n, m, l, k = 2 + int(rng.integers(3)), 1 if branch == "lines" else 2 + int(rng.integers(3)), 1, 1 + int(rng.integers(6))
     cd = _cap_casedata(rng, n, m, branch or "circle")
     fs = {
-        "CLambda": lambda: CLambda(n, m, l, lam=cd.lam),
-        "Halfspace": lambda: Halfspace(n, m, l, coef=rng.standard_normal(n + m + l), rhs=float(rng.standard_normal())),
-        "CPhiLambda": lambda: CPhiLambda(n, m, l, cd=cd),
-        "CGLambda": lambda: CGLambda(n, m, l, cd=cd, forced=True),
-        "CRPhiLambda": lambda: CRPhiLambda(n, m, l, cd=cd),
+        "CLambda": lambda: CLambda(cd.lam, m),
+        "Halfspace": lambda: Halfspace(rng.standard_normal(n + m + l), float(rng.standard_normal())),
+        "CPhiLambda": lambda: CPhiLambda(cd),
+        "CGLambda": lambda: CGLambda(cd),
+        "CRPhiLambda": lambda: CRPhiLambda(cd),
     }[family]()
     size = 10.0 ** rng.uniform(-3.0, 3.0, (k + 1, 1))
     apex, rays = (rng.standard_normal((k + 1, n + m + l)) * size)[0], (rng.standard_normal((k + 1, n + m + l)) * size)[1:]

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    OFF_UNIT_BRANCH,
     random_casedata,
     random_instance,
     random_orthogonal,
@@ -488,7 +489,7 @@ def test_structured_slice_points_match_beta_loop(cd_wedge, cd_scaled, cd_polars)
 
 def test_forced_cglambda_fails_on_scaled_witness(cd_scaled):
     # locally-described set with the exact interior point (3, −4, 5)/5
-    fs = CGLambda(2, 1, 0, cd=cd_scaled, forced=True)
+    fs = CGLambda(cd_scaled)
     hom = oracle.sample_S_homogeneous(cd_scaled.a, cd_scaled.d, 2000, seed=5)
     extra = oracle.structured_slice_points(cd_scaled.lam, cd_scaled.a, cd_scaled.d)
     rep = oracle.check_freeness(fs, np.vstack([hom, extra]))
@@ -504,10 +505,10 @@ def test_forced_cglambda_fails_on_wedge_but_cphilambda_passes(cd_wedge):
     hom = oracle.sample_S_homogeneous(cd_wedge.a, cd_wedge.d, 4000, seed=6)
     extra = oracle.structured_slice_points(cd_wedge.lam, cd_wedge.a, cd_wedge.d)
     samples = np.vstack([hom, extra])
-    bad = CGLambda(2, 1, 0, cd=cd_wedge, forced=True)
+    bad = CGLambda(cd_wedge)
     rep_bad = oracle.check_freeness(bad, samples)
     assert not rep_bad.passed and rep_bad.witness is not None
-    good = CPhiLambda(2, 1, 0, cd=cd_wedge)
+    good = CPhiLambda(cd_wedge)
     rep_good = oracle.check_freeness(good, samples)
     assert rep_good.passed, rep_good.worst_residual
 
@@ -516,7 +517,7 @@ def test_forced_cglambda_fails_on_wedge_but_cphilambda_passes(cd_wedge):
 
 
 def test_exposing_witness_wedge_unrelaxed(cd_wedge):
-    (z,), (rep,) = oracle.exposing_witness(cd_wedge, np.array([-1.0]), CRPhiLambda(2, 1, 0, cd=cd_wedge))
+    (z,), (rep,) = oracle.exposing_witness(cd_wedge, np.array([-1.0]), CRPhiLambda(cd_wedge))
     assert rep.passed, rep.extra
     # −(λ, β)/(aᵀλ + dᵀβ) with denominator −1/√2: a negative multiple of
     # (1/√2, 1/√2, √2)
@@ -527,7 +528,7 @@ def test_exposing_witness_wedge_unrelaxed(cd_wedge):
 
 def test_exposing_witness_requires_strict_region(cd_wedge):
     with pytest.raises(PreconditionViolatedError, match="strictly negative"):
-        oracle.exposing_witness(cd_wedge, np.array([1.0]), CRPhiLambda(2, 1, 0, cd=cd_wedge))
+        oracle.exposing_witness(cd_wedge, np.array([1.0]), CRPhiLambda(cd_wedge))
 
 
 def test_exposing_witness_d_zero_scaling():
@@ -536,9 +537,9 @@ def test_exposing_witness_d_zero_scaling():
     a = random_unit(rng, 3)
     while float(a @ lam) > -0.2:
         a = random_unit(rng, 3)
-    cd = CaseData(lam=lam, a=a, d=np.zeros(2), unit_a=True)
+    cd = CaseData(lam=lam, a=a, d=np.zeros(2))
     beta = random_unit(rng, 2)
-    (z,), (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(3, 2, 0, cd=cd))
+    (z,), (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(cd))
     assert rep.passed
     assert np.allclose(z, -np.concatenate([lam, beta]) / float(a @ lam), atol=1e-12)
 
@@ -551,7 +552,7 @@ def test_exposing_witness_random_strict_region():
         beta = random_unit(rng, len(cd.d))
         if float(cd.a @ cd.lam + cd.d @ beta) >= -1e-3:
             continue
-        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(len(cd.lam), len(beta), 0, cd=cd))
+        _, (rep,) = oracle.exposing_witness(cd, beta, CRPhiLambda(cd))
         assert rep.passed, rep.extra
         done += 1
 
@@ -655,12 +656,25 @@ def test_asymptote_sequence_rejects_strict_region(cd_wedge):
         oracle.asymptote_sequence(cd_wedge, np.array([-1.0]), 100)
 
 
+@pytest.mark.parametrize("name", OFF_UNIT_BRANCH)
+def test_asymptote_sequence_refuses_data_off_the_unit_branch(name):
+    with pytest.raises(PreconditionViolatedError, match="‖a‖ = 1 > ‖d‖"):
+        oracle.asymptote_sequence(OFF_UNIT_BRANCH[name], np.array([1.0, 0.0]), 100)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_asymptote_sequence_refuses_lambda_at_plus_or_minus_a(sign):
+    # zero rows: at λ = −a no β has λᵀa + dᵀβ ≥ 0, which is checked first
+    a = np.array([0.0, 1.0])
+    cd = CaseData(lam=sign * a, a=a, d=np.array([0.3, 0.0]))
+    with pytest.raises(PreconditionViolatedError, match="λ = ±a"):
+        oracle.asymptote_sequence(cd, np.empty((0, 2)), 100)
+
+
 def test_asymptote_sequence_takes_zero_rows():
     # λᵀa = −0.8 < −‖d‖ = −0.5 leaves no β with λᵀa + dᵀβ ≥ 0: the
     # sequence takes zero rows, and the battery gives no asymptote report
-    cd = CaseData(
-        lam=np.array([1.0, 0.0]), a=np.array([-0.8, 0.6]), d=np.array([0.3, -0.4]), unit_a=True
-    )
+    cd = CaseData(lam=np.array([1.0, 0.0]), a=np.array([-0.8, 0.6]), d=np.array([0.3, -0.4]))
     Z, V, reports = oracle.asymptote_sequence(cd, np.empty((0, 2)), 100)
     assert Z.shape == (0, 100, 4) and V.shape == (0, 100) and reports == []
     cf, fs = _case2_form(cd, False)
@@ -674,7 +688,7 @@ def test_asymptote_sequence_takes_zero_rows():
 def test_bruteforce_lambda_minus_a():
     rng = np.random.default_rng(10)
     a = random_unit(rng, 2)
-    cd = CaseData(lam=-a, a=a, d=np.zeros(1), unit_a=True)
+    cd = CaseData(lam=-a, a=a, d=np.zeros(1))
     y = np.array([1.7])
     assert abs(oracle.phi_bruteforce(cd, y, grid=10**4) - 1.7) <= 1e-6
 
@@ -823,7 +837,7 @@ def _witness_one(cd, beta, fs):
 
 def _case2_loop(cf, fs, seed):
     """One-y-at-a-time reference for ``oracle.case2_battery``."""
-    cd = CaseData(cf.lam, cf.a, cf.d, unit_a=True)
+    cd = CaseData(cf.lam, cf.a, cf.d)
     rng = np.random.default_rng(seed + 1)
     reports = []
     for _ in range(50):
@@ -861,11 +875,11 @@ def _case2_form(cd, neg_a):
     """A case-2 canonical form (λ, a, d, its case and free set) for cd."""
     n, m = len(cd.lam), len(cd.d)
     if neg_a:
-        cd = CaseData(-cd.a, cd.a, cd.d, unit_a=True)
-        fs = CLambda(n, m, 0, lam=cd.lam)
+        cd = CaseData(-cd.a, cd.a, cd.d)
+        fs = CLambda(cd.lam, m)
         case = spectral.CASE_CASE2_CR_LAMBDA_NEG_A
     else:
-        fs, case = CRPhiLambda(n, m, 0, cd=cd), spectral.CASE_CASE2_CR
+        fs, case = CRPhiLambda(cd), spectral.CASE_CASE2_CR
     return SimpleNamespace(n=n, m=m, lam=cd.lam, a=cd.a, d=cd.d, case=case), fs
 
 
@@ -967,7 +981,7 @@ def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
     if unit_d:
         d = np.zeros(m)
         d[seed % m] = 1.0
-        cd_ray = CaseData(cd.lam, cd.a, d, unit_a=True)
+        cd_ray = CaseData(cd.lam, cd.a, d)
         Y[:3] = np.array([[2.0], [0.5], [-1.0]]) * d
         Y[3] = 0.0
         assert n == 1 or np.isinf(theta_dual(cd_ray, Y[0]))  # n = 1 has λ = −a: flat, θ = 0
@@ -979,7 +993,7 @@ def test_a_row_gets_the_same_report_in_any_batch(n, m, unit_d, seed, subset):
             alone = [None if r is None else _bits(r.as_dict()) for r in check(cd_ray, part)]
             assert alone == [whole[i] for i in subset]
 
-    fs = CRPhiLambda(n, m, 0, cd=cd)
+    fs = CRPhiLambda(cd)
     B = _unit_rows_loop(rng, 80, m)
     strict, loose = B[cd.lam_a + B @ cd.d < -1e-6][:16], B[cd.lam_a + B @ cd.d >= 0.0][:16]
     # the witness points, and the sequences' points and violations, by bytes;
@@ -1013,11 +1027,11 @@ def test_a_margin_row_has_the_same_bits_in_any_batch_and_layout(n, m, l, seed, s
     cd = random_casedata(rng, n, m)
     W = rng.standard_normal((12, n + m + l)) * rng.uniform(0.1, 10.0)
     families = [
-        CLambda(n, m, l, lam=cd.lam),
-        CGLambda(n, m, l, cd=cd, forced=True),
-        CPhiLambda(n, m, l, cd=cd),
-        CRPhiLambda(n, m, l, cd=cd),
-        Halfspace(n, m, l, coef=rng.standard_normal(n + m + l), rhs=float(rng.standard_normal())),
+        CLambda(cd.lam, m),
+        CGLambda(cd),
+        CPhiLambda(cd),
+        CRPhiLambda(cd),
+        Halfspace(rng.standard_normal(n + m + l), float(rng.standard_normal())),
     ]
     gauge = [lambda Y, f=f: f(cd, Y) for f in (phi_value, phi_gradient, theta_dual, x_beta)]
     for f, X in [(fs.margin, W) for fs in families] + [(g, W[:, n : n + m]) for g in gauge]:
