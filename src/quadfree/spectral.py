@@ -217,8 +217,9 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
         q_bar = qc(point)
         if q_bar <= zero_tol:
             raise NotSeparableError(f"q(point) = {q_bar} is not positive")
-        wbar = M0 @ np.concatenate([point, [1.0]])
-        mapped = wbar if mu is None else mu * wbar
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite w̄ raises below
+            wbar = M0 @ np.concatenate([point, [1.0]])
+            mapped = wbar if mu is None else mu * wbar
         if np.count_nonzero(np.isfinite(mapped)) < k:  # the cheapest all()
             raise ParseError("w̄ = M(point, 1) is not finite")
         # x̄ at unit exponents: ‖x̄‖² neither overflows nor underflows

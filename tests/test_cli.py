@@ -2,13 +2,18 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
+import time
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import console_cases
-from quadfree import cuts, freesets, lp, oracle, spectral
+from quadfree import cli, cuts, freesets, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
@@ -17,6 +22,7 @@ from quadfree.errors import (
     PreconditionViolatedError,
     QuadfreeError,
     SamplingExhaustedError,
+    UncertifiedStepError,
 )
 
 S2 = math.sqrt(2.0)
@@ -655,6 +661,117 @@ def test_seed_comes_from_the_flag_only(tmp_path, capsys, monkeypatch):
     freeness = [r for r in out["reports"] if r["name"] == "freeness"][0]
     assert freeness["seed"] == 7
     assert main(["plot", path]) == 0
+
+
+# --- verify's cut check on its own thread ------------------------------------
+
+_VERIFY_ROWS = [row for row in _CONSOLE_ROWS if row["command"] == "verify"]
+
+
+def _verify_wedge(tmp_path):
+    """``verify`` on the wedge with the unit rays, 500 freeness samples."""
+    path = write_instance(tmp_path, **wedge_fields(cone={"rays": [[1.0, 0.0], [0.0, 1.0]]}))
+    return main(["verify", path, "--samples", "500"])
+
+
+@pytest.mark.parametrize(
+    "freeness_raises, cut_raises, code",
+    [(False, False, 0), (True, False, 8), (False, True, 13), (True, True, 8)],
+)
+def test_verify_exits_as_if_its_checks_ran_in_turn(tmp_path, monkeypatch, freeness_raises, cut_raises, code):
+    # the freeness check's exception wins, the cut check's is raised when
+    # the freeness check ends normally, and the cut check's thread, slowed
+    # so that it outlives the freeness check, is joined on every path
+    real_check = oracle.check_cut_validity
+
+    def slow_check(*args, **kwargs):
+        time.sleep(0.05)
+        if cut_raises:
+            raise UncertifiedStepError("no step certified")
+        return real_check(*args, **kwargs)
+
+    def exhausted(*args, **kwargs):
+        raise SamplingExhaustedError("only 0 points")
+
+    monkeypatch.setattr(oracle, "check_cut_validity", slow_check)
+    if freeness_raises:
+        monkeypatch.setattr(oracle, "freeness_samples", exhausted)
+    threads = threading.active_count()
+    assert _verify_wedge(tmp_path) == code
+    assert threading.active_count() == threads
+
+
+def test_verify_runs_its_cut_check_beside_its_freeness_check(tmp_path, monkeypatch):
+    # the freeness check waits until the cut check has started: run in
+    # turn, the cut check would start only after the wait timed out
+    cut_started, threads = threading.Event(), {}
+    real_cut, real_samples = cuts.intersection_cut, oracle.freeness_samples
+
+    def cut(*args):
+        threads["cut"] = threading.get_ident()
+        cut_started.set()
+        return real_cut(*args)
+
+    def samples(*args):
+        threads["freeness"] = threading.get_ident()
+        assert cut_started.wait(timeout=30)
+        return real_samples(*args)
+
+    monkeypatch.setattr(cuts, "intersection_cut", cut)
+    monkeypatch.setattr(oracle, "freeness_samples", samples)
+    assert _verify_wedge(tmp_path) == 0
+    assert threads["freeness"] == threading.get_ident() != threads["cut"]
+
+
+def test_verify_without_a_cone_starts_no_thread(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "threading", types.SimpleNamespace())
+    path = write_instance(tmp_path, **wedge_fields())
+    assert main(["verify", path, "--samples", "500"]) == 0
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)["reports"]][-1] != "cut_validity"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_warning_the_cut_check_turns_into_an_error_reaches_the_caller(tmp_path, monkeypatch):
+    raised = []
+
+    def warn(*args, **kwargs):
+        try:
+            warnings.warn("overflow encountered in the cut check", RuntimeWarning)
+        except RuntimeWarning as exc:
+            raised.append((exc, threading.get_ident()))
+            raise
+
+    monkeypatch.setattr(oracle, "check_cut_validity", warn)
+    with pytest.raises(RuntimeWarning) as caught:
+        _verify_wedge(tmp_path)
+    ((exc, ident),) = raised
+    assert caught.value is exc and ident != threading.get_ident()
+
+
+def test_the_cut_check_runs_under_the_callers_errstate(tmp_path, monkeypatch):
+    # NumPy's errstate is a context variable; a thread started without a
+    # copy of the caller's context would warn here instead of raising
+    def overflow(*args, **kwargs):
+        return np.float64(1e308) * 10.0
+
+    monkeypatch.setattr(oracle, "check_cut_validity", overflow)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _verify_wedge(tmp_path)
+
+
+@pytest.mark.parametrize("row", _VERIFY_ROWS, ids=[row["name"] for row in _VERIFY_ROWS])
+def test_verify_row_prints_the_same_twice(tmp_path, capsys, row):
+    # the second run switches threads about 500 times as often
+    runs, interval = [], sys.getswitchinterval()
+    for switch in (interval, 1e-5):
+        sys.setswitchinterval(switch)
+        try:
+            code = main(console_cases.argv(row, tmp_path))
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == row["exit"]
 
 
 # --- plot --------------------------------------------------------------------

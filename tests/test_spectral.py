@@ -17,6 +17,7 @@ from quadfree.errors import (
     DegenerateQuadraticError,
     NonSymmetricError,
     NotSeparableError,
+    ParseError,
 )
 from quadfree.spectral import (
     CASE_CASE1_CGLAMBDA,
@@ -420,3 +421,17 @@ def test_a_reused_decomposition_matches_canonicalize_bit_for_bit(seed):
 def test_decomposition_rejects_a_bad_point(point):
     with pytest.raises(ValueError):
         decompose(wedge_constraint())(point)
+
+
+def test_a_point_whose_w_bar_overflows_is_a_parse_error_and_no_warning(monkeypatch):
+    # q is made finite here, so that the product w̄ = M0 (point, 1) is the
+    # only overflow: it raises ParseError, not a RuntimeWarning (an error
+    # under this suite's warnings filter).  q's own overflow at such a
+    # point is the problem-scale item of ROADMAP.md.
+    monkeypatch.setattr(QuadraticConstraint, "__call__", lambda self, s: 1.0)
+    qc = QuadraticConstraint(
+        Q=np.array([[1.0, 1.0], [1.0, -1.0]]), b=np.zeros(2), c=-1.0,
+        point=np.array([1.5e308, 1.5e308]),
+    )
+    with pytest.raises(ParseError, match="not finite"):
+        canonicalize(qc)
