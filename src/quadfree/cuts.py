@@ -52,18 +52,26 @@ class SimplicialCone:
 @dataclass(frozen=True)
 class CutCertificate:
     """A cut coefᵀs ≤ rhs violated by the cone apex, with bookkeeping:
-    per ray j, the boundary step steps[j] (+inf for a recession ray), its
-    margin residuals[j] and the weight 1 / steps[j]."""
+    per ray j, the boundary step steps[j] (+inf for a recession ray) and
+    its margin residuals[j]."""
 
     steps: np.ndarray
     residuals: np.ndarray
     coef: np.ndarray
     rhs: float
-    apex_violation: float
-    weights: np.ndarray
     cone: SimplicialCone
     canonical_form: spectral.CanonicalForm
     free_set: freesets.FreeSetDescriptor
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight 1 / steps[j] of each ray, 0 for a recession ray."""
+        return 1.0 / self.steps
+
+    @property
+    def apex_violation(self) -> float:
+        """coefᵀapex − rhs, how far the cone apex violates the cut."""
+        return float(self.coef @ self.cone.apex - self.rhs)
 
 
 def intersection_cut(
@@ -89,10 +97,9 @@ def intersection_cut(
     gamma = np.linalg.solve(cone.R.T, weights)
     coef = -gamma
     rhs = -(1.0 + gamma @ cone.apex)
-    violation = float(coef @ cone.apex - rhs)
     return CutCertificate(
-        steps=steps, residuals=residuals, coef=coef, rhs=float(rhs), apex_violation=violation,
-        weights=weights, cone=cone, canonical_form=cf, free_set=fs,
+        steps=steps, residuals=residuals, coef=coef, rhs=float(rhs), cone=cone,
+        canonical_form=cf, free_set=fs,
     )
 
 

@@ -452,7 +452,7 @@ def boundary_steps(fs, apex, rays) -> tuple[np.ndarray, np.ndarray]:
         steps[rootless], residuals[rootless] = np.inf, 0.0
         ok |= rootless
     i = (~ok).nonzero()[0]
-    if i.size:
+    if i.size:  # lazy: folding this call into the first costs about 22 % per cut
         T = np.column_stack((t[i, None] * _SECOND, below(i, _TOL)))
         V = fs.margin(_points(apex, rays[i], T)).reshape(T.shape)
         steps[i], residuals[i], ok = _first_certified(T, V, _TOL)

@@ -121,11 +121,9 @@ class CanonicalForm:
     """Result of canonicalize: coordinates w = M(s,1), a case tag and
     the hyperplane data (a, d, h) with right-hand side -1, the lifted
     eigenvalues (descending), and μ = ‖a‖ when case 2 rescaled M by it
-    (else None)."""
+    (else None).  The signature (n, m, l) is read off the lengths of a, d
+    and h."""
 
-    n: int
-    m: int
-    l: int
     M: np.ndarray
     a: np.ndarray
     d: np.ndarray
@@ -135,6 +133,21 @@ class CanonicalForm:
     case: str
     eigenvalues: np.ndarray | None = None
     case2_rescale: float | None = None
+
+    @property
+    def n(self) -> int:
+        """The number of positive lifted eigenvalues, the length of x."""
+        return self.a.size
+
+    @property
+    def m(self) -> int:
+        """The number of negative lifted eigenvalues, the length of y."""
+        return self.d.size
+
+    @property
+    def l(self) -> int:
+        """The number of zero lifted eigenvalues, the length of z."""
+        return self.h.size
 
     @property
     def quad_scale(self) -> float:
@@ -229,8 +242,8 @@ def decompose(qc: QuadraticConstraint, zero_tol: float = 1e-9) -> Callable[[np.n
         if mu is not None and _norm(lam + a) <= zero_tol:
             case_at = CASE_CASE2_CR_LAMBDA_NEG_A
         return CanonicalForm(
-            n=n, m=m, l=k - n - m, M=M, a=a, d=d, h=h, mapped_point=mapped, lam=lam,
-            case=case_at, eigenvalues=eig[::-1], case2_rescale=mu,
+            M=M, a=a, d=d, h=h, mapped_point=mapped, lam=lam, case=case_at,
+            eigenvalues=eig[::-1], case2_rescale=mu,
         )
 
     return at

@@ -139,6 +139,47 @@ def test_every_exit_code_is_a_console_row():
     assert len({row["name"] for row in _CONSOLE_ROWS}) == len(_CONSOLE_ROWS)
 
 
+def _printed(row, tmp_path, capsys) -> dict:
+    assert main(console_cases.argv(row, tmp_path)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+_PRINTING_ROWS = {
+    command: [row for row in _CONSOLE_ROWS if row["command"] == command and row["exit"] == 0]
+    for command in ("cut", "canon")
+}
+
+
+@pytest.mark.parametrize(
+    "row", _PRINTING_ROWS["cut"], ids=[row["name"] for row in _PRINTING_ROWS["cut"]]
+)
+def test_cut_prints_weights_and_apex_violation_of_its_own_cut(tmp_path, capsys, row):
+    # bit for bit from the printed floats; an infinite step prints "inf"
+    out = _printed(row, tmp_path, capsys)
+    steps = [float(step["value"]) for step in out["steps"]]
+    assert out["weights"] == [1.0 / t if t < math.inf else 0.0 for t in steps]
+    fields = row["fields"] or json.loads((console_cases.DATA / row["instance"]).read_text())
+    point = np.array(fields["point"], dtype=float)
+    assert out["apex_violation"] == float(np.array(out["coef"]) @ point - out["rhs"])
+
+
+@pytest.mark.parametrize(
+    "row", _PRINTING_ROWS["canon"], ids=[row["name"] for row in _PRINTING_ROWS["canon"]]
+)
+def test_canon_prints_the_signature_of_a_d_h(tmp_path, capsys, row):
+    out = _printed(row, tmp_path, capsys)
+    signature = [len(out["a"]), len(out["d"]), len(out["h"])]
+    assert [out["n"], out["m"], out["l"]] == out["scale"]["signature"] == signature
+
+
+def test_canon_scale307_reads_signature_1_1_1(tmp_path, capsys):
+    # pins a scale defect of ROADMAP item 1: c = −1 is a lifted eigenvalue
+    (row,) = [row for row in _PRINTING_ROWS["canon"] if row["name"] == "canon-scale307"]
+    out = _printed(row, tmp_path, capsys)
+    assert out["scale"]["signature"] == [1, 1, 1]
+    assert out["case"] == spectral.CASE_HOMOG_H_NONZERO
+
+
 # --- parsing -----------------------------------------------------------------
 
 

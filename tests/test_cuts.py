@@ -43,9 +43,6 @@ class _BoxSet(FreeSetDescriptor):
 def _identity_cf(p):
     k = p + 1
     return spectral.CanonicalForm(
-        n=k,
-        m=0,
-        l=0,
         M=np.eye(k),
         a=np.zeros(k),
         d=np.zeros(0),

@@ -233,30 +233,33 @@ def test_cylinder_lift_ignores_free_coordinates():
 # --- build_free_set -----------------------------------------------------------
 
 
-def _synthetic_cf(n, m, l, a, d, h, case, lam=None):
-    k = n + m + l
+def _synthetic_cf(a, d, h, case, lam=None):
+    a, d, h = (np.asarray(v, float) for v in (a, d, h))
+    n, k = a.size, a.size + d.size + h.size
     if lam is None:
         lam = np.zeros(n)
         lam[0] = 1.0
     wbar = np.zeros(k)
     wbar[:n] = lam
     return spectral.CanonicalForm(
-        n=n,
-        m=m,
-        l=l,
         M=np.eye(k),
-        a=np.asarray(a, float),
-        d=np.asarray(d, float),
-        h=np.asarray(h, float),
+        a=a,
+        d=d,
+        h=h,
         mapped_point=wbar,
         lam=np.asarray(lam, float),
         case=case,
     )
 
 
+def test_a_hand_built_form_reads_its_signature_off_a_d_h():
+    cf = _synthetic_cf(a=[0.6, 0.0], d=[0.5], h=[], case=spectral.CASE_CASE2_CR)
+    assert (cf.n, cf.m, cf.l) == (2, 1, 0)
+
+
 def test_build_case1_gives_cglambda():
     cf = _synthetic_cf(
-        1, 2, 0, a=[1.0], d=[1.0, -1.0], h=[], case=spectral.CASE_CASE1_CGLAMBDA,
+        a=[1.0], d=[1.0, -1.0], h=[], case=spectral.CASE_CASE1_CGLAMBDA,
         lam=[-1.0],
     )
     fs = build_free_set(cf)
@@ -265,13 +268,13 @@ def test_build_case1_gives_cglambda():
 
 def test_build_case2_variants(cd_wedge):
     cf = _synthetic_cf(
-        2, 1, 0, a=cd_wedge.a, d=cd_wedge.d, h=[], case=spectral.CASE_CASE2_CR,
+        a=cd_wedge.a, d=cd_wedge.d, h=[], case=spectral.CASE_CASE2_CR,
         lam=cd_wedge.lam,
     )
     assert isinstance(build_free_set(cf), CRPhiLambda)
     a = np.array([0.0, 1.0])
     cf2 = _synthetic_cf(
-        2, 1, 0, a=a, d=[0.5], h=[],
+        a=a, d=[0.5], h=[],
         case=spectral.CASE_CASE2_CR_LAMBDA_NEG_A, lam=-a,
     )
     assert isinstance(build_free_set(cf2), CLambda)
@@ -279,7 +282,7 @@ def test_build_case2_variants(cd_wedge):
 
 def test_build_homogeneous_gives_cylinder():
     cf = _synthetic_cf(
-        1, 1, 1, a=[0.0], d=[0.0], h=[-1.0], case=spectral.CASE_HOMOG_H_NONZERO
+        a=[0.0], d=[0.0], h=[-1.0], case=spectral.CASE_HOMOG_H_NONZERO
     )
     fs = build_free_set(cf)
     assert isinstance(fs, CLambda)
@@ -287,7 +290,7 @@ def test_build_homogeneous_gives_cylinder():
 
 def test_build_empty_s_raises():
     # an empty S needs no cut: build_free_set decides that for every caller
-    cf = _synthetic_cf(2, 0, 0, a=[0.0, 0.0], d=[], h=[], case=spectral.CASE_EMPTY_S)
+    cf = _synthetic_cf(a=[0.0, 0.0], d=[], h=[], case=spectral.CASE_EMPTY_S)
     with pytest.raises(EmptySError):
         build_free_set(cf)
 
