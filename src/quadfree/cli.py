@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -210,49 +210,37 @@ def cmd_cut(inst, args) -> int:
     return 0
 
 
-def _cut_check(inst, cf, fs, seed, outcome) -> None:
-    """``verify``'s cut branch: the ``cut_validity`` report, or the
-    exception that ended the branch, stored in ``outcome``."""
-    try:
-        cert = cuts.intersection_cut(inst["cone"], cf, fs)
-        outcome["report"] = oracle.check_cut_validity(inst["qc"], cert, seed=seed)
-    except BaseException as exc:  # re-raised by the thread that joins this one
-        outcome["error"] = exc
+def _cut_report(inst, cf, fs, seed):
+    """``verify``'s cut check: the ``cut_validity`` report of the cut."""
+    cert = cuts.intersection_cut(inst["cone"], cf, fs)
+    return oracle.check_cut_validity(inst["qc"], cert, seed=seed)
 
 
 def cmd_verify(inst, args) -> int:
     """The freeness check, then the cut check when there is a cone.
 
     The two share no state and draw from their own generators, so the
-    cut check runs on a second thread, in a copy of this thread's context
-    (NumPy's errstate), while this one runs the freeness check; their
-    NumPy work releases the GIL.  Stdout and the exit code are those of
-    running the two in turn: an exception of the freeness check wins,
-    else one of the cut check is raised here, once it is joined.
+    cut check runs as a future on a one-worker pool, in a copy of this
+    thread's context (NumPy's errstate), while this thread runs the
+    freeness check; their NumPy work releases the GIL.  Leaving the pool
+    joins the worker.  Stdout and the exit code are those of running the
+    two in turn: an exception of the freeness check wins, else
+    ``result()`` raises the cut check's own.
     """
     cf = spectral.canonicalize(inst["qc"], zero_tol=args.tol)
     fs = freesets.build_free_set(cf)
     if args.force_free_set:  # the parser admits CGLAMBDA only
         fs = freesets.CGLambda(CaseData(cf.lam, cf.a, cf.d))
-    outcome, worker = {}, None
-    if "cone" in inst:
-        worker = threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(_cut_check, inst, cf, fs, args.seed, outcome),
-            daemon=True,
-        )
-        worker.start()
-    try:
+    cut = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if "cone" in inst:
+            run = contextvars.copy_context().run
+            cut = pool.submit(run, _cut_report, inst, cf, fs, args.seed)
         samples = oracle.freeness_samples(cf, fs, args.samples, args.seed)
         reports = [oracle.check_freeness(fs, samples, seed=args.seed)]
         reports.extend(oracle.case2_battery(cf, fs, args.seed))
-    finally:
-        if worker is not None:
-            worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    if worker is not None:
-        reports.append(outcome["report"])
+    if cut is not None:
+        reports.append(cut.result())
     passed = all(r.passed for r in reports)
     sys.stdout.write(
         emit_json({"passed": passed, "reports": [r.as_dict() for r in reports]})

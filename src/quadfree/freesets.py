@@ -344,14 +344,13 @@ def _convex_m1_halfspace(cf: spectral.CanonicalForm) -> Halfspace:
 
     On the hyperplane, y = (−1 − aᵀx)/d₁ and the feasible region is the
     convex set {g(x) ≤ 0} with g(x) = ‖x‖² − y(x)².  g(0) < 0 and
-    g(x̄) > 0 at the mapped point, so on the segment t·x̄ the set's
-    boundary is the first root t* = 1/(|d₁|‖x̄‖ − aᵀx̄) of
-    t|d₁|‖x̄‖ = 1 + t·aᵀx̄; g(x̄) > 0 makes the denominator exceed 1.
-    The supporting hyperplane at t*·x̄ is the free halfspace.
+    g(x̄) > 0 at the mapped point, so on the ray t·λ, λ = x̄/‖x̄‖, the
+    set's boundary is the first root t* = 1/(|d₁| − aᵀλ) of
+    t|d₁| = 1 + t·aᵀλ; g(x̄) > 0 makes t* less than ‖x̄‖.
+    The supporting hyperplane at t*·λ is the free halfspace.
     """
     a, d1 = cf.a, float(cf.d[0])
-    xbar = cf.mapped_point[: cf.n]
-    x_b = xbar / (abs(d1) * np.linalg.norm(xbar) - a @ xbar)
+    x_b = cf.lam / (abs(d1) - a @ cf.lam)
     y_b = (-1.0 - a @ x_b) / d1
     grad = 2.0 * x_b + (2.0 * y_b / d1) * a
     coef = np.concatenate([-grad, np.zeros(cf.m + cf.l)])

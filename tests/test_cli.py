@@ -5,7 +5,6 @@ import re
 import sys
 import threading
 import time
-import types
 import warnings
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 import console_cases
-from quadfree import cli, cuts, freesets, lp, oracle, spectral
+from quadfree import cuts, freesets, lp, oracle, spectral
 from quadfree.cli import _EXIT_CODES, _marching_squares, emit_json, main, parse_instance
 from quadfree.errors import (
     NonSymmetricError,
@@ -765,7 +764,10 @@ def test_verify_runs_its_cut_check_beside_its_freeness_check(tmp_path, monkeypat
 
 
 def test_verify_without_a_cone_starts_no_thread(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "threading", types.SimpleNamespace())
+    def start(self):
+        raise AssertionError(f"verify without a cone started {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     path = write_instance(tmp_path, **wedge_fields())
     assert main(["verify", path, "--samples", "500"]) == 0
     assert [r["name"] for r in json.loads(capsys.readouterr().out)["reports"]][-1] != "cut_validity"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import console_cases
 from conftest import (
     OFF_UNIT_BRANCH,
     random_casedata,
@@ -312,6 +313,22 @@ def test_build_convex_m1_supporting_halfspace():
             assert fs.margin(cf.map_point(s)) >= -1e-9
     # the halfspace touches the unit disk where the segment to the point exits it
     assert abs(fs.margin(cf.map_point([1.0, 0.0]))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_convex_m1_halfspace_does_not_depend_on_the_mapped_points_length():
+    # the halfspace reads λ: a mapped point whose ‖x̄‖² overflows gives it bit for bit
+    fields = {row["instance"]: row["fields"] for row in console_cases.load()}["disk"]
+    qc = spectral.QuadraticConstraint(
+        Q=np.array(fields["Q"], dtype=float), b=np.array(fields["b"], dtype=float),
+        c=float(fields["c"]), point=np.array(fields["point"], dtype=float),
+    )
+    cf = spectral.canonicalize(qc)
+    far = dataclasses.replace(cf, mapped_point=cf.mapped_point * 2.0**600)
+    near_fs, far_fs = build_free_set(cf), build_free_set(far)
+    assert isinstance(near_fs, Halfspace)
+    assert near_fs.coef.tobytes() == far_fs.coef.tobytes()
+    assert near_fs.rhs == far_fs.rhs
 
 
 def test_built_set_contains_mapped_point():
